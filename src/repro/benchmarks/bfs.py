@@ -89,12 +89,17 @@ def _bfs_levels(graph: Graph, source: int) -> np.ndarray:
     visited[source] = True
     level = 0
     while frontier.size:
+        # gather every frontier node's adjacency slice in one index
+        # array: position p of node f's run maps to node_start[f] + p
         starts = graph.node_start[frontier]
-        ends = graph.node_start[frontier + 1]
-        neigh = np.concatenate([graph.edges[s:e]
-                                for s, e in zip(starts, ends)])
-        neigh = np.unique(neigh)
-        new = neigh[~visited[neigh]]
+        counts = graph.node_start[frontier + 1] - starts
+        run_base = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        neigh = graph.edges[np.arange(int(counts.sum())) + run_base]
+        # sorted distinct unvisited neighbours, via a node mask (cheaper
+        # than np.unique's hash pass at a million nodes)
+        reached = np.zeros(graph.n_nodes, dtype=bool)
+        reached[neigh] = True
+        new = np.flatnonzero(reached & ~visited)
         if new.size == 0:
             break
         level += 1

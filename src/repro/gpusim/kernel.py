@@ -173,10 +173,48 @@ class Kernel:
         return total
 
     # ------------------------------------------------------------------
+    def _bound_names(self) -> tuple[str, ...]:
+        """Scalars any ``For`` lower/upper/step of the body reads, sorted.
+
+        The work estimate, the access summary and the grid extents read
+        their bindings only through loop bounds (trip counts and the
+        value ranges of loop iterators), so a launch's bindings outside
+        this set cannot change its descriptor.
+        """
+        names = self.__dict__.get("_bound_names_memo")
+        if names is None:
+            found: set[str] = set()
+            for stmt in self.body.walk():
+                if isinstance(stmt, For):
+                    for expr in (stmt.lower, stmt.upper, stmt.step):
+                        found |= expr.free_vars()
+            names = self._bound_names_memo = tuple(sorted(found))
+        return names
+
     def describe(self, bindings: Mapping[str, float],
                  array_extents: Mapping[str, Sequence[Optional[int]]],
                  ) -> KernelDescriptor:
-        """Build the static descriptor the timing model prices."""
+        """The static descriptor the timing model prices, memoized.
+
+        The memo is keyed on the bindings of the loop-bound scalars
+        (compared as floats, the form every analysis reads them in) and
+        on the array extents; a launch whose key was seen before gets
+        the same descriptor object back.  Descriptors are never mutated
+        after construction.
+        """
+        key = (tuple(float(bindings[n]) if n in bindings else None
+                     for n in self._bound_names()),
+               tuple(sorted((name, tuple(ext))
+                            for name, ext in array_extents.items())))
+        memo = self.__dict__.setdefault("_descriptor_memo", {})
+        desc = memo.get(key)
+        if desc is None:
+            desc = memo[key] = self._describe(bindings, array_extents)
+        return desc
+
+    def _describe(self, bindings: Mapping[str, float],
+                  array_extents: Mapping[str, Sequence[Optional[int]]],
+                  ) -> KernelDescriptor:
         from repro.ir.analysis.access import AccessPattern
 
         work: WorkEstimate = body_work(self.body, self.thread_vars, bindings)
@@ -206,6 +244,15 @@ class Kernel:
             placements=self.placements,
             tiling=self.tiling,
         )
+
+    def __getstate__(self) -> dict:
+        # pickles (pool-worker store deltas) and deep copies start with
+        # an empty memo: a copy whose body is then replaced must not
+        # answer from the original's descriptors
+        state = self.__dict__.copy()
+        state.pop("_descriptor_memo", None)
+        state.pop("_bound_names_memo", None)
+        return state
 
     def elem_bytes(self) -> int:
         return numpy_dtype(self.dtype).itemsize

@@ -1,0 +1,272 @@
+"""Price once, launch many: the launch-descriptor memo, the shared
+workload slot with its CPU baseline, and the vectorized BFS levels.
+
+Every memo here is checked against a fresh computation with zero
+tolerance: a memoized descriptor must ``==`` the uncached one for every
+launch of the Figure-1 sweep, and a shared workload must leave every
+run's outputs exactly as a private one would.
+"""
+
+import copy
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.benchmarks import base
+from repro.benchmarks.bfs import _bfs_levels
+from repro.benchmarks.data import Graph, make_graph
+from repro.benchmarks.registry import get_benchmark
+from repro.gpusim.kernel import Kernel
+from repro.harness.runner import run_speedups
+from repro.ir.stmt import Block
+from repro.models.cache import STORE, compile_port
+
+
+def _launch_args(bench_name: str, model: str, region: str,
+                 scale: str = "test"):
+    """A translated kernel of ``region`` plus its canonical launch
+    bindings and extents."""
+    bench = get_benchmark(bench_name)
+    _, compiled, _ = compile_port(bench_name, model)
+    kernel = compiled.result(region).kernels[0]
+    wl = bench.workload(scale)
+    bindings = {k: float(v) for k, v in wl.scalars.items()}
+    extents = {name: list(wl.arrays[name].shape) for name in kernel.arrays}
+    return kernel, bindings, extents
+
+
+class TestDescriptorMemo:
+    def test_every_figure1_launch_matches_fresh(self, monkeypatch):
+        memoized = Kernel.describe
+        seen: list[int] = []
+
+        def checking(self, bindings, array_extents):
+            got = memoized(self, bindings, array_extents)
+            fresh = self._describe(bindings, array_extents)
+            assert got == fresh, (self.name, dict(bindings))
+            seen.append(id(got))
+            return got
+
+        monkeypatch.setattr(Kernel, "describe", checking)
+        run_speedups(scale="test")
+        run_speedups([get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")],
+                     scale="paper")
+        # the memo actually answers: far fewer descriptors than launches
+        assert len(seen) > 3000
+        assert len(set(seen)) < len(seen) // 2
+
+    def test_non_bound_scalars_share_a_descriptor(self):
+        # SRAD's per-iteration t appears in no loop bound
+        kernel, bindings, extents = _launch_args("SRAD", "OpenACC",
+                                                 "diffusion")
+        first = kernel.describe({**bindings, "t": 0.0}, extents)
+        assert kernel.describe({**bindings, "t": 7.0}, extents) is first
+
+    def test_loop_bound_scalars_split_the_key(self):
+        # NW's anti-diagonal d bounds the wavefront loop
+        kernel, bindings, extents = _launch_args("NW", "OpenACC",
+                                                 "wave_upper")
+        a = kernel.describe({**bindings, "d": 3.0}, extents)
+        b = kernel.describe({**bindings, "d": 9.0}, extents)
+        assert a is not b and a.total_threads != b.total_threads
+        assert a == kernel._describe({**bindings, "d": 3.0}, extents)
+
+    def test_extents_split_the_key(self):
+        kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
+                                                 "stencil")
+        a = kernel.describe(bindings, extents)
+        wider = {name: [e + 1 for e in ext] for name, ext in extents.items()}
+        assert kernel.describe(bindings, wider) is not a
+        assert kernel.describe(dict(bindings), dict(extents)) is a
+
+
+class TestMemoLeavesCopies:
+    def test_pickle_drops_the_memo(self):
+        kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
+                                                 "stencil")
+        desc = kernel.describe(bindings, extents)
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert "_descriptor_memo" not in vars(clone)
+        assert "_bound_names_memo" not in vars(clone)
+        assert clone.describe(bindings, extents) == desc
+        # the original keeps answering from its memo
+        assert kernel.describe(bindings, extents) is desc
+
+    def test_store_view_ships_no_descriptors(self):
+        kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
+                                                 "stencil")
+        kernel.describe(bindings, extents)
+        shipped = pickle.loads(pickle.dumps(STORE.view(
+            include_artifacts=True)))
+        kernels = [k for art in shipped.artifacts
+                   for result in art.compiled.results.values()
+                   for k in result.kernels]
+        assert kernels
+        assert not any("_descriptor_memo" in vars(k) for k in kernels)
+
+    def test_deepcopy_then_new_body_is_not_stale(self):
+        kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
+                                                 "stencil")
+        desc = kernel.describe(bindings, extents)
+        assert desc.access.refs and desc.flops_per_thread > 0
+        bad = copy.deepcopy(kernel)
+        bad.body = Block(())
+        emptied = bad.describe(bindings, extents)
+        assert emptied == bad._describe(bindings, extents)
+        assert emptied.access.refs == [] and emptied.flops_per_thread == 0
+        assert kernel.describe(bindings, extents) is desc
+
+
+class TestWorkloadSlot:
+    def test_timing_only_run_binds_read_only_arrays(self):
+        out = get_benchmark("EP").run("OpenACC", scale="test",
+                                      execute=False, validate=False)
+        (_, scale, seed), wl, _ = base._WORKLOAD_SLOT
+        assert (scale, seed) == ("test", 0)
+        assert wl.arrays and not any(a.flags.writeable
+                                     for a in wl.arrays.values())
+        for name, arr in out.arrays.items():
+            assert arr is wl.arrays[name]
+        name = next(iter(wl.arrays))
+        with pytest.raises(ValueError):
+            wl.arrays[name][...] = 0
+
+    def test_relaid_ports_still_get_their_layout(self):
+        # BACKPROP's best port transposes its weights even when only priced
+        out = get_benchmark("BACKPROP").run("OpenACC", scale="test",
+                                            execute=False, validate=False)
+        wl = base._WORKLOAD_SLOT[1]
+        assert out.arrays["w1"].shape == wl.arrays["w1"].shape[::-1]
+
+    @pytest.mark.parametrize("name", ["JACOBI", "BFS", "LUD"])
+    def test_repeated_execute_runs_are_independent(self, name):
+        bench = get_benchmark(name)
+        first = bench.run("OpenACC", scale="test", seed=3)
+        wl = base._WORKLOAD_SLOT[1]
+        pristine = {k: v.copy() for k, v in wl.arrays.items()}
+        second = bench.run("OpenACC", scale="test", seed=3)
+        assert base._WORKLOAD_SLOT[1] is wl
+        assert first.validated and second.validated
+        for key, arr in first.arrays.items():
+            assert arr.flags.writeable
+            assert arr is not second.arrays[key]
+            assert arr is not wl.arrays.get(key)
+            assert arr.tobytes() == second.arrays[key].tobytes()
+        for key, arr in wl.arrays.items():
+            assert arr.tobytes() == pristine[key].tobytes()
+        assert first.speedup == second.speedup
+
+    @pytest.mark.parametrize("name,model", [("NW", "Hand-Written CUDA"),
+                                            ("LUD", "OpenACC"),
+                                            ("SRAD", "OpenMPC")])
+    def test_run_leaves_scalars_and_schedule_alone(self, name, model):
+        bench = get_benchmark(name)
+        fresh = bench.workload("test", 1)
+        bench.run(model, scale="test", seed=1, execute=False,
+                  validate=False)
+        wl = base._WORKLOAD_SLOT[1]
+        before = (copy.deepcopy(wl.scalars), copy.deepcopy(wl.schedule))
+        bench.run(model, scale="test", seed=1)
+        assert base._WORKLOAD_SLOT[1] is wl
+        assert (wl.scalars, wl.schedule) == before
+        assert (wl.scalars, wl.schedule) == (fresh.scalars, fresh.schedule)
+
+    def test_cpu_baseline_is_priced_once_per_host(self, monkeypatch):
+        from repro.cpu.host import HostSpec
+
+        bench = get_benchmark("SRAD")
+        calls: list[str] = []
+        priced = base.Benchmark.cpu_time
+
+        def counting(self, wl, host=base.KEENELAND_HOST):
+            calls.append(host.name)
+            return priced(self, wl, host=host)
+
+        monkeypatch.setattr(base.Benchmark, "cpu_time", counting)
+        monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None, None, None))
+        slow = HostSpec(name="half-speed host", flops_per_s=1.1e9)
+        a = bench.run("OpenACC", scale="test", execute=False, validate=False)
+        b = bench.run("HMPP", scale="test", execute=False, validate=False)
+        c = bench.run("OpenACC", scale="test", execute=False,
+                      validate=False, host=slow)
+        assert calls == [base.KEENELAND_HOST.name, slow.name]
+        assert a.speedup.cpu_time_s == b.speedup.cpu_time_s
+        assert c.speedup.cpu_time_s > a.speedup.cpu_time_s
+
+    def test_threads_get_their_own_workload(self):
+        # more threads than cores, switching often, each pricing its own
+        # benchmark: any thread reading another's workload (or CPU time)
+        # changes its speedup or its bound array names
+        names = ("EP", "SRAD", "JACOBI", "KMEANS")
+        serial = {n: get_benchmark(n).run("OpenACC", scale="test",
+                                          execute=False, validate=False)
+                  for n in names}
+        barrier = threading.Barrier(len(names), timeout=30)
+        failures: list[str] = []
+
+        def price(name: str) -> None:
+            bench = get_benchmark(name)
+            barrier.wait()
+            for _ in range(15):
+                out = bench.run("OpenACC", scale="test", execute=False,
+                                validate=False)
+                if (out.speedup != serial[name].speedup
+                        or out.arrays.keys() != serial[name].arrays.keys()):
+                    failures.append(name)
+
+        threads = [threading.Thread(target=price, args=(n,)) for n in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
+def _bfs_levels_per_node(graph: Graph, source: int) -> np.ndarray:
+    """The original per-frontier-node gather, kept as the oracle."""
+    cost = np.full(graph.n_nodes, -1, dtype=np.int64)
+    cost[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    visited = np.zeros(graph.n_nodes, dtype=bool)
+    visited[source] = True
+    level = 0
+    while frontier.size:
+        starts = graph.node_start[frontier]
+        ends = graph.node_start[frontier + 1]
+        neigh = np.unique(np.concatenate([graph.edges[s:e]
+                                          for s, e in zip(starts, ends)]))
+        new = neigh[~visited[neigh]]
+        if new.size == 0:
+            break
+        level += 1
+        visited[new] = True
+        cost[new] = level
+        frontier = new
+    return cost
+
+
+class TestBfsLevels:
+    @pytest.mark.parametrize("n,seed", [(500, 0), (500, 1), (500, 7),
+                                        (1_000_000, 0)])
+    def test_byte_identical_to_per_node_gather(self, n, seed):
+        graph = make_graph(n, avg_degree=6, seed=seed)
+        got = _bfs_levels(graph, 0)
+        want = _bfs_levels_per_node(graph, 0)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_unreachable_nodes_and_empty_rows(self):
+        graph = Graph(n_nodes=5, node_start=np.array([0, 2, 2, 3, 3, 3]),
+                      edges=np.array([1, 2, 4]))
+        got = _bfs_levels(graph, 0)
+        assert got.tolist() == [0, 1, 1, -1, 2]
+        assert got.tobytes() == _bfs_levels_per_node(graph, 0).tobytes()
