@@ -39,7 +39,6 @@ the flag so consumers label those miss ratios as lower bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -257,42 +256,41 @@ def line_stream(trace: MemoryTrace, elem_bytes: int,
     Arrays get disjoint line-aligned base offsets in sorted-name order
     (sizes from the largest flat index each trace touched), then every
     event's lane addresses collapse to distinct ``(warp, line)`` pairs.
+    All events are deduplicated at once: one ``lexsort`` by (event,
+    ``warp * span + line``) and a drop of adjacent repeats within an
+    event, instead of one ``np.unique`` per event.
     """
     line_bytes = spec.transaction_bytes
     names = sorted(trace.arrays())
-    max_elem: dict[str, int] = {name: 0 for name in names}
-    for ev in trace.events:
-        if ev.lanes.size:
-            max_elem[ev.array] = max(max_elem[ev.array],
-                                     int(ev.lanes.max()))
-    base: dict[str, int] = {}
-    total_lines = 0
-    for name in names:
-        base[name] = total_lines
-        size_lines = math.ceil((max_elem[name] + 1) * elem_bytes
-                               / line_bytes)
-        total_lines += max(1, size_lines)
     aid = {name: i for i, name in enumerate(names)}
+    events = [ev for ev in trace.events if ev.lanes.size]
+    if not events:
+        return LineStream(lines=np.zeros(0, dtype=np.int64),
+                          array_ids=np.zeros(0, dtype=np.int32),
+                          names=names, line_bytes=line_bytes,
+                          exact=trace.exact)
+    sizes = np.array([ev.lanes.size for ev in events], dtype=np.int64)
+    ev_aid = np.array([aid[ev.array] for ev in events], dtype=np.int32)
+    lanes = np.concatenate([ev.lanes for ev in events])
+    lane_ids = np.concatenate([ev.lane_ids for ev in events])
 
-    parts: list[np.ndarray] = []
-    ids: list[np.ndarray] = []
-    span = max(1, total_lines)
-    for ev in trace.events:
-        if ev.lanes.size == 0:
-            continue
-        gl = (ev.lanes * elem_bytes) // line_bytes + base[ev.array]
-        warps = ev.lane_ids // spec.warp_size
-        key = warps * span + gl
-        uniq = np.unique(key)            # sorted: (warp, line) ascending
-        parts.append(uniq % span)
-        ids.append(np.full(uniq.size, aid[ev.array], dtype=np.int32))
-    if parts:
-        lines = np.concatenate(parts)
-        array_ids = np.concatenate(ids)
-    else:
-        lines = np.zeros(0, dtype=np.int64)
-        array_ids = np.zeros(0, dtype=np.int32)
-    return LineStream(lines=lines, array_ids=array_ids, names=names,
+    max_elem = np.zeros(len(names), dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    np.maximum.at(max_elem, ev_aid, np.maximum.reduceat(lanes, starts))
+    size_lines = np.maximum(
+        1, -(-(max_elem + 1) * elem_bytes // line_bytes))
+    base = np.concatenate([[0], np.cumsum(size_lines[:-1])])
+    span = int(size_lines.sum())
+
+    ev_idx = np.repeat(np.arange(len(events), dtype=np.int64), sizes)
+    gl = (lanes * elem_bytes) // line_bytes + np.repeat(base[ev_aid], sizes)
+    key = (lane_ids // spec.warp_size) * span + gl
+    order = np.lexsort((key, ev_idx))
+    key, ev_idx = key[order], ev_idx[order]
+    keep = np.ones(key.size, dtype=bool)
+    keep[1:] = (key[1:] != key[:-1]) | (ev_idx[1:] != ev_idx[:-1])
+    return LineStream(lines=key[keep] % span,
+                      array_ids=ev_aid[ev_idx[keep]], names=names,
                       line_bytes=line_bytes, exact=trace.exact)
 
 

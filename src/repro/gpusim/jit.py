@@ -63,8 +63,6 @@ notes by ``repro-harness selfprof``).  Reasons:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import threading
 import time
@@ -77,11 +75,10 @@ import numpy as np
 from repro.errors import ExecutionError, LaunchError
 from repro.gpusim.executor import (_INTRINSIC_FUNCS, _REDUCE_FOLD,
                                    _REDUCE_UFUNC, _is_vector)
-from repro.gpusim.kernel import Kernel
+from repro.gpusim.kernel import Kernel, kernel_ir_hash
 from repro.ir.expr import (ArrayRef, BinOp, Call, Cast, Const, Expr,
                            Ternary, UnOp, Var)
 from repro.ir.program import Function
-from repro.ir.serialize import stmt_to_dict
 from repro.ir.stmt import (Assign, Barrier, Block, CallStmt, Critical, For,
                            If, LocalDecl, PointerArith, Return, Stmt, While)
 
@@ -166,57 +163,6 @@ def fallback_log() -> dict[tuple[str, str], int]:
 def clear_fallback_log() -> None:
     with _FALLBACK_LOCK:
         _FALLBACKS.clear()
-
-
-# ---------------------------------------------------------------------------
-# IR hashing (the artifact-store key)
-# ---------------------------------------------------------------------------
-
-def _reachable_functions(body: Stmt,
-                         functions: Mapping[str, Function]) -> dict:
-    """Serialized bodies of every function reachable from ``body``."""
-    out: dict[str, dict] = {}
-    pending = [body]
-    while pending:
-        node = pending.pop()
-        for stmt in node.walk():
-            if isinstance(stmt, CallStmt) and stmt.func in functions \
-                    and stmt.func not in out:
-                func = functions[stmt.func]
-                out[stmt.func] = {
-                    "params": [(p.name, p.is_array, p.dtype)
-                               for p in func.params],
-                    "body": stmt_to_dict(func.body),
-                }
-                pending.append(func.body)
-    return out
-
-
-def kernel_ir_hash(kernel: Kernel,
-                   functions: Optional[Mapping[str, Function]] = None) -> str:
-    """Content hash of everything that determines a kernel's *values*.
-
-    The kernel name is deliberately excluded (it only decorates error
-    messages, which the generated code takes as a runtime parameter), so
-    identically-shaped kernels from different ports share one artifact.
-    Memoized on the kernel object — bodies are immutable.
-    """
-    funcs = dict(functions or {})
-    memo = getattr(kernel, "_jit_hash_memo", None)
-    sig = tuple(sorted((name, id(fn)) for name, fn in funcs.items()))
-    if memo is not None and memo[0] == sig:
-        return memo[1]
-    doc = {
-        "v": 1,
-        "body": stmt_to_dict(kernel.body),
-        "thread_vars": list(kernel.thread_vars),
-        "functions": {name: spec for name, spec in sorted(
-            _reachable_functions(kernel.body, funcs).items())},
-    }
-    digest = hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    kernel._jit_hash_memo = (sig, digest)  # type: ignore[attr-defined]
-    return digest
 
 
 # ---------------------------------------------------------------------------

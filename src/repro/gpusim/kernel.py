@@ -8,6 +8,8 @@ a :class:`KernelDescriptor` — the static summary the timing model prices.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -20,8 +22,9 @@ from repro.gpusim.memory import MemorySpace
 from repro.ir.analysis.access import (AccessSummary, _const_value,
                                       summarize_accesses)
 from repro.ir.analysis.metrics import WorkEstimate, body_work
-from repro.ir.program import numpy_dtype
-from repro.ir.stmt import Block, For, Stmt, as_block
+from repro.ir.program import Function, numpy_dtype
+from repro.ir.serialize import stmt_to_dict
+from repro.ir.stmt import Block, CallStmt, For, Stmt, as_block
 from repro.ir.transforms.tiling import TilingDecision
 
 #: default threads per block for compiler-generated kernels
@@ -247,11 +250,12 @@ class Kernel:
 
     def __getstate__(self) -> dict:
         # pickles (pool-worker store deltas) and deep copies start with
-        # an empty memo: a copy whose body is then replaced must not
-        # answer from the original's descriptors
+        # empty memos: a copy whose body is then replaced must not
+        # answer from the original's descriptors or content hash
         state = self.__dict__.copy()
         state.pop("_descriptor_memo", None)
         state.pop("_bound_names_memo", None)
+        state.pop("_jit_hash_memo", None)
         return state
 
     def elem_bytes(self) -> int:
@@ -281,3 +285,54 @@ class Kernel:
     def __repr__(self) -> str:
         return (f"Kernel({self.name}, grid over {self.thread_vars}, "
                 f"block={self.block_threads})")
+
+
+# ---------------------------------------------------------------------------
+# IR hashing (the artifact-store and replay-memo key)
+# ---------------------------------------------------------------------------
+
+def _reachable_functions(body: Stmt,
+                         functions: Mapping[str, Function]) -> dict:
+    """Serialized bodies of every function reachable from ``body``."""
+    out: dict[str, dict] = {}
+    pending = [body]
+    while pending:
+        node = pending.pop()
+        for stmt in node.walk():
+            if isinstance(stmt, CallStmt) and stmt.func in functions \
+                    and stmt.func not in out:
+                func = functions[stmt.func]
+                out[stmt.func] = {
+                    "params": [(p.name, p.is_array, p.dtype)
+                               for p in func.params],
+                    "body": stmt_to_dict(func.body),
+                }
+                pending.append(func.body)
+    return out
+
+
+def kernel_ir_hash(kernel: Kernel,
+                   functions: Optional[Mapping[str, Function]] = None) -> str:
+    """Content hash of everything that determines a kernel's *values*.
+
+    The kernel name is deliberately excluded (it only decorates error
+    messages, which the generated code takes as a runtime parameter), so
+    identically-shaped kernels from different ports share one artifact.
+    Memoized on the kernel object — bodies are immutable.
+    """
+    funcs = dict(functions or {})
+    memo = getattr(kernel, "_jit_hash_memo", None)
+    sig = tuple(sorted((name, id(fn)) for name, fn in funcs.items()))
+    if memo is not None and memo[0] == sig:
+        return memo[1]
+    doc = {
+        "v": 1,
+        "body": stmt_to_dict(kernel.body),
+        "thread_vars": list(kernel.thread_vars),
+        "functions": {name: spec for name, spec in sorted(
+            _reachable_functions(kernel.body, funcs).items())},
+    }
+    digest = hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    kernel._jit_hash_memo = (sig, digest)  # type: ignore[attr-defined]
+    return digest
