@@ -20,14 +20,18 @@ Semantics notes:
   addresses (the values are discarded).  With no mask active, an
   out-of-bounds subscript raises :class:`ExecutionError`.
 * **Sequential loops with thread-dependent bounds** (CSR row loops)
-  iterate to the maximum bound with a per-lane validity mask.
+  walk each lane's own trip count: step ``j`` binds the loop variable
+  to the lane vector ``lo + j*step`` under the mask ``j < trips``, so a
+  launch takes as many steps as its longest row, not the union of all
+  rows (see :meth:`KernelExecutor._divergent_steps`).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Mapping, MutableMapping, Optional, Sequence, Union
+from typing import (Callable, Iterator, Mapping, MutableMapping, Optional,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -485,20 +489,31 @@ class KernelExecutor:
         self.data_dependent = True
         lo_v = np.broadcast_to(np.asarray(lo), (self.T,))
         hi_v = np.broadcast_to(np.asarray(hi), (self.T,))
-        start = int(lo_v.min(initial=0))
-        stop = int(hi_v.max(initial=0))
-        for k in range(start, stop, step_i):
-            active = (k >= lo_v) & (k < hi_v)
-            base = self.mask
-            combined = active if base is None else (active & base)
-            if not combined.any():
-                continue
+        for k, active in self._divergent_steps(lo_v, hi_v, step_i):
             self._push_mask(active)
             self.env[stmt.var] = k
             try:
                 self._exec(stmt.body)
             finally:
                 self._pop_mask()
+
+    def _divergent_steps(self, lo_v: np.ndarray, hi_v: np.ndarray,
+                         step: int) -> Iterator[tuple[Value, np.ndarray]]:
+        """The ``(loop value, active lanes)`` steps of a divergent loop.
+
+        Each lane runs its own ``range(lo, hi, step)``, as a GPU thread
+        does: step ``j`` binds the loop variable to ``lo + j*step`` on
+        the lanes with ``j < trips``.  Lanes the enclosing mask has
+        turned off get zero trips, so every step has an active lane.
+        """
+        with np.errstate(invalid="ignore"):
+            lo_i = lo_v.astype(np.int64)
+            hi_i = hi_v.astype(np.int64)
+        trips = np.maximum(0, -((lo_i - hi_i) // step))
+        if self.mask is not None:
+            trips = np.where(self.mask, trips, 0)
+        for j in range(int(trips.max(initial=0))):
+            yield lo_i + j * step, j < trips
 
     def _exec_while(self, stmt: While) -> None:
         guard = 0
@@ -592,11 +607,15 @@ class KernelExecutor:
                     self.arrays.pop(name, None)
 
 
-def _interpreted_launch(kernel: Kernel,
-                        arrays: MutableMapping[str, np.ndarray],
-                        scalars: Mapping[str, Value],
-                        functions: Optional[Mapping[str, Function]]) -> None:
-    """One launch through the interpreter, timed when observed."""
+def execute_kernel(kernel: Kernel, arrays: MutableMapping[str, np.ndarray],
+                   scalars: Mapping[str, Value],
+                   functions: Optional[Mapping[str, Function]] = None) -> None:
+    """Run ``kernel`` in place over ``arrays``, timed when observed.
+
+    The scalar reference implementation (:mod:`repro.gpusim.reference`)
+    is the oracle the interpreter is checked against — see
+    ``docs/architecture.md``.
+    """
     from repro.obs import metrics as obs_metrics
     from repro.obs import tracer as obs
 
@@ -617,64 +636,3 @@ def _interpreted_launch(kernel: Kernel,
         registry.observe("executor_interpret_seconds", elapsed,
                          labels={"kernel": kernel.name},
                          help="interpreter wall-clock per kernel launch")
-
-
-def _jit_launch(program, kernel: Kernel,
-                arrays: MutableMapping[str, np.ndarray],
-                scalars: Mapping[str, Value]) -> None:
-    """One launch through a compiled JIT program, timed when observed."""
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import tracer as obs
-
-    registry = obs_metrics.current_registry()
-    if obs.current_tracer() is None and registry is None:
-        program.launch(kernel.name, arrays, scalars)
-        return
-    with obs.span(f"jit {kernel.name}", "jit", kernel=kernel.name):
-        t0 = time.perf_counter()
-        program.launch(kernel.name, arrays, scalars)
-        elapsed = time.perf_counter() - t0
-    if registry is not None:
-        registry.inc("jit_launch_hits",
-                     labels={"kernel": kernel.name},
-                     help="kernels run through the JIT tier",
-                     deterministic=True)
-        registry.observe("jit_launch_seconds", elapsed,
-                         labels={"kernel": kernel.name},
-                         help="JIT wall-clock per kernel launch")
-
-
-def execute_kernel(kernel: Kernel, arrays: MutableMapping[str, np.ndarray],
-                   scalars: Mapping[str, Value],
-                   functions: Optional[Mapping[str, Function]] = None) -> None:
-    """Run ``kernel`` in place over ``arrays`` — the engine dispatch point.
-
-    Three-way dispatch controlled by :func:`repro.gpusim.jit.current_mode`
-    (the ``REPRO_JIT`` / ``--jit`` knob):
-
-    * ``on``     — the JIT tier when the body is lowerable, the
-      interpreter otherwise (fallbacks are counted, never silent);
-    * ``off``    — always the interpreting executor;
-    * ``verify`` — run *both* engines on every launch and raise
-      :class:`repro.gpusim.jit.JitVerifyError` unless every output array
-      is byte-identical.  The interpreter's result is canonical.
-
-    The scalar reference implementations (``benchmarks/reference.py``)
-    sit below both engines as the always-available oracle — see
-    ``docs/architecture.md`` for the full hierarchy.
-    """
-    from repro.gpusim import jit as _jit
-
-    mode = _jit.current_mode()
-    if mode != "off":
-        program = _jit.program_for(kernel, scalars, functions)
-        if program is not None:
-            if mode == "verify":
-                _jit.run_verify(
-                    program, kernel, arrays, scalars,
-                    lambda: _interpreted_launch(kernel, arrays, scalars,
-                                                functions))
-                return
-            _jit_launch(program, kernel, arrays, scalars)
-            return
-    _interpreted_launch(kernel, arrays, scalars, functions)

@@ -255,7 +255,7 @@ class Kernel:
         state = self.__dict__.copy()
         state.pop("_descriptor_memo", None)
         state.pop("_bound_names_memo", None)
-        state.pop("_jit_hash_memo", None)
+        state.pop("_ir_hash_memo", None)
         return state
 
     def elem_bytes(self) -> int:
@@ -288,7 +288,7 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# IR hashing (the artifact-store and replay-memo key)
+# IR hashing (the replay-memo key)
 # ---------------------------------------------------------------------------
 
 def _reachable_functions(body: Stmt,
@@ -316,12 +316,12 @@ def kernel_ir_hash(kernel: Kernel,
     """Content hash of everything that determines a kernel's *values*.
 
     The kernel name is deliberately excluded (it only decorates error
-    messages, which the generated code takes as a runtime parameter), so
-    identically-shaped kernels from different ports share one artifact.
+    messages), so identically-shaped kernels from different ports share
+    one replay.
     Memoized on the kernel object — bodies are immutable.
     """
     funcs = dict(functions or {})
-    memo = getattr(kernel, "_jit_hash_memo", None)
+    memo = getattr(kernel, "_ir_hash_memo", None)
     sig = tuple(sorted((name, id(fn)) for name, fn in funcs.items()))
     if memo is not None and memo[0] == sig:
         return memo[1]
@@ -334,5 +334,5 @@ def kernel_ir_hash(kernel: Kernel,
     }
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    kernel._jit_hash_memo = (sig, digest)  # type: ignore[attr-defined]
+    kernel._ir_hash_memo = (sig, digest)  # type: ignore[attr-defined]
     return digest

@@ -12,10 +12,13 @@ This is how we keep the analytical model honest — see
 kernels themselves, and ``examples/coalescing_audit.py``.
 
 Caveat: the audit is exact for *regular* kernels.  For data-dependent
-inner loops (CSR row traversals), the vectorizing executor iterates the
-union of the lanes' ranges with a validity mask, so any single recorded
-event carries only the lanes whose local iteration happens to coincide
-— far fewer than a real warp issues together.  Dynamic transaction
+inner loops (CSR row traversals), the executor walks each lane's own
+trip count, but :class:`TracingExecutor` deliberately keeps the older
+*union* walk — global loop values ``min(lo)..max(hi)`` with a per-lane
+validity mask — so that traces, cache replays and locality records
+stay stable.  Under that walk any single recorded event carries only
+the lanes whose loop value happens to coincide — far fewer than a real
+warp issues together.  Dynamic transaction
 counts for such kernels are therefore a *lower bound*; the static model
 intentionally charges the locality-blended expectation instead.  Every
 trace/audit result carries that caveat machine-readably as ``exact:
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, MutableMapping, Optional, Sequence
+from typing import Iterator, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +125,23 @@ class TracingExecutor(KernelExecutor):
                  trace: Optional[MemoryTrace] = None) -> None:
         super().__init__(kernel, arrays, scalars, functions)
         self.trace = trace if trace is not None else MemoryTrace()
+
+    def _divergent_steps(self, lo_v: np.ndarray, hi_v: np.ndarray,
+                         step: int) -> Iterator[tuple[int, np.ndarray]]:
+        """The union walk: one step per integer ``k`` in
+        ``min(lo)..max(hi)``, active on the lanes whose own
+        ``range(lo, hi, step)`` contains ``k``.  It visits the same
+        per-lane iterations in the same per-lane order as the
+        executor's walk, grouped into the events the locality records
+        were built on."""
+        for k in range(int(lo_v.min(initial=0)), int(hi_v.max(initial=0))):
+            active = (k >= lo_v) & (k < hi_v)
+            if step > 1:
+                active &= (k - lo_v) % step == 0
+            base = self.mask
+            combined = active if base is None else (active & base)
+            if combined.any():
+                yield k, active
 
     # -- recording helpers -------------------------------------------------
     def _flatten(self, arr: np.ndarray, idx: tuple) -> np.ndarray:

@@ -54,13 +54,6 @@ path).  ``N > 1`` shards the (benchmark, model) work-unit graph across
 worker processes (:mod:`repro.harness.parallel`) and merges results in
 registry order — output is independent of the worker count.
 
-Executing subcommands (``run``/``validate``/``profile``/``selfprof``/
-``all``) take ``--jit {on,off,verify}`` selecting the kernel execution
-engine (:mod:`repro.gpusim.jit`): the JIT tier when the body is
-lowerable, interpreter-only, or both-with-byte-identity-checks.
-Results are engine-independent by construction — ``verify`` proves it
-per launch.
-
 Exit-code contract (pinned by ``tests/test_cli_errors.py``): 0 clean,
 1 on gated findings, 2 on usage errors.  Usage errors — unknown
 benchmark/model/variant, contradictory flags — are raised as
@@ -105,47 +98,6 @@ def _jobs(args: argparse.Namespace) -> int:
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1 (got {jobs})")
     return jobs
-
-
-def _add_jit(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jit", default=None, dest="jit",
-                        choices=("on", "off", "verify"),
-                        help="kernel execution engine: 'on' JIT-compiles "
-                             "lowerable bodies to vectorized numpy "
-                             "(the default), 'off' always interprets, "
-                             "'verify' runs both and fails unless every "
-                             "launch agrees byte-for-byte (also settable "
-                             "via REPRO_JIT)")
-
-
-def _apply_jit(args: argparse.Namespace) -> str:
-    """Install the requested JIT mode process-wide and return it.
-
-    Both the module knob and ``REPRO_JIT`` are set so worker processes
-    (fork *or* spawn) inherit the mode; :class:`SweepContext` carries it
-    explicitly as well for journal replays.
-    """
-    import os
-
-    from repro.gpusim import jit as jit_mod
-
-    mode = getattr(args, "jit", None)
-    if mode is not None:
-        jit_mod.set_mode(mode)
-        os.environ["REPRO_JIT"] = mode
-    return jit_mod.current_mode()
-
-
-def _jit_fallback_notes(registry) -> list[str]:
-    """One lint-style line per (kernel, reason) the JIT declined."""
-    notes = []
-    for labels, series in registry.series_of("jit_fallback"):
-        lab = dict(labels)
-        notes.append(f"note: jit-fallback: kernel "
-                     f"{lab.get('kernel', '?')!r} interpreted "
-                     f"{int(series.value)} launch(es) "
-                     f"[{lab.get('reason', 'unknown')}]")
-    return notes
 
 
 def _fail_on_gate(fail_on: str | None,
@@ -196,8 +148,7 @@ def _cmd_table1(_args: argparse.Namespace) -> int:
 def _parallel_evaluation(jobs: int, *, scale: str = "paper",
                          coverage: bool = False, speedups: bool = False,
                          profiles: bool = False,
-                         journal: str | None = None,
-                         jit: str | None = None):
+                         journal: str | None = None):
     """One sharded sweep covering whatever the subcommand needs.
 
     Returns ``(EvaluationResults, run_profiles, SweepResult)``; a
@@ -210,7 +161,7 @@ def _parallel_evaluation(jobs: int, *, scale: str = "paper",
     units = evaluation_units(coverage=coverage, speedups=speedups,
                              profiles=profiles)
     sweep = run_sweep(units, jobs=jobs, journal=journal,
-                      context=SweepContext(scale=scale, jit=jit))
+                      context=SweepContext(scale=scale))
     results, run_profiles = merge_evaluation(sweep.outcomes)
     return results, run_profiles, sweep
 
@@ -252,32 +203,15 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import MetricsRegistry, collecting
-
     _jobs(args)
-    mode = _apply_jit(args)
     bench = _resolve_port("run", get_benchmark, args.benchmark)
     known = _resolve_port("run", bench.variants, args.model)
     if args.variant != "best" and args.variant not in known:
         raise UsageError(f"run: unknown variant {args.variant!r} for "
                          f"{bench.name}/{args.model}; known: {list(known)}")
-    registry = MetricsRegistry()
-    with collecting(registry):
-        outcome = _resolve_port("run", bench.run, args.model, args.variant,
-                                scale=args.scale, execute=True)
+    outcome = _resolve_port("run", bench.run, args.model, args.variant,
+                            scale=args.scale, execute=True)
     print(outcome.speedup.summary())
-    jits = sum(int(s.value) for _, s
-               in registry.series_of("jit_launch_hits"))
-    interp = sum(int(s.value) for _, s
-                 in registry.series_of("executor_interpret_launches"))
-    if mode == "verify":
-        print(f"engine: jit verify — {interp} launch(es), each checked "
-              f"byte-for-byte against the JIT")
-    else:
-        print(f"engine: jit {mode} — {jits} jit launch(es), "
-              f"{interp} interpreted")
-    for note in _jit_fallback_notes(registry):
-        print(f"  {note}")
     if outcome.validated is not None:
         print(f"validation: {'PASS' if outcome.validated else 'FAIL'}")
         for err in outcome.validation_errors:
@@ -293,7 +227,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    _apply_jit(args)
     names = args.benchmarks or None
     matrix = validate_suite(benchmarks=names,
                             elide_transfers=args.elide_transfers)
@@ -597,7 +530,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.gpusim.timing import TimingConfig
 
     _require_port_args("profile", args)
-    _apply_jit(args)
     if args.all_ports:
         profiles, tracer = profile_suite(scale=args.scale,
                                          jobs=_jobs(args))
@@ -697,7 +629,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from repro.obs.tracer import Tracer, tracing
 
     jobs = _jobs(args)
-    jit_mode = _apply_jit(args)
     sweep = None
     tracer = Tracer()
     t_wall = time.perf_counter()
@@ -705,8 +636,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
         with tracing(tracer):   # captures the parent-side sweep.merge span
             results, profiles, sweep = _parallel_evaluation(
                 jobs, scale=args.scale, coverage=True, speedups=True,
-                profiles=True, journal=args.journal,
-                jit=getattr(args, "jit", None))
+                profiles=True, journal=args.journal)
             absorb_payloads(tracer, sweep.span_payloads(),
                             lanes=[o.worker for o in sweep.outcomes])
     else:
@@ -725,7 +655,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
                                   wall_s=time.perf_counter() - t_wall)
 
     if args.json:
-        meta = {"jobs": jobs, "scale": args.scale, "jit": jit_mode,
+        meta = {"jobs": jobs, "scale": args.scale,
                 "generated_unix": time.time(),
                 "timing": timing_meta(
                     attribution,
@@ -802,7 +732,6 @@ def _cmd_selfprof(args: argparse.Namespace) -> int:
     from repro.obs.tracer import Tracer, tracing
 
     jobs = _jobs(args)
-    _apply_jit(args)
     _require_port_args("selfprof", args)
     if args.all_ports:
         units = selfprof_units()
@@ -815,9 +744,7 @@ def _cmd_selfprof(args: argparse.Namespace) -> int:
         with tracer.span("selfprof.suite", "harness", scale=args.scale,
                          jobs=jobs):
             sweep = run_sweep(units, jobs=jobs,
-                              context=SweepContext(
-                                  scale=args.scale,
-                                  jit=getattr(args, "jit", None)))
+                              context=SweepContext(scale=args.scale))
             absorb_payloads(tracer, sweep.span_payloads(),
                             parent_id=tracer.spans[0].span_id,
                             lanes=[o.worker for o in sweep.outcomes])
@@ -836,16 +763,9 @@ def _cmd_selfprof(args: argparse.Namespace) -> int:
         with open(args.openmetrics, "w", encoding="utf-8") as fh:
             fh.write(registry.to_openmetrics())
 
-    fallback_notes = _jit_fallback_notes(registry)
     if args.json:
         print(json.dumps({"selfprof": attribution.to_dict(),
-                          "sweep": stats.to_dict(),
-                          "jit_fallbacks": [
-                              {"kernel": dict(labels).get("kernel"),
-                               "reason": dict(labels).get("reason"),
-                               "launches": int(series.value)}
-                              for labels, series
-                              in registry.series_of("jit_fallback")]},
+                          "sweep": stats.to_dict()},
                          indent=2, sort_keys=True))
     else:
         worker_stats = {
@@ -858,8 +778,6 @@ def _cmd_selfprof(args: argparse.Namespace) -> int:
         }
         print(render_attribution(attribution, top=args.top,
                                  worker_stats=worker_stats))
-        for note in fallback_notes:
-            print(note)
     if args.min_coverage is not None \
             and attribution.coverage < args.min_coverage:
         print(f"selfprof: named-phase coverage "
@@ -935,7 +853,6 @@ def main(argv: list[str] | None = None) -> int:
     # a single run is one work unit; --jobs is accepted (and validated)
     # for interface uniformity with the sweep subcommands
     _add_jobs(p_run)
-    _add_jit(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser(
@@ -947,7 +864,6 @@ def main(argv: list[str] | None = None) -> int:
                        dest="elide_transfers",
                        help="validate the analysis-guided transfer-elision "
                             "flavour of every port")
-    _add_jit(p_val)
     p_val.set_defaults(func=_cmd_validate)
 
     p_cmp = sub.add_parser("compare",
@@ -1103,7 +1019,6 @@ def main(argv: list[str] | None = None) -> int:
     p_prof.add_argument("--chrome", default=None, metavar="PATH",
                         help="write a chrome://tracing document")
     _add_jobs(p_prof)
-    _add_jit(p_prof)
     p_prof.set_defaults(func=_cmd_profile)
 
     p_sp = sub.add_parser(
@@ -1136,7 +1051,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="exit 1 if named-phase coverage falls below "
                            "FRAC (e.g. 0.95)")
     _add_jobs(p_sp)
-    _add_jit(p_sp)
     p_sp.set_defaults(func=_cmd_selfprof)
 
     p_lg = sub.add_parser(
@@ -1205,7 +1119,6 @@ def main(argv: list[str] | None = None) -> int:
                             "sweep (requires --jobs > 1); an interrupted "
                             "sweep restarts only the missing work units")
     _add_jobs(p_all)
-    _add_jit(p_all)
     p_all.set_defaults(func=_cmd_all)
 
     args = parser.parse_args(argv)

@@ -107,11 +107,6 @@ class SweepContext:
     ship_artifacts: bool = True
     #: run each unit under its own tracer and ship the spans back
     trace: bool = True
-    #: JIT mode override for kernel execution (``None`` = leave the
-    #: worker's ambient :func:`repro.gpusim.jit.current_mode` alone);
-    #: carried explicitly so journal replays and spawn-started workers
-    #: see the same engine the parent selected
-    jit: Optional[str] = None
 
 
 @dataclass
@@ -279,21 +274,10 @@ def _run_exec_unit(unit: WorkUnit, ctx: SweepContext) -> dict:
 
 def execute_unit(unit: WorkUnit, ctx: SweepContext) -> UnitEnvelope:
     """Run one unit with store accounting and (optional) span capture."""
-    from contextlib import nullcontext
-
-    from repro.gpusim.jit import jit_mode
-
     runner = UNIT_RUNNERS.get(unit.kind)
     if runner is None:
         raise SweepError(f"unknown work-unit kind {unit.kind!r}; "
                          f"known: {sorted(UNIT_RUNNERS)}")
-    engine = jit_mode(ctx.jit) if ctx.jit is not None else nullcontext()
-    with engine:
-        return _execute_unit_inner(unit, runner, ctx)
-
-
-def _execute_unit_inner(unit: WorkUnit, runner, ctx: SweepContext,
-                        ) -> UnitEnvelope:
     before = STORE.view()
     spans: list[dict] = []
     metrics: Optional[MetricsSnapshot] = None

@@ -143,14 +143,8 @@ class ArtifactStore:
         #: valid because a registry benchmark's port is deterministic
         #: per (model, variant) within a process
         self._fast: dict[tuple[str, str, str], ArtifactKey] = {}
-        #: JIT tier: kernel IR hash → compiled JitProgram (or a cached
-        #: JitFallback decision), keyed by content so identical bodies
-        #: from different ports share one compilation
-        self._jit: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
-        self.jit_hits = 0
-        self.jit_misses = 0
         self._lock = threading.RLock()
 
     # -- core ------------------------------------------------------------
@@ -250,42 +244,18 @@ class ArtifactStore:
                     self._fast.setdefault(fast, key)
         return added
 
-    # -- JIT tier ----------------------------------------------------------
-    def jit_get(self, ir_hash: str):
-        """The cached compile-or-fallback decision for one kernel body
-        (``None`` when this body has never been seen)."""
-        with self._lock:
-            entry = self._jit.get(ir_hash)
-            if entry is None:
-                self.jit_misses += 1
-            else:
-                self.jit_hits += 1
-            return entry
-
-    def jit_put(self, ir_hash: str, entry) -> None:
-        """Install a compiled :class:`~repro.gpusim.jit.JitProgram` (or a
-        negative :class:`~repro.gpusim.jit.JitFallback` decision)."""
-        with self._lock:
-            self._jit[ir_hash] = entry
-
     # -- bookkeeping -----------------------------------------------------
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
-                    "entries": len(self._artifacts),
-                    "jit_hits": self.jit_hits,
-                    "jit_misses": self.jit_misses,
-                    "jit_entries": len(self._jit)}
+                    "entries": len(self._artifacts)}
 
     def clear(self) -> None:
         with self._lock:
             self._artifacts.clear()
             self._fast.clear()
-            self._jit.clear()
             self.hits = 0
             self.misses = 0
-            self.jit_hits = 0
-            self.jit_misses = 0
 
 
 #: the process-wide store every consumer shares

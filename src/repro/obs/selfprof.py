@@ -10,8 +10,7 @@ clock to named phases:
 * **compile** — the pass pipelines (per-pass breakdown from the PR 4
   ``pass.*`` spans) plus compiler orchestration;
 * **analyze** — lint / tv / xfer / locality analysis time;
-* **execute** — the interpreting executor, per kernel (the recorded
-  baseline the JIT roadmap item must beat);
+* **execute** — the interpreting executor, per kernel;
 * **simulate** — analytical pricing and counter derivation
   (``gpu.launch`` / ``gpu.transfer`` bookkeeping);
 * **merge** — the parallel engine's deterministic fold;
@@ -58,10 +57,6 @@ def classify_span(span: Span) -> tuple[str, str]:
         return "analyze", str(span.attrs.get("kind", name))
     if cat == "executor":
         return "execute", str(span.attrs.get("kernel", name))
-    if cat == "jit":
-        return "execute", "jit:" + str(span.attrs.get("kernel", name))
-    if cat == "jit.compile":
-        return "compile", "jit:" + str(span.attrs.get("kernel", name))
     if cat in ("gpu.launch", "gpu.transfer", "gpu.elide"):
         return "simulate", cat
     if cat == "harness.merge":

@@ -5,35 +5,48 @@ Three engines can run a kernel:
 * ``reference``   — the scalar statement-at-a-time interpreter
   (:mod:`repro.gpusim.reference`), the always-available oracle;
 * ``interpreter`` — the vectorizing executor
-  (:mod:`repro.gpusim.executor` with the JIT forced off);
-* ``jit``         — the numpy codegen tier (:mod:`repro.gpusim.jit`).
+  (:mod:`repro.gpusim.executor`), which walks each lane's own trip
+  count through a divergent loop;
+* ``tracer``      — :class:`repro.gpusim.trace.TracingExecutor`, the
+  same interpreter with the union walk over divergent loops (global
+  loop values ``min(lo)..max(hi)`` under a per-lane mask).
 
 :func:`assert_same_result` runs one kernel through each requested
 engine on private copies of the input arrays and asserts the outputs
-agree — **byte-for-byte** between ``interpreter`` and ``jit`` (the JIT
-correctness contract), within tolerance against ``reference`` (whose
-scalar reduction order may legally differ in the last ulp).
+agree — **byte-for-byte** between ``interpreter`` and ``tracer``
+(both walks visit each lane's iterations in the same order), within
+tolerance against ``reference`` (whose scalar reduction order may
+legally differ in the last ulp).
 
-The module also exports the hypothesis strategy
-:func:`affine_programs`, which draws random affine loop nests (grid
-loops over padded arrays, gathers, scatters with collisions, guarded
-branches, sequential inner reductions) so the JIT, executor, and
-reference tests share one program generator instead of growing three.
+The module also exports two hypothesis strategies:
+:func:`affine_programs` draws random affine loop nests (grid loops
+over padded arrays, gathers, scatters with collisions, guarded
+branches, sequential inner reductions), and
+:func:`divergent_programs` draws CSR-style loops whose bounds differ
+per lane.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
-from repro.gpusim import jit
-from repro.gpusim.executor import execute_kernel
+from repro.gpusim.executor import KernelExecutor, execute_kernel
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.reference import execute_kernel_scalar
+from repro.gpusim.trace import TracingExecutor
 from repro.ir.builder import (accum, aref, assign, block, iff, local, pfor,
                               sfor, ternary, v)
 from repro.ir.expr import BinOp, Const
 
 #: engines whose outputs must agree bitwise with each other
-BITWISE_ENGINES = frozenset({"interpreter", "jit"})
+BITWISE_ENGINES = frozenset({"interpreter", "tracer"})
+
+
+class UnionWalkExecutor(KernelExecutor):
+    """The interpreter with the tracer's union walk over divergent
+    loops: the iteration order the executor used before its per-lane
+    walk, kept as an oracle."""
+
+    _divergent_steps = TracingExecutor._divergent_steps
 
 
 def make_kernel(body, tvars, arrays, scalars=None, name="k"):
@@ -46,26 +59,22 @@ def _run_reference(kernel, arrays, scalars, functions):
 
 
 def _run_interpreter(kernel, arrays, scalars, functions):
-    with jit.jit_mode("off"):
-        execute_kernel(kernel, arrays, scalars, functions)
+    execute_kernel(kernel, arrays, scalars, functions)
 
 
-def _run_jit(kernel, arrays, scalars, functions):
-    # compile directly (not via program_for) so an unsupported body is
-    # a hard JitUnsupported here, never a silent interpreter fallback
-    program = jit.compile_kernel(kernel, functions)
-    program.launch(kernel.name, arrays, scalars)
+def _run_tracer(kernel, arrays, scalars, functions):
+    TracingExecutor(kernel, arrays, scalars, functions).run()
 
 
 ENGINES = {
     "reference": _run_reference,
     "interpreter": _run_interpreter,
-    "jit": _run_jit,
+    "tracer": _run_tracer,
 }
 
 
 def assert_same_result(kernel, arrays, scalars=None, functions=None,
-                       engines=("interpreter", "jit", "reference"),
+                       engines=("interpreter", "tracer", "reference"),
                        rtol=1e-12, atol=1e-12):
     """Run ``kernel`` through each engine; assert the outputs agree.
 
@@ -240,3 +249,99 @@ def affine_programs(draw):
         "h": np.zeros(8),
     }
     return body, tvars, arrays
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis strategy for divergent (thread-dependent-bound) loops
+# ---------------------------------------------------------------------------
+#
+# Lane i walks k over range(lo[i], hi[i], step) with either CSR row
+# pointers (lo = rp[i] + shift, hi = rp[i+1]) or free per-lane bounds,
+# gathering val[k] and x[col[k]] into stores the lane alone owns.
+
+_NNZ_PAD = 4
+
+
+@st.composite
+def _divergent_value(draw):
+    """A value read inside the loop body: the loop variable, a CSR
+    value, or a gather through the column index array."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return v("k") * 0.5
+    if kind == 1:
+        return aref("val", v("k"))
+    if kind == 2:
+        return aref("val", v("k")) * aref("x", aref("col", v("k")))
+    return BinOp(draw(st.sampled_from(["+", "-", "min", "max"])),
+                 aref("x", aref("col", v("k"))), aref("val", v("k")))
+
+
+@st.composite
+def _divergent_cond(draw):
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 3))
+        return (v("k") % m).eq(draw(st.integers(0, m - 1)))
+    return BinOp(draw(st.sampled_from(["<", ">="])), aref("val", v("k")),
+                 Const(draw(st.sampled_from([0.25, 0.5, 0.75]))))
+
+
+@st.composite
+def _divergent_body(draw):
+    """Lane-private statements: accumulations into ``y[i]`` and a local
+    scalar ``t``, an overwrite of ``z[i]``, optionally guarded."""
+    stmts = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            stmt = accum(aref("y", v("i")), draw(_divergent_value()),
+                         op=draw(st.sampled_from(["+", "min", "max"])))
+        elif kind == 1:
+            stmt = accum(v("t"), draw(_divergent_value()))
+        else:
+            stmt = assign(aref("z", v("i")), draw(_divergent_value()))
+        if draw(st.booleans()):
+            stmt = iff(draw(_divergent_cond()), stmt)
+        stmts.append(stmt)
+    return block(*stmts)
+
+
+@st.composite
+def divergent_programs(draw):
+    """A grid loop over ``n`` lanes whose sequential inner loop has
+    per-lane bounds, plus matching input arrays.
+
+    Returns ``(body, thread_vars, arrays)`` ready for
+    :func:`assert_same_result`.  Every store is lane-private, so the
+    outputs do not depend on how lanes interleave.
+    """
+    n = draw(st.integers(1, 12))
+    step = draw(st.sampled_from([1, 2, 3]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, draw(st.integers(0, 6)) + 1, size=n)
+    rp = np.concatenate([[0], np.cumsum(rows)]).astype(np.int64)
+    nnz = int(rp[-1]) + _NNZ_PAD
+    if draw(st.booleans()):
+        shift = draw(st.integers(0, 1))
+        lower, upper = aref("rp", v("i")) + shift, aref("rp", v("i") + 1)
+    else:
+        lower, upper = aref("lo", v("i")), aref("hi", v("i"))
+    loop = sfor("k", lower, upper, draw(_divergent_body()), step=step)
+    stmts = [local("t", dtype="double", init=Const(0.0)), loop,
+             accum(aref("y", v("i")), v("t"))]
+    if draw(st.booleans()):
+        # an enclosing guard: masked-off lanes must take no trips
+        stmts[1] = iff((v("i") % 2).eq(draw(st.integers(0, 1))), loop)
+    body = pfor("i", 0, n, block(*stmts))
+    arrays = {
+        "rp": rp,
+        "lo": rng.integers(0, nnz, size=n).astype(np.int64),
+        "hi": rng.integers(0, nnz + 1, size=n).astype(np.int64),
+        "val": rng.random(nnz),
+        "col": rng.integers(0, 8, size=nnz).astype(np.int64),
+        "x": rng.random(8),
+        "y": np.zeros(n),
+        "z": np.zeros(n),
+    }
+    return body, ["i"], arrays

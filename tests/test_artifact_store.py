@@ -45,8 +45,7 @@ class TestRegistryPath:
         _, c2 = compile_bench(bench, "OpenACC", "best")
         assert c1 is c2
         stats = cache_stats()
-        assert stats == {"hits": 1, "misses": 1, "entries": 1,
-                         "jit_hits": 0, "jit_misses": 0, "jit_entries": 0}
+        assert stats == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_compile_port_and_compile_bench_share(self):
         _, c1, _ = compile_port("jacobi", "openacc")
@@ -110,11 +109,8 @@ class TestIsolation:
         compile_port("jacobi", "openacc")
         assert cache_stats()["entries"] == 1
         clear_compile_cache()
-        assert cache_stats() == {"hits": 0, "misses": 0, "entries": 0,
-                                 "jit_hits": 0, "jit_misses": 0,
-                                 "jit_entries": 0}
+        assert cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
         assert not STORE._fast
-        assert not STORE._jit
 
     def test_clear_invalidates_fast_path(self):
         _, c1, _ = compile_port("jacobi", "openacc")

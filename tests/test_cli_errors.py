@@ -68,6 +68,12 @@ class TestUsageErrors:
             cli_main(["run", "nonesuch", "OpenACC"])
         assert exc.value.code == 2
 
+    def test_run_rejects_retired_jit_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "JACOBI", "OpenACC", "--jit", "on"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jit on" in capsys.readouterr().err
+
     def test_sarif_and_json_conflict(self, capsys):
         assert cli_main(["lint", "jacobi", "openacc",
                          "--sarif", "--json"]) == 2

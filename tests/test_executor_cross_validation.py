@@ -1,13 +1,14 @@
-"""Cross-validation: vectorizing executor vs the scalar reference
-interpreter vs the JIT tier, through the shared differential harness
+"""Cross-validation: vectorizing executor vs the tracing executor vs the
+scalar reference interpreter, through the shared differential harness
 (:mod:`tests.difftest`) — one helper for all three engines instead of a
 per-file ``both()`` clone."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.difftest import assert_same_result
+from tests.difftest import affine_programs, assert_same_result
 from repro.ir.builder import (accum, aref, assign, block, iff, intrinsic,
                               pfor, sfor, v)
 
@@ -114,3 +115,18 @@ class TestPropertyBased:
         out = both(body, ["i"], {"trips": trips, "s": np.zeros(n)})
         expected = np.array([t * (t + 1) / 2 for t in trips], dtype=float)
         np.testing.assert_allclose(out["s"], expected)
+
+    @given(affine_programs())
+    @settings(max_examples=25, deadline=None)
+    def test_random_affine_programs_agree(self, case):
+        body, tvars, arrays = case
+        assert_same_result((body, tvars), arrays)
+
+
+@pytest.mark.slow
+class TestPropertyBasedSlow:
+    @given(affine_programs())
+    @settings(max_examples=200, deadline=None)
+    def test_many_random_affine_programs_agree(self, case):
+        body, tvars, arrays = case
+        assert_same_result((body, tvars), arrays)

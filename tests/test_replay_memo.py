@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.benchmarks.base import ALL_MODELS
 from repro.benchmarks.registry import BENCHMARK_ORDER, get_benchmark
-from repro.gpusim import jit, locality, trace
+from repro.gpusim import locality, trace
 from repro.gpusim.cache import LineStream, line_stream
 from repro.gpusim.device import TESLA_M2090
 from repro.gpusim.kernel import kernel_ir_hash
@@ -39,14 +39,11 @@ class TestContentHash:
         kernel, functions = _kernel()
         original = kernel_ir_hash(kernel, functions)
         clone = copy.deepcopy(kernel)
-        assert "_jit_hash_memo" not in vars(clone)
+        assert "_ir_hash_memo" not in vars(clone)
         assert kernel_ir_hash(copy.deepcopy(kernel), functions) == original
         clone.body = Block(())
         assert kernel_ir_hash(clone, functions) != original
         assert kernel_ir_hash(kernel, functions) == original
-
-    def test_jit_uses_the_same_hash(self):
-        assert jit.kernel_ir_hash is kernel_ir_hash
 
 
 # ---------------------------------------------------------------------------
