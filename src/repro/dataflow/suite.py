@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.dataflow.report import XferAnalysis, analyze_compiled
-from repro.models import DIRECTIVE_MODELS, resolve_model
+from repro.models import DIRECTIVE_MODELS
 from repro.models.cache import compile_port
 from repro.obs import metrics
 from repro.obs import tracer as obs
@@ -88,25 +88,9 @@ def xfer_suite(models: Sequence[str] = DIRECTIVE_MODELS,
                benchmarks: Optional[Sequence[str]] = None,
                scale: str = "test",
                jobs: int = 1) -> list[XferRecord]:
-    """Analyze every benchmark × model pair, in table order.
+    """Analyze every benchmark × model pair, in table order (``jobs>1``
+    shards the pairs, see :func:`repro.harness.parallel.sweep_ports`)."""
+    from repro.harness.parallel import suite_pairs, sweep_ports
 
-    ``jobs>1`` shards the pair list across worker processes
-    (:mod:`repro.harness.parallel`); the records come back merged in
-    the same table order the serial path produces.
-    """
-    from repro.benchmarks import BENCHMARK_ORDER
-
-    bench_list = list(benchmarks) if benchmarks is not None \
-        else list(BENCHMARK_ORDER)
-    model_list = [resolve_model(m) for m in models]
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, pair_units,
-                                            run_sweep)
-        units = pair_units("xfer", [(b, m) for b in bench_list
-                                    for m in model_list])
-        sweep = run_sweep(units, jobs=jobs,
-                          context=SweepContext(scale=scale, trace=False))
-        return sweep.results()
-    return [xfer_port(bench_name, model, scale=scale)
-            for bench_name in bench_list
-            for model in model_list]
+    return sweep_ports("xfer", suite_pairs(benchmarks, models), jobs,
+                       scale=scale)

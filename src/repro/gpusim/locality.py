@@ -39,7 +39,6 @@ from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.kernel import Kernel, kernel_ir_hash
 from repro.gpusim.trace import TracingExecutor
 from repro.ir.analysis.reuse import KernelReuse, analyze_kernel_reuse
-from repro.models import resolve_model
 from repro.models.cache import compile_port
 from repro.obs import metrics
 from repro.obs import tracer as obs
@@ -213,27 +212,11 @@ def locality_suite(models: Optional[Sequence[str]] = None,
     Defaults to all six models — the five directive compilers *and*
     the hand-written CUDA baseline, whose locality is the reference
     point the paper's Figure 1 normalizes against.  ``jobs>1`` shards
-    the pair list across worker processes
-    (:mod:`repro.harness.parallel`); the records come back merged in
-    the same table order the serial path produces.
+    the pairs (see :func:`repro.harness.parallel.sweep_ports`).
     """
-    from repro.benchmarks import BENCHMARK_ORDER
     from repro.benchmarks.base import ALL_MODELS
+    from repro.harness.parallel import suite_pairs, sweep_ports
 
-    if models is None:
-        models = ALL_MODELS
-
-    bench_list = list(benchmarks) if benchmarks is not None \
-        else list(BENCHMARK_ORDER)
-    model_list = [resolve_model(m) for m in models]
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, pair_units,
-                                            run_sweep)
-        units = pair_units("locality", [(b, m) for b in bench_list
-                                        for m in model_list])
-        sweep = run_sweep(units, jobs=jobs,
-                          context=SweepContext(scale=scale, trace=False))
-        return sweep.results()
-    return [locality_port(bench_name, model, scale=scale)
-            for bench_name in bench_list
-            for model in model_list]
+    pairs = suite_pairs(benchmarks,
+                        models if models is not None else ALL_MODELS)
+    return sweep_ports("locality", pairs, jobs, scale=scale)

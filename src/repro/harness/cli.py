@@ -6,28 +6,12 @@ Subcommands regenerate the paper's evaluation artifacts:
 * ``table2`` — coverage + code-size increase over the 13-benchmark suite;
 * ``figure1`` — per-benchmark speedups for every model (text bars/CSV);
 * ``run BENCH MODEL`` — one functional run with validation and a trace;
-* ``lint [BENCH MODEL]`` — the directive verifier (``--all`` for the
-  whole suite, ``--format json|sarif|github`` for machine-readable
-  output, code scanning, or workflow annotations, ``--fail-on`` to
-  gate CI);
-* ``xfer [BENCH MODEL]`` — the whole-program transfer coherence
-  analysis: a dataflow verdict per transfer (``--all`` for the
-  per-model rollup; exits 2 on any COH stale-read error, ``--fail-on``
-  gates the remaining findings);
-* ``locality [BENCH MODEL]`` — the cache-locality suite: replayed
-  L1/L2 miss ratios and MAP locality metrics next to the static reuse
-  analyzer's predictions (``--all`` for the per-model rollup,
-  ``--fail-on`` gates on the CACHE lint family);
-* ``tv [BENCH MODEL]`` — the translation validator: equivalence
-  certificates per lowered region (``--all`` for the suite matrix;
-  exits 1 on any REFUTED certificate, ``--fail-on warning`` also
-  gates UNKNOWN);
-* ``translate [BENCH SRC DST]`` — the cross-model directive
-  translator: rewrite one model's port for another through the
-  directive IR, compile it with the target's own pipeline, and certify
-  it against the source program (``--all`` for the shipped pair matrix;
-  exits 1 on any REFUTED certificate, ``--fail-on warning`` also gates
-  dropped clauses and UNKNOWN certificates);
+* ``lint``, ``xfer``, ``locality``, ``tv``, ``translate`` — the five
+  analysis subcommands, one row each of :data:`ANALYSES`: one port
+  (``BENCH MODEL``; ``BENCH SRC DST`` for translate) or ``--all`` for
+  the per-model rollup, ``--json`` for the records, ``--fail-on`` to
+  gate CI on the row's findings.  REFUTED certificates exit 1 and COH
+  stale-read errors exit 2 whatever the threshold;
 * ``profile [BENCH MODEL]`` — per-kernel simulated counters with
   bottleneck attribution (``--all`` sweeps the Figure-1 matrix;
   ``--jsonl``/``--chrome`` write the trace artifacts);
@@ -64,8 +48,12 @@ message plus exit 2 in exactly one place (:func:`main`).
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import sys
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from repro.benchmarks.base import ALL_MODELS
 from repro.benchmarks.registry import BENCHMARK_ORDER, get_benchmark
@@ -91,34 +79,6 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the sweep (default 1 = "
                              "the serial path; results are identical for "
                              "any value)")
-
-
-def _jobs(args: argparse.Namespace) -> int:
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1 (got {jobs})")
-    return jobs
-
-
-def _fail_on_gate(fail_on: str | None,
-                  items: list[tuple[str, str, str, str]]) -> int:
-    """The shared ``--fail-on`` gate for analysis subcommands.
-
-    ``items`` are ``(where, rule, severity, message)`` rows with
-    severity one of ``info``/``warning``/``error``.  Prints the rows at
-    or above the threshold and returns 1 when any exist, else 0.
-    """
-    if fail_on is None:
-        return 0
-    order = {"info": 0, "warning": 1, "error": 2}
-    threshold = order[fail_on]
-    over = [it for it in items if order.get(it[2], 0) >= threshold]
-    if not over:
-        return 0
-    print(f"\nFindings at or above {fail_on}:")
-    for where, rule, sev, msg in over:
-        print(f"  {where}: {rule} {sev} {msg}")
-    return 1
 
 
 def _require_port_args(cmd: str, args: argparse.Namespace) -> None:
@@ -178,9 +138,8 @@ def _render_table2_text(results) -> None:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    jobs = _jobs(args)
-    if jobs > 1:
-        results, _, _ = _parallel_evaluation(jobs, coverage=True)
+    if args.jobs > 1:
+        results, _, _ = _parallel_evaluation(args.jobs, coverage=True)
     else:
         results = run_coverage_and_codesize()
     _render_table2_text(results)
@@ -188,9 +147,8 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
-    jobs = _jobs(args)
-    if jobs > 1:
-        results, _, _ = _parallel_evaluation(jobs, scale=args.scale,
+    if args.jobs > 1:
+        results, _, _ = _parallel_evaluation(args.jobs, scale=args.scale,
                                              speedups=True)
         speedups = results.speedups
     else:
@@ -202,13 +160,17 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_variant(cmd: str, bench, model: str, variant: str) -> None:
+    """``variant`` must be ``best`` or one of the port's own variants."""
+    known = _resolve_port(cmd, bench.variants, model)
+    if variant != "best" and variant not in known:
+        raise UsageError(f"{cmd}: unknown variant {variant!r} for "
+                         f"{bench.name}/{model}; known: {list(known)}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    _jobs(args)
     bench = _resolve_port("run", get_benchmark, args.benchmark)
-    known = _resolve_port("run", bench.variants, args.model)
-    if args.variant != "best" and args.variant not in known:
-        raise UsageError(f"run: unknown variant {args.variant!r} for "
-                         f"{bench.name}/{args.model}; known: {list(known)}")
+    _check_variant("run", bench, args.model, args.variant)
     outcome = _resolve_port("run", bench.run, args.model, args.variant,
                             scale=args.scale, execute=True)
     print(outcome.speedup.summary())
@@ -227,6 +189,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    for name in args.benchmarks:
+        _resolve_port("validate", get_benchmark, name)
     names = args.benchmarks or None
     matrix = validate_suite(benchmarks=names,
                             elide_transfers=args.elide_transfers)
@@ -236,288 +200,248 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     bench = get_benchmark(args.benchmark)
+    for model in (args.model_a, args.model_b):
+        _check_variant("compare", bench, model, args.variant)
     print(compare_models(bench, args.model_a, args.model_b,
                          variant=args.variant, scale=args.scale))
     return 0
 
 
-def _lint_format(args: argparse.Namespace) -> str:
-    """Resolve --format against the legacy --json/--sarif switches."""
-    legacy = [name for name, flag in (("--sarif", args.sarif),
-                                      ("--json", args.json)) if flag]
-    if len(legacy) > 1:
-        raise UsageError("lint: --sarif and --json are mutually exclusive")
-    if args.format is not None:
-        if legacy:
-            raise UsageError(f"lint: --format and {legacy[0]} are "
-                             "mutually exclusive")
-        return args.format
-    if args.sarif:
-        return "sarif"
-    if args.json:
-        return "json"
-    return "text"
+# ---------------------------------------------------------------------------
+# The analysis table: one row per analysis subcommand
+# ---------------------------------------------------------------------------
+
+def _lazy(module: str, *names: str) -> tuple[Callable, ...]:
+    """``module``'s functions ``names``, each imported at its first call
+    so the analysis layers stay out of CLI start-up."""
+    def ref(name: str) -> Callable:
+        return lambda *args, **kwargs: getattr(
+            importlib.import_module(module), name)(*args, **kwargs)
+    return tuple(ref(name) for name in names)
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import Severity, lint_port, lint_suite
+class Failure(NamedTuple):
+    """Findings no ``--fail-on`` threshold waives: any line ``lines``
+    returns exits ``code``, and text output lists them under ``title``."""
+
+    code: int
+    title: str
+    lines: Callable[[list], list[str]]
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis subcommand: :func:`_add_analysis` builds its parser
+    and :func:`_cmd_analysis` runs it.
+
+    ``name`` is also the work-unit kind ``--jobs`` shards
+    (:data:`repro.harness.parallel.UNIT_RUNNERS`).  ``layer`` is
+    ``(suite, port)``: ``suite(jobs=, **suite_kwargs)`` for ``--all``,
+    ``port(*positionals, variant=)`` for one port, both with ``scale=``
+    if the row takes ``--scale``.  ``stats`` is the row's
+    ``metrics/*stats.py`` quartet ``(rollup, render, render_port,
+    gate)``: ``--all`` text is ``render(rollup(records))``, one port's
+    ``render_port(record)``; ``gate(records)`` yields the ``(severity,
+    line)`` rows ``--fail-on`` thresholds.  JSON is each record's
+    ``to_dict()`` (``port_json`` for one port).
+    """
+
+    name: str
+    help: str
+    positionals: tuple[tuple[str, str], ...]
+    layer: tuple[Callable, ...]
+    stats: tuple[Callable, ...]
+    fail_on: tuple[str, ...]
+    fail_on_help: str
+    failure: Optional[Failure] = None
+    scale_help: Optional[str] = None
+    suite_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    port_json: Callable[[Any], Any] = lambda rec: [rec.to_dict()]
+    #: extra ``--format`` choices: name -> emit(records)
+    formats: Mapping[str, Callable[[list], str]] = field(default_factory=dict)
+    format_help: str = ""
+    #: extra formats that also get a ``--NAME`` switch, like ``--json``
+    aliases: tuple[str, ...] = ()
+    #: list the ``--fail-on`` hits in every mode, not only ``--all`` text
+    list_gate_hits: bool = True
+
+
+def _lint_sarif(records) -> str:
+    from repro.lint.sarif import reports_to_sarif
+    return json.dumps(reports_to_sarif(rec.report for rec in records),
+                      indent=2)
+
+
+def _lint_github(records) -> str:
     from repro.lint.findings import github_annotations
-    from repro.lint.sarif import report_to_sarif, reports_to_sarif
-    from repro.metrics.lintstats import lint_density, render_lint_density
-
-    fmt = _lint_format(args)
-    threshold = Severity.parse(args.fail_on) if args.fail_on else None
-    if args.all_ports:
-        records = lint_suite(jobs=_jobs(args))
-        if fmt == "sarif":
-            # one SARIF run per (benchmark, model) pair, single log
-            merged = reports_to_sarif(rec.report for rec in records)
-            print(json.dumps(merged, indent=2))
-        elif fmt == "json":
-            payload = [{"benchmark": rec.benchmark, "model": rec.model,
-                        "variant": rec.variant, "regions": rec.regions,
-                        "findings": [f.to_dict()
-                                     for f in rec.report.sorted()]}
-                       for rec in records]
-            print(json.dumps(payload, indent=2))
-        elif fmt == "github":
-            out = github_annotations(*(rec.report for rec in records))
-            if out:
-                print(out)
-        else:
-            print(render_lint_density(lint_density(records)))
-        if threshold is None:
-            return 0
-        over = [(rec, f) for rec in records
-                for f in rec.report.at_or_above(threshold)]
-        if over and fmt == "text":
-            print(f"\nFindings at or above {threshold}:")
-            for rec, f in over:
-                print(f"  {f.rule} {f.severity} {f.location()}: {f.message}")
-        return 1 if over else 0
-    _require_port_args("lint", args)
-    report = _resolve_port("lint", lint_port, args.benchmark, args.model,
-                           variant=args.variant)
-    if fmt == "sarif":
-        print(json.dumps(report_to_sarif(report), indent=2))
-    elif fmt == "json":
-        print(report.to_json())
-    elif fmt == "github":
-        out = github_annotations(report)
-        if out:
-            print(out)
-    else:
-        header = f"{report.program} / {report.model}"
-        print(header)
-        print("-" * len(header))
-        if not report.findings:
-            print("no findings")
-        for f in report.sorted():
-            print(f"{f.rule} {f.severity} {f.location()}: {f.message}")
-    if threshold is not None and report.at_or_above(threshold):
-        return 1
-    return 0
+    return github_annotations(*(rec.report for rec in records))
 
 
-def _cmd_xfer(args: argparse.Namespace) -> int:
-    from repro.dataflow.suite import xfer_port, xfer_suite
+_PORT = (("benchmark", "benchmark name (e.g. jacobi)"),
+         ("model", "model name or alias (e.g. openacc)"))
+_REFUTED = "\nREFUTED certificates:"
 
-    if args.all_ports:
-        records = xfer_suite(models=ALL_MODELS, scale=args.scale,
-                             jobs=_jobs(args))
-    else:
-        _require_port_args("xfer", args)
-        records = [_resolve_port("xfer", xfer_port, args.benchmark,
-                                 args.model, variant=args.variant,
-                                 scale=args.scale)]
-    if args.json:
-        print(json.dumps([rec.to_dict() for rec in records], indent=2))
-    elif args.all_ports:
-        from repro.metrics.xferstats import render_xfer_rollup, xfer_rollup
-        print(render_xfer_rollup(xfer_rollup(records)))
-    else:
-        rec = records[0]
-        analysis = rec.analysis
-        header = (f"{rec.benchmark} / {rec.model} ({rec.variant}) — "
-                  f"{analysis.node_count} CFG nodes, "
-                  f"{analysis.iterations} solver iterations")
-        print(header)
-        print("-" * len(header))
-        for v in analysis.verdicts:
-            trips = f" x{v.trips}" if v.trips > 1 else ""
-            print(f"{v.verdict:<10} {v.direction} {v.array!r} "
-                  f"@ {v.node}{trips} [{v.origin}]")
-            print(f"           {v.witness}")
-        for p in analysis.problems:
-            print(f"{p.rule} [{p.severity}] {p.message}")
-        print(f"bytes moved: {analysis.bytes_total()}  "
-              f"statically elidable: {analysis.bytes_elidable()}")
-    errors = [(rec, p) for rec in records for p in rec.analysis.coh_errors]
-    if errors:
-        if not args.json:
-            print("\nCOH errors (stale reads the state machine proves "
-                  "possible):")
-            for rec, p in errors:
-                print(f"  {rec.benchmark}/{rec.model}: {p.rule} {p.message}")
+#: the analysis subcommands, in ``--help`` order
+ANALYSES: tuple[Analysis, ...] = (
+    Analysis(
+        "lint", "the directive verifier: findings per port, or the "
+                "per-model lint-density table with --all", _PORT,
+        layer=_lazy("repro.lint.suite", "lint_suite", "lint_record"),
+        stats=_lazy("repro.metrics.lintstats", "lint_density",
+                    "render_lint_density", "render_lint_port", "lint_gate"),
+        fail_on=("error", "warning", "info"),
+        fail_on_help="exit 1 if any finding is at/above this severity",
+        port_json=lambda rec: rec.report.to_dict(),
+        formats={"sarif": _lint_sarif, "github": _lint_github},
+        format_help="output format: sarif is SARIF 2.1.0 (GitHub code "
+                    "scanning), github emits ::error/::warning workflow "
+                    "annotations; --json and --sarif are aliases",
+        aliases=("sarif",), list_gate_hits=False),
+    Analysis(
+        "xfer", "whole-program transfer coherence analysis: a verdict per "
+                "transfer, or the per-model rollup with --all", _PORT,
+        layer=_lazy("repro.dataflow.suite", "xfer_suite", "xfer_port"),
+        suite_kwargs={"models": ALL_MODELS},
+        stats=_lazy("repro.metrics.xferstats", "xfer_rollup",
+                    "render_xfer_rollup", "render_xfer_port", "xfer_gate"),
+        fail_on=("error", "warning"),
+        fail_on_help="exit 1 if any XFER/COH finding is at/above this "
+                     "severity (COH errors always exit 2)",
         # a COH error means the port's transfer discipline itself is
-        # unsound, not merely a gated finding — exit 2 like a usage error
-        return 2
-    return _fail_on_gate(args.fail_on, [
-        (f"{rec.benchmark}/{rec.model}", p.rule, p.severity, p.message)
-        for rec in records for p in rec.analysis.problems])
+        # unsound, not merely a gated finding: exit 2 like a usage error
+        failure=Failure(2, "\nCOH errors (stale reads the state machine "
+                           "proves possible):",
+                        *_lazy("repro.metrics.xferstats", "coh_errors")),
+        scale_help="workload scale used for transfer byte sizes"),
+    Analysis(
+        "locality", "cache-locality suite: replayed L1/L2 metrics next to "
+                    "the static reuse analyzer's predictions, or the "
+                    "per-model rollup of all six models with --all", _PORT,
+        layer=_lazy("repro.gpusim.locality", "locality_suite",
+                    "locality_port"),
+        stats=_lazy("repro.metrics.cachestats", "cache_rollup",
+                    "render_cache_rollup", "render_locality_port",
+                    "cache_gate"),
+        fail_on=("error", "warning"),
+        fail_on_help="exit 1 if the CACHE lint family reports a finding "
+                     "at/above this severity",
+        scale_help="workload scale used for the trace replay"),
+    Analysis(
+        "tv", "translation validator: equivalence certificates for every "
+              "lowered region, or the per-model matrix with --all", _PORT,
+        layer=_lazy("repro.tv.suite", "validate_suite", "validate_port"),
+        stats=_lazy("repro.metrics.tvstats", "tv_matrix",
+                    "render_tv_matrix", "render_tv_port", "tv_gate"),
+        fail_on=("warning", "error"),
+        fail_on_help="also exit 1 on UNKNOWN certificates (REFUTED always "
+                     "exits 1)",
+        failure=Failure(1, _REFUTED,
+                        *_lazy("repro.metrics.tvstats", "tv_refuted")),
+        port_json=lambda rec: rec.to_dict()),
+    Analysis(
+        "translate", "cross-model directive translation through the "
+                     "neutral IR, tv-certified against the source; --all "
+                     "for the shipped pair matrix",
+        (("benchmark", "benchmark name (e.g. jacobi)"),
+         ("src", "source model name or alias (e.g. openacc)"),
+         ("dst", "target model name or alias (e.g. omp-target)")),
+        layer=_lazy("repro.translate.suite", "translate_suite",
+                    "translate_pair"),
+        stats=_lazy("repro.metrics.translatestats", "translate_matrix",
+                    "render_translate_matrix", "render_translate_port",
+                    "translate_gate"),
+        fail_on=("warning", "error"),
+        fail_on_help="also exit 1 on dropped clauses or UNKNOWN "
+                     "certificates (REFUTED always exits 1)",
+        failure=Failure(1, _REFUTED, *_lazy("repro.metrics.translatestats",
+                                            "translate_refuted"))),
+)
 
 
-def _cmd_locality(args: argparse.Namespace) -> int:
-    from repro.gpusim.locality import locality_port, locality_suite
+def _output_format(row: Analysis, args: argparse.Namespace) -> str:
+    """``--format``, or the one ``--json``/alias switch given, or text."""
+    switches = [name for name in (*row.aliases, "json")
+                if getattr(args, name)]
+    if len(switches) > 1:
+        raise UsageError(f"{row.name}: --{switches[0]} and --{switches[1]} "
+                         "are mutually exclusive")
+    chosen = getattr(args, "format", None)
+    if chosen is not None and switches:
+        raise UsageError(f"{row.name}: --format and --{switches[0]} are "
+                         "mutually exclusive")
+    return chosen or (switches[0] if switches else "text")
 
+
+def _cmd_analysis(row: Analysis, args: argparse.Namespace) -> int:
+    fmt = _output_format(row, args)
+    names = [getattr(args, dest) for dest, _ in row.positionals]
+    metavars = " ".join(dest.upper() for dest, _ in row.positionals)
+    kwargs = {"scale": args.scale} if row.scale_help else {}
+    suite, port = row.layer
+    rollup, render, render_port, gate = row.stats
+    if args.all_ports and any(names):
+        raise UsageError(f"{row.name}: --all takes no {metavars} "
+                         f"arguments (got {' '.join(filter(None, names))})")
+    if not args.all_ports and not all(names):
+        raise UsageError(f"{row.name}: {metavars} are required unless "
+                         "--all is given")
     if args.all_ports:
-        records = locality_suite(scale=args.scale, jobs=_jobs(args))
+        records = suite(jobs=args.jobs, **row.suite_kwargs, **kwargs)
     else:
-        _require_port_args("locality", args)
-        records = [_resolve_port("locality", locality_port, args.benchmark,
-                                 args.model, variant=args.variant,
-                                 scale=args.scale)]
-    if args.json:
-        print(json.dumps([rec.to_dict() for rec in records], indent=2))
+        records = [_resolve_port(row.name, port, *names,
+                                 variant=args.variant, **kwargs)]
+    if fmt == "json":
+        out = json.dumps([rec.to_dict() for rec in records] if args.all_ports
+                         else row.port_json(records[0]), indent=2)
+    elif fmt != "text":
+        out = row.formats[fmt](records)
     elif args.all_ports:
-        from repro.metrics.cachestats import (cache_rollup,
-                                              render_cache_rollup)
-        print(render_cache_rollup(cache_rollup(records)))
+        out = render(rollup(records))
     else:
-        rec = records[0]
-        header = f"{rec.benchmark} / {rec.model} ({rec.variant})"
-        print(header)
-        print("-" * len(header))
-        for kl in rec.kernels:
-            sim, stat = kl.simulated, kl.static
-            approx = "" if sim.exact else "  (approximate: indirect)"
-            print(f"{kl.region}:{kl.kernel}{approx}")
-            print(f"  simulated  L1 {sim.l1.miss_ratio:6.3f}  "
-                  f"L2 {sim.l2.miss_ratio:6.3f}  "
-                  f"spatial {sim.spatial_locality:.3f}  "
-                  f"temporal {sim.temporal_locality:.3f}  "
-                  f"shortMRI {sim.short_mri_fraction:.3f}")
-            print(f"  static     L1 {stat.l1_miss_ratio:6.3f}  "
-                  f"L2 {stat.l2_miss_ratio:6.3f}  "
-                  f"({len(stat.pairs)} reuse pairs, "
-                  f"{len(stat.working_sets)} loop working sets)")
+        out = render_port(records[0])
+    if out:
+        print(out)
+    hits = row.failure.lines(records) if row.failure else []
+    if hits:
+        if fmt == "text":
+            print(row.failure.title)
+            print("\n".join(hits))
+        return row.failure.code
     if args.fail_on is None:
         return 0
-    # the gate reruns only the CACHE family of the verifier over the
-    # same (memoized) compilations the locality records came from
-    from repro.lint.engine import run_lint
-    from repro.models.cache import compile_port
-    items: list[tuple[str, str, str, str]] = []
-    if args.all_ports:
-        pairs = [(b, m, None) for b in BENCHMARK_ORDER for m in ALL_MODELS]
-    else:
-        pairs = [(args.benchmark, args.model, args.variant)]
-    for bench_name, model, variant in pairs:
-        port, compiled, _chosen = _resolve_port(
-            "locality", compile_port, bench_name, model, variant)
-        report = run_lint(port.program, compiled, families=("CACHE",))
-        items.extend((f"{bench_name}/{compiled.model}", f.rule,
-                      str(f.severity), f.message)
-                     for f in report.findings)
-    return _fail_on_gate(args.fail_on, items)
+    order = {"info": 0, "warning": 1, "error": 2}
+    over = [line for severity, line in gate(records)
+            if order.get(severity, 0) >= order[args.fail_on]]
+    if over and (row.list_gate_hits or (args.all_ports and fmt == "text")):
+        print(f"\nFindings at or above {args.fail_on}:")
+        print("\n".join(f"  {line}" for line in over))
+    return 1 if over else 0
 
 
-def _tv_gate_items(records) -> list[tuple[str, str, str, str]]:
-    """``--fail-on`` rows for tv records: UNKNOWN certificates are
-    warnings (REFUTED already exits 1 unconditionally)."""
-    from repro.tv import CertStatus
-
-    return [(f"{rec.benchmark}/{rec.model}:{c.region}", "TV-UNKNOWN",
-             "warning", c.detail)
-            for rec in records for c in rec.certificates
-            if c.status is CertStatus.UNKNOWN]
-
-
-def _cmd_tv(args: argparse.Namespace) -> int:
-    from repro.metrics.tvstats import render_tv_matrix, tv_matrix
-    from repro.tv import CertStatus, validate_port, validate_suite
-
-    if args.all_ports:
-        records = validate_suite(jobs=_jobs(args))
-        if args.json:
-            payload = [{"benchmark": rec.benchmark, "model": rec.model,
-                        "variant": rec.variant,
-                        "certificates": [c.to_dict()
-                                         for c in rec.certificates]}
-                       for rec in records]
-            print(json.dumps(payload, indent=2))
-        else:
-            print(render_tv_matrix(tv_matrix(records)))
-        refuted = [(rec, c) for rec in records for c in rec.certificates
-                   if c.status is CertStatus.REFUTED]
-        if refuted and not args.json:
-            print("\nREFUTED certificates:")
-            for rec, c in refuted:
-                print(f"  {rec.benchmark}/{rec.model}:{c.region}")
-                print(f"    {c.detail}")
-        if refuted:
-            return 1
-        return _fail_on_gate(args.fail_on, _tv_gate_items(records))
-    _require_port_args("tv", args)
-    record = _resolve_port("tv", validate_port, args.benchmark, args.model,
-                           variant=args.variant)
-    if args.json:
-        payload = {"benchmark": record.benchmark, "model": record.model,
-                   "variant": record.variant,
-                   "certificates": [c.to_dict()
-                                    for c in record.certificates]}
-        print(json.dumps(payload, indent=2))
-    else:
-        header = f"{record.benchmark} / {record.model} ({record.variant})"
-        print(header)
-        print("-" * len(header))
-        for c in record.certificates:
-            print(f"{c.status.value:8s} {c.region}: {c.detail}")
-            if c.blocking:
-                print(f"         blocked by: {c.blocking}")
-    if record.count(CertStatus.REFUTED):
-        return 1
-    return _fail_on_gate(args.fail_on, _tv_gate_items([record]))
-
-
-def _cmd_translate(args: argparse.Namespace) -> int:
-    from repro.metrics.translatestats import (render_translate_matrix,
-                                              translate_matrix)
-    from repro.translate import translate_pair, translate_suite
-    from repro.tv import CertStatus
-
-    if args.all_ports:
-        records = translate_suite(jobs=_jobs(args))
-    else:
-        if not args.benchmark or not args.src or not args.dst:
-            raise UsageError("translate: BENCH SRC DST are required "
-                             "unless --all is given")
-        records = [_resolve_port("translate", translate_pair,
-                                 args.benchmark, args.src, args.dst,
-                                 variant=args.variant)]
-    if args.json:
-        print(json.dumps([rec.to_dict() for rec in records], indent=2))
-    else:
-        print(render_translate_matrix(translate_matrix(records)))
-    refuted = [(rec, c) for rec in records for c in rec.certificates
-               if c.status is CertStatus.REFUTED]
-    if refuted and not args.json:
-        print("\nREFUTED certificates:")
-        for rec, c in refuted:
-            print(f"  {rec.benchmark}/{rec.src}->{rec.dst}:{c.region}")
-            print(f"    {c.detail}")
-    if refuted:
-        return 1
-    items: list[tuple[str, str, str, str]] = []
-    for rec in records:
-        where = f"{rec.benchmark}/{rec.src}->{rec.dst}"
-        items.extend((where, "XLAT-DROP", "warning", note)
-                     for note in rec.notes if "dropped" in note)
-        items.extend((f"{where}:{c.region}", "XLAT-UNKNOWN", "warning",
-                      c.detail)
-                     for c in rec.certificates
-                     if c.status is CertStatus.UNKNOWN)
-    return _fail_on_gate(args.fail_on, items)
+def _add_analysis(sub, row: Analysis) -> None:
+    p = sub.add_parser(row.name, help=row.help)
+    for dest, help_text in row.positionals:
+        p.add_argument(dest, nargs="?", default=None, help=help_text)
+    p.add_argument("--variant", default=None,
+                   help="port variant (default: the model's best)")
+    if row.scale_help:
+        p.add_argument("--scale", default="test", choices=("test", "paper"),
+                       help=row.scale_help)
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable records")
+    for name in row.aliases:
+        p.add_argument(f"--{name}", action="store_true",
+                       help=f"same as --format {name}")
+    if row.formats:
+        p.add_argument("--format", default=None,
+                       choices=("text", "json", *row.formats),
+                       help=row.format_help)
+    p.add_argument("--all", action="store_true", dest="all_ports",
+                   help="analyze every port and print the rollup")
+    p.add_argument("--fail-on", dest="fail_on", default=None,
+                   choices=row.fail_on, help=row.fail_on_help)
+    _add_jobs(p)
+    p.set_defaults(func=functools.partial(_cmd_analysis, row))
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -532,7 +456,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     _require_port_args("profile", args)
     if args.all_ports:
         profiles, tracer = profile_suite(scale=args.scale,
-                                         jobs=_jobs(args))
+                                         jobs=args.jobs)
     else:
         tracer = Tracer(manifest=make_manifest(
             TESLA_M2090, TimingConfig(), args.scale))
@@ -565,7 +489,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
     path = args.baseline or DEFAULT_BASELINE_PATH
     benchmarks = args.benchmarks or None
-    jobs = _jobs(args)
+    jobs = args.jobs
     try:
         if args.action == "record":
             from repro.obs.baseline import DEFAULT_TOLERANCE
@@ -628,7 +552,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from repro.obs.selfprof import attribute_spans
     from repro.obs.tracer import Tracer, tracing
 
-    jobs = _jobs(args)
+    jobs = args.jobs
     sweep = None
     tracer = Tracer()
     t_wall = time.perf_counter()
@@ -731,7 +655,7 @@ def _cmd_selfprof(args: argparse.Namespace) -> int:
     from repro.obs.selfprof import attribute_spans, render_attribution
     from repro.obs.tracer import Tracer, tracing
 
-    jobs = _jobs(args)
+    jobs = args.jobs
     _require_port_args("selfprof", args)
     if args.all_ports:
         units = selfprof_units()
@@ -792,7 +716,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                                        run_loadgen)
     from repro.obs.metrics import MetricsRegistry, collecting
 
-    _jobs(args)
     if args.requests < 1:
         raise UsageError(f"loadgen: --requests must be >= 1 "
                          f"(got {args.requests})")
@@ -857,9 +780,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_val = sub.add_parser(
         "validate", help="functional validation sweep (test scale)")
-    p_val.add_argument("benchmarks", nargs="*", metavar="BENCH",
-                       choices=BENCHMARK_ORDER + ("",) if False
-                       else None)
+    p_val.add_argument("benchmarks", nargs="*", metavar="BENCH")
     p_val.add_argument("--elide-transfers", action="store_true",
                        dest="elide_transfers",
                        help="validate the analysis-guided transfer-elision "
@@ -876,128 +797,8 @@ def main(argv: list[str] | None = None) -> int:
                        choices=("test", "paper"))
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_lint = sub.add_parser(
-        "lint", help="run the directive verifier over one port or --all")
-    p_lint.add_argument("benchmark", nargs="?", default=None,
-                        help="benchmark name (e.g. jacobi)")
-    p_lint.add_argument("model", nargs="?", default=None,
-                        help="model name or alias (e.g. openacc)")
-    p_lint.add_argument("--variant", default=None,
-                        help="port variant (default: the model's best)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable findings")
-    p_lint.add_argument("--sarif", action="store_true",
-                        help="SARIF 2.1.0 output (GitHub code scanning)")
-    p_lint.add_argument("--format", default=None,
-                        choices=("text", "json", "sarif", "github"),
-                        help="output format; 'github' emits "
-                             "::error/::warning workflow annotations "
-                             "(--json/--sarif remain as aliases)")
-    p_lint.add_argument("--all", action="store_true", dest="all_ports",
-                        help="lint every benchmark x model pair and print "
-                             "the per-model density table")
-    p_lint.add_argument("--fail-on", dest="fail_on", default=None,
-                        choices=("error", "warning", "info"),
-                        help="exit 1 if any finding is at/above "
-                             "this severity")
-    _add_jobs(p_lint)
-    p_lint.set_defaults(func=_cmd_lint)
-
-    p_x = sub.add_parser(
-        "xfer", help="whole-program transfer coherence analysis: a "
-                     "verdict per transfer for one port, or the per-model "
-                     "rollup with --all (exits 2 on any COH error)")
-    p_x.add_argument("benchmark", nargs="?", default=None,
-                     help="benchmark name (e.g. jacobi)")
-    p_x.add_argument("model", nargs="?", default=None,
-                     help="model name or alias (e.g. openacc)")
-    p_x.add_argument("--variant", default=None,
-                     help="port variant (default: the model's best)")
-    p_x.add_argument("--scale", default="test",
-                     choices=("test", "paper"),
-                     help="workload scale used for transfer byte sizes")
-    p_x.add_argument("--json", action="store_true",
-                     help="machine-readable verdicts with witnesses")
-    p_x.add_argument("--all", action="store_true", dest="all_ports",
-                     help="analyze every benchmark x model pair and print "
-                          "the per-model verdict rollup")
-    p_x.add_argument("--fail-on", dest="fail_on", default=None,
-                     choices=("error", "warning"),
-                     help="exit 1 if any XFER/COH finding is at/above "
-                          "this severity (COH errors still exit 2)")
-    _add_jobs(p_x)
-    p_x.set_defaults(func=_cmd_xfer)
-
-    p_loc = sub.add_parser(
-        "locality", help="cache-locality suite: replayed L1/L2 metrics "
-                         "side by side with the static reuse analyzer's "
-                         "predictions for one port, or the per-model "
-                         "rollup with --all")
-    p_loc.add_argument("benchmark", nargs="?", default=None,
-                       help="benchmark name (e.g. jacobi)")
-    p_loc.add_argument("model", nargs="?", default=None,
-                       help="model name or alias (e.g. openacc)")
-    p_loc.add_argument("--variant", default=None,
-                       help="port variant (default: the model's best)")
-    p_loc.add_argument("--scale", default="test",
-                       choices=("test", "paper"),
-                       help="workload scale used for the trace replay")
-    p_loc.add_argument("--json", action="store_true",
-                       help="machine-readable per-kernel reports")
-    p_loc.add_argument("--all", action="store_true", dest="all_ports",
-                       help="analyze every benchmark x model pair "
-                            "(all six models) and print the per-model "
-                            "cache rollup")
-    p_loc.add_argument("--fail-on", dest="fail_on", default=None,
-                       choices=("error", "warning"),
-                       help="exit 1 if the CACHE lint family reports a "
-                            "finding at/above this severity")
-    _add_jobs(p_loc)
-    p_loc.set_defaults(func=_cmd_locality)
-
-    p_tv = sub.add_parser(
-        "tv", help="translation validator: equivalence certificates for "
-                   "every lowered region")
-    p_tv.add_argument("benchmark", nargs="?", default=None,
-                      help="benchmark name (e.g. jacobi)")
-    p_tv.add_argument("model", nargs="?", default=None,
-                      help="model name or alias (e.g. openacc)")
-    p_tv.add_argument("--variant", default=None,
-                      help="port variant (default: the model's best)")
-    p_tv.add_argument("--json", action="store_true",
-                      help="machine-readable certificates")
-    p_tv.add_argument("--all", action="store_true", dest="all_ports",
-                      help="certify every benchmark x model pair and print "
-                           "the per-model certificate matrix")
-    p_tv.add_argument("--fail-on", dest="fail_on", default=None,
-                      choices=("warning", "error"),
-                      help="also exit 1 on UNKNOWN certificates "
-                           "(REFUTED always exits 1)")
-    _add_jobs(p_tv)
-    p_tv.set_defaults(func=_cmd_tv)
-
-    p_xl = sub.add_parser(
-        "translate", help="cross-model directive translation through the "
-                          "neutral IR, tv-certified against the source")
-    p_xl.add_argument("benchmark", nargs="?", default=None,
-                      help="benchmark name (e.g. jacobi)")
-    p_xl.add_argument("src", nargs="?", default=None,
-                      help="source model name or alias (e.g. openacc)")
-    p_xl.add_argument("dst", nargs="?", default=None,
-                      help="target model name or alias (e.g. omp-target)")
-    p_xl.add_argument("--variant", default=None,
-                      help="source port variant (default: the model's best)")
-    p_xl.add_argument("--json", action="store_true",
-                      help="machine-readable translation records")
-    p_xl.add_argument("--all", action="store_true", dest="all_ports",
-                      help="translate every benchmark across the shipped "
-                           "pairs and print the per-pair matrix")
-    p_xl.add_argument("--fail-on", dest="fail_on", default=None,
-                      choices=("warning", "error"),
-                      help="also exit 1 on dropped clauses or UNKNOWN "
-                           "certificates (REFUTED always exits 1)")
-    _add_jobs(p_xl)
-    p_xl.set_defaults(func=_cmd_translate)
+    for row in ANALYSES:
+        _add_analysis(sub, row)
 
     p_prof = sub.add_parser(
         "profile", help="per-kernel simulated counters and bottleneck "
@@ -1123,6 +924,8 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"--jobs must be >= 1 (got {args.jobs})")
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -28,14 +28,18 @@ exactly what the serial sweep produces:
   pickled envelope per line); re-running an interrupted sweep with the
   same journal executes only the missing shards.
 
-``jobs=1`` callers never reach this module — the CLI and
-:func:`repro.harness.runner.run_full_evaluation` keep today's serial
-path byte-for-byte.
+The evaluation sweeps' ``jobs=1`` callers never reach this module —
+the CLI and :func:`repro.harness.runner.run_full_evaluation` keep the
+serial path byte-for-byte.  The analysis suites (lint, tv, xfer,
+locality, translate) and the baseline sweep go through
+:func:`sweep_ports` at any ``jobs``: ``jobs=1`` calls the same unit
+runners in-process, in order.
 """
 
 from __future__ import annotations
 
 import base64
+import importlib
 import json
 import multiprocessing
 import os
@@ -195,50 +199,31 @@ def _run_eval_unit(unit: WorkUnit, ctx: SweepContext) -> EvalUnitResult:
     return out
 
 
-@_unit_runner("lint")
-def _run_lint_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.lint.engine import run_lint
-    from repro.lint.suite import SuiteRecord
-    from repro.models.cache import compile_port
+def _analysis_runner(site: str, *context: str):
+    """An analysis kind's runner: ``module:function(bench, model,
+    variant, **context)`` per unit, ``context`` naming
+    :class:`SweepContext` fields.  The function is looked up at call
+    time, so the in-process path calls the layer's own module binding
+    (translate units carry the target model as their variant)."""
+    module, _, name = site.partition(":")
 
-    port, compiled, chosen = compile_port(unit.bench, unit.model,
-                                          unit.variant or None)
-    report = run_lint(port.program, compiled, device=ctx.device)
-    return SuiteRecord(benchmark=unit.bench, model=unit.model,
-                       variant=chosen, regions=compiled.regions_total,
-                       report=report)
-
-
-@_unit_runner("xfer")
-def _run_xfer_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.dataflow.suite import xfer_port
-
-    return xfer_port(unit.bench, unit.model, unit.variant or None,
-                     scale=ctx.scale)
+    def run(unit: WorkUnit, ctx: SweepContext):
+        fn = getattr(importlib.import_module(module), name)
+        return fn(unit.bench, unit.model, unit.variant or None,
+                  **{key: getattr(ctx, key) for key in context})
+    return run
 
 
-@_unit_runner("locality")
-def _run_locality_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.gpusim.locality import locality_port
-
-    return locality_port(unit.bench, unit.model, unit.variant or None,
-                         scale=ctx.scale)
-
-
-@_unit_runner("tv")
-def _run_tv_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.tv import validate_port
-
-    return validate_port(unit.bench, unit.model, unit.variant or None)
-
-
-@_unit_runner("translate")
-def _run_translate_unit(unit: WorkUnit, ctx: SweepContext):
-    # translate units encode the (source, target) pair as (model,
-    # variant) — a unit owns one benchmark × one translation direction
-    from repro.translate import translate_pair
-
-    return translate_pair(unit.bench, unit.model, unit.variant)
+#: the analysis kinds: (kind, one-port function, SweepContext fields)
+_ANALYSIS_KINDS = (
+    ("lint", "repro.lint.suite:lint_record", "device"),
+    ("xfer", "repro.dataflow.suite:xfer_port", "scale"),
+    ("locality", "repro.gpusim.locality:locality_port", "scale"),
+    ("tv", "repro.tv.suite:validate_port"),
+    ("translate", "repro.translate.suite:translate_pair"),
+)
+UNIT_RUNNERS.update((kind, _analysis_runner(site, *context))
+                    for kind, site, *context in _ANALYSIS_KINDS)
 
 
 @_unit_runner("baseline")
@@ -608,12 +593,42 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
 # ---------------------------------------------------------------------------
 
 def pair_units(kind: str,
-               pairs: Iterable[tuple[str, str]],
-               variant: str = "") -> list[WorkUnit]:
-    """Units for an already-ordered (bench, model) pair list."""
-    return [WorkUnit(kind=kind, bench=bench, model=model, variant=variant,
-                     seq=seq)
-            for seq, (bench, model) in enumerate(pairs)]
+               items: Iterable[tuple[str, ...]]) -> list[WorkUnit]:
+    """Units for an already-ordered list of ``(bench, model)`` (or
+    ``(bench, model, variant)``) items."""
+    return [WorkUnit(kind, *item, seq=seq) for seq, item in enumerate(items)]
+
+
+def suite_pairs(benchmarks: Optional[Sequence[str]],
+                models: Sequence[str]) -> list[tuple[str, str]]:
+    """(bench, model) pairs in table order: benchmark-major, all 13
+    benchmarks by default, models resolved to their canonical names."""
+    from repro.benchmarks.registry import BENCHMARK_ORDER
+    from repro.models import resolve_model
+
+    model_list = [resolve_model(m) for m in models]
+    return [(bench, model)
+            for bench in (benchmarks if benchmarks is not None
+                          else BENCHMARK_ORDER)
+            for model in model_list]
+
+
+def sweep_ports(kind: str, work: Sequence[tuple[str, ...]], jobs: int = 1,
+                **context: Any) -> list:
+    """One ``kind`` unit per work item; the results, in item order.
+
+    An item is ``(bench, model)``, or ``(bench, src, dst)`` for
+    translation — a unit's ``(bench, model, variant)``.  ``context``
+    sets :class:`SweepContext` fields.  ``jobs=1`` runs the units'
+    :data:`UNIT_RUNNERS` entry in-process; ``jobs>1`` shards the same
+    units across worker processes, so the records are identical for any
+    worker count.
+    """
+    units = pair_units(kind, work)
+    ctx = SweepContext(trace=False, **context)
+    if jobs <= 1:
+        return [UNIT_RUNNERS[kind](unit, ctx) for unit in units]
+    return run_sweep(units, jobs=jobs, context=ctx).results()
 
 
 def evaluation_units(benchmarks: Optional[Sequence[str]] = None,

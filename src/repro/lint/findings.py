@@ -13,7 +13,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from repro.errors import ReproError
 
 
 class Severity(enum.IntEnum):
@@ -22,15 +21,6 @@ class Severity(enum.IntEnum):
     INFO = 10
     WARNING = 20
     ERROR = 30
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ReproError(
-                f"unknown severity {text!r}; expected one of "
-                f"{', '.join(s.name.lower() for s in cls)}") from None
 
     def __str__(self) -> str:  # "error", not "Severity.ERROR"
         return self.name.lower()
@@ -121,8 +111,8 @@ class LintReport:
         return sorted(self.findings,
                       key=lambda f: (-int(f.severity), f.rule, f.location()))
 
-    def to_json(self, indent: int = 2) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "program": self.program,
             "model": self.model,
             "counts": {"error": self.errors, "warning": self.warnings,
@@ -130,7 +120,9 @@ class LintReport:
             "by_rule": self.by_rule(),
             "findings": [f.to_dict() for f in self.sorted()],
         }
-        return json.dumps(payload, indent=indent)
+
+    def to_json(self, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent)
 
 
 #: GitHub Actions workflow-command names per severity

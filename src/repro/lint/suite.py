@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.lint.engine import run_lint
 from repro.lint.findings import LintReport
-from repro.models import DIRECTIVE_MODELS, resolve_model
+from repro.models import DIRECTIVE_MODELS
 from repro.models.cache import clear_compile_cache, compile_port
 
 __all__ = ["LINT_MODELS", "SuiteRecord", "compile_port",
-           "clear_compile_cache", "lint_port", "lint_suite"]
+           "clear_compile_cache", "lint_port", "lint_record", "lint_suite"]
 
 #: the models the suite lints by default: every paper directive model
 #: plus the OpenMP-Target compiler (not a 2012 Table-II column, but its
@@ -42,43 +42,35 @@ class SuiteRecord:
     regions: int
     report: LintReport
 
+    def to_dict(self) -> dict:
+        return {"benchmark": self.benchmark, "model": self.model,
+                "variant": self.variant, "regions": self.regions,
+                "findings": [f.to_dict() for f in self.report.sorted()]}
+
+
+def lint_record(benchmark: str, model: str, variant: Optional[str] = None,
+                device: DeviceSpec = TESLA_M2090) -> SuiteRecord:
+    """Compile the named port and lint program + compilation together."""
+    port, compiled, chosen = compile_port(benchmark, model, variant)
+    return SuiteRecord(benchmark=benchmark, model=compiled.model,
+                       variant=chosen, regions=compiled.regions_total,
+                       report=run_lint(port.program, compiled,
+                                       device=device))
+
 
 def lint_port(benchmark: str, model: str, variant: Optional[str] = None,
               device: DeviceSpec = TESLA_M2090) -> LintReport:
-    """Compile the named port and lint program + compilation together."""
-    port, compiled, _ = compile_port(benchmark, model, variant)
-    return run_lint(port.program, compiled, device=device)
+    """The lint report of one port (:func:`lint_record` without sizing)."""
+    return lint_record(benchmark, model, variant, device).report
 
 
 def lint_suite(models: Sequence[str] = LINT_MODELS,
                benchmarks: Optional[Sequence[str]] = None,
                device: DeviceSpec = TESLA_M2090,
                jobs: int = 1) -> list[SuiteRecord]:
-    """Lint every benchmark × model pair, in table order.
+    """Lint every benchmark × model pair, in table order (``jobs>1``
+    shards the pairs, see :func:`repro.harness.parallel.sweep_ports`)."""
+    from repro.harness.parallel import suite_pairs, sweep_ports
 
-    ``jobs>1`` shards the pair list across worker processes
-    (:mod:`repro.harness.parallel`); the records come back merged in
-    the same table order the serial path produces.
-    """
-    from repro.benchmarks import BENCHMARK_ORDER
-
-    bench_list = list(benchmarks) if benchmarks is not None \
-        else list(BENCHMARK_ORDER)
-    model_list = [resolve_model(m) for m in models]
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, pair_units,
-                                            run_sweep)
-        units = pair_units("lint", [(b, m) for b in bench_list
-                                    for m in model_list])
-        sweep = run_sweep(units, jobs=jobs,
-                          context=SweepContext(device=device, trace=False))
-        return sweep.results()
-    records: list[SuiteRecord] = []
-    for bench_name in bench_list:
-        for model in model_list:
-            port, compiled, chosen = compile_port(bench_name, model)
-            report = run_lint(port.program, compiled, device=device)
-            records.append(SuiteRecord(
-                benchmark=bench_name, model=model, variant=chosen,
-                regions=compiled.regions_total, report=report))
-    return records
+    return sweep_ports("lint", suite_pairs(benchmarks, models), jobs,
+                       device=device)

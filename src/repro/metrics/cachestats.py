@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.gpusim.locality import LocalityRecord
+from repro.metrics.tables import group_by, render_table
 
 #: a kernel enters the static-vs-simulated agreement gate only when its
 #: replay saw at least this many L1 accesses — below that, one or two
@@ -46,16 +47,8 @@ class CacheRollupRow:
 
 def cache_rollup(records: Sequence[LocalityRecord]) -> list[CacheRollupRow]:
     """Aggregate suite records into one row per model, in input order."""
-    order: list[str] = []
-    buckets: dict[str, list[LocalityRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
     rows = []
-    for model in order:
-        recs = buckets[model]
+    for model, recs in group_by(records, lambda rec: rec.model):
         kernels = exact = gated = 0
         weight = 0.0
         l1 = l2 = spatial = temporal = short_mri = 0.0
@@ -101,14 +94,42 @@ def render_cache_rollup(rows: Sequence[CacheRollupRow]) -> str:
              f"{row.short_mri_fraction:.3f}", str(row.gated_kernels),
              f"{row.worst_static_dev:.3f}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
+    return render_table(headers, body)
 
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
 
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
+def render_locality_port(rec: LocalityRecord) -> str:
+    """One port's kernels: replayed metrics over the static prediction."""
+    header = f"{rec.benchmark} / {rec.model} ({rec.variant})"
+    lines = [header, "-" * len(header)]
+    for kl in rec.kernels:
+        sim, stat = kl.simulated, kl.static
+        approx = "" if sim.exact else "  (approximate: indirect)"
+        lines.append(f"{kl.region}:{kl.kernel}{approx}")
+        lines.append(f"  simulated  L1 {sim.l1.miss_ratio:6.3f}  "
+                     f"L2 {sim.l2.miss_ratio:6.3f}  "
+                     f"spatial {sim.spatial_locality:.3f}  "
+                     f"temporal {sim.temporal_locality:.3f}  "
+                     f"shortMRI {sim.short_mri_fraction:.3f}")
+        lines.append(f"  static     L1 {stat.l1_miss_ratio:6.3f}  "
+                     f"L2 {stat.l2_miss_ratio:6.3f}  "
+                     f"({len(stat.pairs)} reuse pairs, "
+                     f"{len(stat.working_sets)} loop working sets)")
     return "\n".join(lines)
+
+
+def cache_gate(records: Sequence[LocalityRecord]) -> list[tuple[str, str]]:
+    """``(severity, line)`` per CACHE lint finding, for ``--fail-on``:
+    the verifier's CACHE family rerun over the same (memoized)
+    compilations the records came from."""
+    from repro.lint.engine import run_lint
+    from repro.models.cache import compile_port
+
+    rows: list[tuple[str, str]] = []
+    for rec in records:
+        port, compiled, _ = compile_port(rec.benchmark, rec.model,
+                                         rec.variant)
+        report = run_lint(port.program, compiled, families=("CACHE",))
+        rows.extend((str(f.severity), f"{rec.benchmark}/{rec.model}: "
+                                      f"{f.rule} {f.severity} {f.message}")
+                    for f in report.findings)
+    return rows

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from repro.lint.findings import Severity
 from repro.lint.suite import SuiteRecord
+from repro.metrics.tables import group_by, render_table
 
 #: rule-ID prefixes grouped into the table's family columns
 FAMILIES = ("RACE", "DATA", "XFER", "COH", "PERF", "BNDS", "TV", "COV")
@@ -45,16 +46,8 @@ class LintDensityRow:
 
 def lint_density(records: Sequence[SuiteRecord]) -> list[LintDensityRow]:
     """Aggregate suite records into one row per model, in input order."""
-    order: list[str] = []
-    buckets: dict[str, list[SuiteRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
     rows = []
-    for model in order:
-        recs = buckets[model]
+    for model, recs in group_by(records, lambda rec: rec.model):
         sev = {Severity.ERROR: 0, Severity.WARNING: 0, Severity.INFO: 0}
         fam = {name: 0 for name in FAMILIES}
         for rec in recs:
@@ -80,12 +73,23 @@ def render_lint_density(rows: Sequence[LintDensityRow]) -> str:
              *(str(row.by_family[f]) for f in FAMILIES),
              f"{row.density:.2f}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
+    return render_table(headers, body)
+
+
+def render_lint_port(rec: SuiteRecord) -> str:
+    """One port's findings, most severe first."""
+    report = rec.report
+    header = f"{report.program} / {report.model}"
+    lines = [header, "-" * len(header)]
+    if not report.findings:
+        lines.append("no findings")
+    lines.extend(f"{f.rule} {f.severity} {f.location()}: {f.message}"
+                 for f in report.sorted())
     return "\n".join(lines)
+
+
+def lint_gate(records: Sequence[SuiteRecord]) -> list[tuple[str, str]]:
+    """``(severity, line)`` per finding, for the ``--fail-on`` listing."""
+    return [(str(f.severity),
+             f"{f.rule} {f.severity} {f.location()}: {f.message}")
+            for rec in records for f in rec.report.findings]

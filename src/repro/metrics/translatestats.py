@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.metrics.tables import group_by, render_table
 from repro.translate.suite import TranslationRecord
 from repro.tv.certify import CertStatus
 
@@ -46,17 +47,9 @@ class TranslateMatrixRow:
 def translate_matrix(records: Sequence[TranslationRecord],
                      ) -> list[TranslateMatrixRow]:
     """Aggregate suite records into one row per pair, first-seen order."""
-    order: list[tuple[str, str]] = []
-    buckets: dict[tuple[str, str], list[TranslationRecord]] = {}
-    for rec in records:
-        key = (rec.src, rec.dst)
-        if key not in buckets:
-            order.append(key)
-            buckets[key] = []
-        buckets[key].append(rec)
     rows = []
-    for src, dst in order:
-        recs = buckets[(src, dst)]
+    for (src, dst), recs in group_by(records,
+                                     lambda rec: (rec.src, rec.dst)):
         rows.append(TranslateMatrixRow(
             src=src, dst=dst, ports=len(recs),
             regions=sum(r.regions_total for r in recs),
@@ -79,14 +72,33 @@ def render_translate_matrix(rows: Sequence[TranslateMatrixRow]) -> str:
              str(row.dropped), str(row.proved), str(row.refuted),
              str(row.unknown), f"{row.via_share:.0%}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
+    return render_table(headers, body)
 
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
 
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
-    return "\n".join(lines)
+def render_translate_port(rec: TranslationRecord) -> str:
+    """One translation: its one-row matrix."""
+    return render_translate_matrix(translate_matrix([rec]))
+
+
+def translate_gate(records: Sequence[TranslationRecord],
+                   ) -> list[tuple[str, str]]:
+    """``(severity, line)`` per dropped clause and UNKNOWN certificate
+    (both warnings), for ``--fail-on``."""
+    rows: list[tuple[str, str]] = []
+    for rec in records:
+        where = f"{rec.benchmark}/{rec.src}->{rec.dst}"
+        rows.extend(("warning", f"{where}: XLAT-DROP warning {note}")
+                    for note in rec.notes if "dropped" in note)
+        rows.extend(("warning", f"{where}:{c.region}: XLAT-UNKNOWN "
+                                f"warning {c.detail}")
+                    for c in rec.certificates
+                    if c.status is CertStatus.UNKNOWN)
+    return rows
+
+
+def translate_refuted(records: Sequence[TranslationRecord]) -> list[str]:
+    """One entry per REFUTED certificate, which fails the run."""
+    return [f"  {rec.benchmark}/{rec.src}->{rec.dst}:{c.region}\n"
+            f"    {c.detail}"
+            for rec in records for c in rec.certificates
+            if c.status is CertStatus.REFUTED]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.metrics.tables import group_by, render_table
 from repro.tv.certify import CertStatus
 from repro.tv.suite import TvRecord
 
@@ -42,16 +43,8 @@ class TvMatrixRow:
 
 def tv_matrix(records: Sequence[TvRecord]) -> list[TvMatrixRow]:
     """Aggregate suite certificates into one row per model."""
-    order: list[str] = []
-    buckets: dict[str, list[TvRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
     rows = []
-    for model in order:
-        recs = buckets[model]
+    for model, recs in group_by(records, lambda rec: rec.model):
         rows.append(TvMatrixRow(
             model=model, ports=len(recs),
             proved=sum(r.count(CertStatus.PROVED) for r in recs),
@@ -69,14 +62,31 @@ def render_tv_matrix(rows: Sequence[TvMatrixRow]) -> str:
              str(row.unknown), str(row.skipped),
              f"{row.proved_share:.0%}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
+    return render_table(headers, body)
 
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
 
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
+def render_tv_port(rec: TvRecord) -> str:
+    """One port's certificates, one line per region."""
+    header = f"{rec.benchmark} / {rec.model} ({rec.variant})"
+    lines = [header, "-" * len(header)]
+    for c in rec.certificates:
+        lines.append(f"{c.status.value:8s} {c.region}: {c.detail}")
+        if c.blocking:
+            lines.append(f"         blocked by: {c.blocking}")
     return "\n".join(lines)
+
+
+def tv_gate(records: Sequence[TvRecord]) -> list[tuple[str, str]]:
+    """``(severity, line)`` per UNKNOWN certificate (a warning), for
+    ``--fail-on``."""
+    return [("warning", f"{rec.benchmark}/{rec.model}:{c.region}: "
+                        f"TV-UNKNOWN warning {c.detail}")
+            for rec in records for c in rec.certificates
+            if c.status is CertStatus.UNKNOWN]
+
+
+def tv_refuted(records: Sequence[TvRecord]) -> list[str]:
+    """One entry per REFUTED certificate, which fails the run."""
+    return [f"  {rec.benchmark}/{rec.model}:{c.region}\n    {c.detail}"
+            for rec in records for c in rec.certificates
+            if c.status is CertStatus.REFUTED]

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from repro.dataflow.report import DEAD, DEFERRABLE, REDUNDANT, REQUIRED
 from repro.dataflow.suite import XferRecord
+from repro.metrics.tables import group_by, render_table
 
 #: verdict columns, in report order
 VERDICTS = (REQUIRED, REDUNDANT, DEAD, DEFERRABLE)
@@ -45,16 +46,8 @@ class XferRollupRow:
 
 def xfer_rollup(records: Sequence[XferRecord]) -> list[XferRollupRow]:
     """Aggregate suite records into one row per model, in input order."""
-    order: list[str] = []
-    buckets: dict[str, list[XferRecord]] = {}
-    for rec in records:
-        if rec.model not in buckets:
-            order.append(rec.model)
-            buckets[rec.model] = []
-        buckets[rec.model].append(rec)
     rows = []
-    for model in order:
-        recs = buckets[model]
+    for model, recs in group_by(records, lambda rec: rec.model):
         verdicts = {name: 0 for name in VERDICTS}
         errors = warnings = 0
         bytes_total = bytes_elidable = 0
@@ -90,14 +83,37 @@ def render_xfer_rollup(rows: Sequence[XferRollupRow]) -> str:
              _mib(row.bytes_total), _mib(row.bytes_elidable),
              f"{100 * row.elidable_fraction:.1f}"]
             for row in rows]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in body))
-              if body else len(headers[i]) for i in range(len(headers))]
+    return render_table(headers, body)
 
-    def fmt(cells: Sequence[str]) -> str:
-        first = cells[0].ljust(widths[0])
-        rest = "  ".join(c.rjust(w) for c, w in zip(cells[1:], widths[1:]))
-        return f"{first}  {rest}"
 
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(r) for r in body)
+def render_xfer_port(rec: XferRecord) -> str:
+    """One port's verdict per transfer, with witnesses and problems."""
+    analysis = rec.analysis
+    header = (f"{rec.benchmark} / {rec.model} ({rec.variant}) — "
+              f"{analysis.node_count} CFG nodes, "
+              f"{analysis.iterations} solver iterations")
+    lines = [header, "-" * len(header)]
+    for v in analysis.verdicts:
+        trips = f" x{v.trips}" if v.trips > 1 else ""
+        lines.append(f"{v.verdict:<10} {v.direction} {v.array!r} "
+                     f"@ {v.node}{trips} [{v.origin}]")
+        lines.append(f"           {v.witness}")
+    lines.extend(f"{p.rule} [{p.severity}] {p.message}"
+                 for p in analysis.problems)
+    lines.append(f"bytes moved: {analysis.bytes_total()}  "
+                 f"statically elidable: {analysis.bytes_elidable()}")
     return "\n".join(lines)
+
+
+def xfer_gate(records: Sequence[XferRecord]) -> list[tuple[str, str]]:
+    """``(severity, line)`` per XFER/COH problem, for ``--fail-on``."""
+    return [(p.severity, f"{rec.benchmark}/{rec.model}: {p.rule} "
+                         f"{p.severity} {p.message}")
+            for rec in records for p in rec.analysis.problems]
+
+
+def coh_errors(records: Sequence[XferRecord]) -> list[str]:
+    """One line per COH error: a stale read the state machine proves
+    possible, which fails the run whatever the threshold."""
+    return [f"  {rec.benchmark}/{rec.model}: {p.rule} {p.message}"
+            for rec in records for p in rec.analysis.coh_errors]

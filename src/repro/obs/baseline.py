@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.timing import TimingConfig
-from repro.obs.profile import RunProfile, profile_run
+from repro.obs.profile import RunProfile
 from repro.obs.tracer import config_hash
 
 BASELINE_SCHEMA = 1
@@ -74,25 +74,14 @@ def collect_entries(benchmarks: Sequence[str], models: Sequence[str],
     processes; entries merge back in manifest order regardless of
     completion order, so the gate's verdict is jobs-independent.
     """
-    entries: dict[str, dict] = {}
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, pair_units,
-                                            run_sweep)
-        pairs = [(bench, model) for bench in benchmarks
-                 for model in models]
-        sweep = run_sweep(pair_units("baseline", pairs), jobs=jobs,
-                          context=SweepContext(scale=scale, device=device,
-                                               timing=timing, trace=False))
-        for outcome in sweep.outcomes:
-            entries.setdefault(outcome.unit.bench, {})[
-                outcome.unit.model] = outcome.result
-        return entries
-    for bench in benchmarks:
-        entries[bench] = {}
-        for model in models:
-            profile = profile_run(bench, model, scale=scale,
-                                  device=device, timing=timing)
-            entries[bench][model] = _entry_from_profile(profile)
+    from repro.harness.parallel import sweep_ports
+
+    pairs = [(bench, model) for bench in benchmarks for model in models]
+    found = sweep_ports("baseline", pairs, jobs, scale=scale, device=device,
+                        timing=timing)
+    entries: dict[str, dict] = {bench: {} for bench in benchmarks}
+    for (bench, model), entry in zip(pairs, found):
+        entries[bench][model] = entry
     return entries
 
 

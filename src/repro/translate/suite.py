@@ -120,27 +120,18 @@ def translate_suite(pairs: Optional[Sequence[tuple[str, str]]] = None,
                     jobs: int = 1) -> list[TranslationRecord]:
     """Translate every benchmark across every pair, pair-major order.
 
-    ``jobs>1`` shards the (benchmark, pair) triples across worker
-    processes (:mod:`repro.harness.parallel`) and merges the records
-    back in the same pair-major order the serial path produces — the
-    rollup is byte-identical for any worker count.
+    ``jobs>1`` shards the (benchmark, src, dst) triples (see
+    :func:`repro.harness.parallel.sweep_ports`); the records merge back in
+    the same order, so the rollup is byte-identical for any worker
+    count.
     """
     from repro.benchmarks import BENCHMARK_ORDER
+    from repro.harness.parallel import sweep_ports
     from repro.models import resolve_model
 
-    pair_list = [(resolve_model(s), resolve_model(d))
-                 for s, d in (pairs if pairs is not None
-                              else TRANSLATION_PAIRS)]
-    bench_list = list(benchmarks) if benchmarks is not None \
-        else list(BENCHMARK_ORDER)
-    work = [(b, s, d) for s, d in pair_list for b in bench_list]
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, WorkUnit,
-                                            run_sweep)
-        units = [WorkUnit(kind="translate", bench=b, model=s, variant=d,
-                          seq=seq)
-                 for seq, (b, s, d) in enumerate(work)]
-        sweep = run_sweep(units, jobs=jobs,
-                          context=SweepContext(trace=False))
-        return sweep.results()
-    return [translate_pair(b, s, d) for b, s, d in work]
+    work = [(bench, resolve_model(src), resolve_model(dst))
+            for src, dst in (pairs if pairs is not None
+                             else TRANSLATION_PAIRS)
+            for bench in (benchmarks if benchmarks is not None
+                          else BENCHMARK_ORDER)]
+    return sweep_ports("translate", work, jobs)

@@ -35,6 +35,11 @@ class TvRecord:
     def count(self, status: CertStatus) -> int:
         return sum(1 for c in self.certificates if c.status is status)
 
+    def to_dict(self) -> dict:
+        return {"benchmark": self.benchmark, "model": self.model,
+                "variant": self.variant,
+                "certificates": [c.to_dict() for c in self.certificates]}
+
 
 def validate_port(benchmark: str, model: str,
                   variant: Optional[str] = None,
@@ -67,29 +72,13 @@ def validate_port(benchmark: str, model: str,
 def validate_suite(models: Optional[Sequence[str]] = None,
                    benchmarks: Optional[Sequence[str]] = None,
                    jobs: int = 1) -> list[TvRecord]:
-    """Certificates for every available benchmark × model pair.
+    """Certificates for every available benchmark × model pair, in
+    suite order (``jobs>1`` shards the pairs, see
+    :func:`repro.harness.parallel.sweep_ports`)."""
+    from repro.benchmarks import get_benchmark
+    from repro.harness.parallel import suite_pairs, sweep_ports
 
-    ``jobs>1`` shards the pairs across worker processes
-    (:mod:`repro.harness.parallel`) and merges the records back in
-    suite order.
-    """
-    from repro.benchmarks import BENCHMARK_ORDER, get_benchmark
-    from repro.models import resolve_model
-
-    pairs: list[tuple[str, str]] = []
-    for bench_name in benchmarks if benchmarks is not None \
-            else BENCHMARK_ORDER:
-        bench = get_benchmark(bench_name)
-        for model in models if models is not None else _models():
-            model = resolve_model(model)
-            if not bench.variants(model):
-                continue
-            pairs.append((bench_name, model))
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, pair_units,
-                                            run_sweep)
-        sweep = run_sweep(pair_units("tv", pairs), jobs=jobs,
-                          context=SweepContext(trace=False))
-        return sweep.results()
-    return [validate_port(bench_name, model)
-            for bench_name, model in pairs]
+    pairs = [(bench, model) for bench, model in suite_pairs(
+                 benchmarks, models if models is not None else _models())
+             if get_benchmark(bench).variants(model)]
+    return sweep_ports("tv", pairs, jobs)

@@ -6,9 +6,14 @@ benchmark / model / variant, contradictory flags) — never a traceback.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.harness.cli import ANALYSES
 from repro.harness.cli import main as cli_main
 from repro.lint.sarif import SARIF_SCHEMA, SARIF_VERSION
 from repro.lint.suite import clear_compile_cache, compile_port
@@ -150,3 +155,52 @@ class TestCompileMemoization:
     def test_unknown_variant_raises_keyerror(self):
         with pytest.raises(KeyError):
             compile_port("JACOBI", "OpenACC", "bogus")
+
+
+#: one port per row: BENCH MODEL, or BENCH SRC DST for translate
+_PORT_ARGS = ("jacobi", "openacc", "omp-target")
+
+
+def _usage_cases():
+    for row in ANALYSES:
+        port = list(_PORT_ARGS[:len(row.positionals)])
+        yield pytest.param([row.name, *port, "--jobs", "0"], "--jobs",
+                           id=f"{row.name}-jobs-0")
+        yield pytest.param([row.name, "--all", port[0]], "--all",
+                           id=f"{row.name}-all-with-positional")
+        yield pytest.param([row.name, *port, "--variant", "bogus"], "bogus",
+                           id=f"{row.name}-unknown-variant")
+    yield pytest.param(["profile", "jacobi", "openacc", "--jobs", "0"],
+                       "--jobs", id="profile-jobs-0")
+    yield pytest.param(["validate", "nonesuch"], "nonesuch",
+                       id="validate-unknown-benchmark")
+    yield pytest.param(["compare", "JACOBI", "OpenACC", "HMPP",
+                        "--variant", "bogus"], "bogus",
+                       id="compare-unknown-variant")
+
+
+class TestAnalysisTable:
+    @pytest.mark.parametrize("argv,needle", _usage_cases())
+    def test_usage_error_exits_2_with_message(self, argv, needle, capsys):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        assert captured.out == ""
+
+    def test_every_row_is_a_work_unit_kind(self):
+        from repro.harness.parallel import UNIT_RUNNERS
+
+        assert {row.name for row in ANALYSES} <= set(UNIT_RUNNERS)
+
+    def test_cli_import_leaves_the_layers_unloaded(self):
+        # CLI start-up (perfbench's setup_s) must not pay for the layers
+        # a subcommand imports on demand
+        lazy = ("repro.dataflow.suite", "repro.gpusim.locality",
+                "repro.translate", "repro.harness.parallel")
+        code = ("import sys, repro.harness.cli; "
+                f"print([m for m in {lazy!r} if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
