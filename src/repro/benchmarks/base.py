@@ -21,11 +21,13 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cpu.host import KEENELAND_HOST, HostSpec, price_region_serial
+from repro.cpu.host import (KEENELAND_HOST, HostSpec, price_serial,
+                            serial_stage)
 from repro.errors import BenchmarkError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.runtime import CudaRuntime
 from repro.gpusim.timing import TimingConfig
+from repro.ir.analysis.metrics import BodyTerms
 from repro.ir.program import Program
 from repro.metrics.speedup import SpeedupResult
 from repro.models.base import (CompiledProgram, ExecutableProgram, PortSpec,
@@ -267,22 +269,32 @@ class Benchmark(abc.ABC):
         return array
 
     def cpu_time(self, wl: Workload, host: HostSpec = KEENELAND_HOST) -> float:
-        """Analytical serial-CPU time of the workload's schedule."""
+        """Analytical serial-CPU time of the workload's schedule.
+
+        Each region's symbolic stage is built once, and its price once
+        per binding of the scalars its loop bounds read, the only
+        bindings the host model depends on.
+        """
         program = self.program
         extents = {name: list(arr.shape) for name, arr in wl.arrays.items()}
         bindings = {k: float(v) for k, v in wl.scalars.items()}
         total = 0.0
+        stages: dict[str, BodyTerms] = {}
         cache: dict[tuple, float] = {}
         for step in wl.schedule:
             region = program.region(step.region)
-            key = (step.region, tuple(sorted(step.scalars.items())))
+            stage = stages.get(step.region)
+            if stage is None:
+                stage = stages[step.region] = serial_stage(region.body,
+                                                           extents)
+            step_bindings = dict(bindings)
+            step_bindings.update({k: float(x)
+                                  for k, x in step.scalars.items()})
+            key = (step.region, stage.bound_key(step_bindings))
             if key not in cache:
-                step_bindings = dict(bindings)
-                step_bindings.update({k: float(x)
-                                      for k, x in step.scalars.items()})
-                per_invocation = price_region_serial(
-                    region, extents, step_bindings, dtype=self.dtype,
-                    spec=host)
+                per_invocation = price_serial(
+                    stage, float(region.invocations), step_bindings,
+                    dtype=self.dtype, spec=host)
                 cache[key] = per_invocation / max(1, region.invocations)
             total += cache[key] * step.times
         return total

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from repro.ir.analysis.access import (AccessPattern, AccessSummary,
                                       summarize_accesses)
-from repro.ir.analysis.metrics import body_work
+from repro.ir.analysis.metrics import BodyTerms, body_work
 from repro.ir.program import ParallelRegion, numpy_dtype
 from repro.ir.stmt import Stmt
 
@@ -64,26 +64,42 @@ def _bytes_for(summary: AccessSummary, elem_bytes: int,
     return total
 
 
-def price_body_serial(body: Stmt, iterations: float,
-                      array_extents: Mapping[str, Sequence[Optional[int]]],
-                      bindings: Mapping[str, float],
-                      dtype: str = "double",
-                      spec: HostSpec = KEENELAND_HOST) -> float:
-    """Serial time of executing ``body`` ``iterations`` times.
+def serial_stage(body: Stmt,
+                 array_extents: Mapping[str, Sequence[Optional[int]]],
+                 ) -> BodyTerms:
+    """The host model's symbolic stage: ``body`` analysed with *no*
+    thread indices, so parallel loops count as sequential trips and
+    each reference is classified against the innermost loop index it
+    reads (a single sequential walker)."""
+    return BodyTerms(
+        summarize_accesses(body, (), array_extents,
+                           classify_against="innermost", symbolic=True),
+        body_work(body, (), symbolic=True))
 
-    ``body`` is analysed with *no* thread indices: parallel loops count as
-    sequential trips, so the estimate is the single-core execution of the
-    original OpenMP-less program.
-    """
-    work = body_work(body, (), bindings)
-    summary = summarize_accesses(body, (), array_extents, bindings,
-                                 classify_against="innermost")
+
+def price_serial(stage: BodyTerms, iterations: float,
+                 bindings: Mapping[str, float], dtype: str = "double",
+                 spec: HostSpec = KEENELAND_HOST) -> float:
+    """The host model's numeric stage: serial time of executing the
+    staged body ``iterations`` times under ``bindings``."""
+    work, summary = stage.evaluate(bindings)
     elem = numpy_dtype(dtype).itemsize
     t_flops = work.flops / spec.flops_per_s
     t_bytes = _bytes_for(summary, elem, spec) / spec.mem_bandwidth
     # a scalar core overlaps compute and memory imperfectly
     per_pass = max(t_flops, t_bytes) + 0.25 * min(t_flops, t_bytes)
     return per_pass * iterations
+
+
+def price_body_serial(body: Stmt, iterations: float,
+                      array_extents: Mapping[str, Sequence[Optional[int]]],
+                      bindings: Mapping[str, float],
+                      dtype: str = "double",
+                      spec: HostSpec = KEENELAND_HOST) -> float:
+    """Serial time of executing ``body`` ``iterations`` times: the
+    single-core execution of the original OpenMP-less program."""
+    return price_serial(serial_stage(body, array_extents), iterations,
+                        bindings, dtype, spec)
 
 
 def price_region_serial(region: ParallelRegion,

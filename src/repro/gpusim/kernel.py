@@ -19,9 +19,9 @@ import numpy as np
 from repro.errors import IRError, LaunchError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import MemorySpace
-from repro.ir.analysis.access import (AccessSummary, _const_value,
-                                      summarize_accesses)
-from repro.ir.analysis.metrics import WorkEstimate, body_work
+from repro.ir.analysis.access import (AccessPattern, AccessSummary,
+                                      _const_value, summarize_accesses)
+from repro.ir.analysis.metrics import BodyTerms, body_work
 from repro.ir.program import Function, numpy_dtype
 from repro.ir.serialize import stmt_to_dict
 from repro.ir.stmt import Block, CallStmt, For, Stmt, as_block
@@ -31,7 +31,7 @@ from repro.ir.transforms.tiling import TilingDecision
 DEFAULT_BLOCK = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelDescriptor:
     """Static launch summary consumed by :mod:`repro.gpusim.timing`."""
 
@@ -46,10 +46,39 @@ class KernelDescriptor:
     dtype: str = "double"
     placements: Mapping[str, MemorySpace] = field(default_factory=dict)
     tiling: Sequence[TilingDecision] = ()
+    #: what the runtime derived from this descriptor, keyed by the
+    #: pricing functions, device and timing config that produced it
+    priced: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def grid_blocks(self) -> int:
         return max(1, math.ceil(self.total_threads / self.block_threads))
+
+
+#: the symbolic stage of every (content key, sorted array extents) seen,
+#: shared by kernels of equal content whatever their names
+_STAGES: dict[tuple, BodyTerms] = {}
+
+
+def _symbolic_stage(kernel: "Kernel",
+                    array_extents: Mapping[str, Sequence[Optional[int]]],
+                    ) -> BodyTerms:
+    """Everything a descriptor needs except one launch's trip counts."""
+    orientation_patterns = {
+        name: (AccessPattern.STRIDED if orient == "row"
+               else AccessPattern.COALESCED)
+        for name, orient in kernel.private_orientations.items()
+        if orient in ("row", "column")
+    }
+    return BodyTerms(
+        summarize_accesses(
+            kernel.body, kernel.thread_vars, array_extents,
+            indirect_carriers=kernel.indirect_carriers,
+            monotone_carriers=kernel.monotone_carriers,
+            local_patterns=orientation_patterns,
+            pattern_overrides=kernel.pattern_overrides, symbolic=True),
+        body_work(kernel.body, kernel.thread_vars, symbolic=True))
 
 
 class Kernel:
@@ -132,14 +161,18 @@ class Kernel:
 
     def grid_loops(self) -> list[For]:
         """The parallel loops mapped to the grid, outermost first."""
+        memo = self.__dict__.get("_grid_loops")
+        if memo is None:
+            memo = self._grid_loops = tuple(self._find_grid_loops())
+        return list(memo)
+
+    def _find_grid_loops(self) -> list[For]:
         loops: list[For] = []
         node: Stmt = self.body
 
         def outer_parallel(b: Stmt) -> Optional[For]:
             if isinstance(b, Block):
                 fors = [s for s in b.stmts if isinstance(s, For) and s.parallel]
-                non_decl = [s for s in b.stmts
-                            if not isinstance(s, For)]
                 if len(fors) == 1:
                     return fors[0]
                 return None
@@ -157,11 +190,10 @@ class Kernel:
     def grid_extents(self, bindings: Mapping[str, float]) -> list[int]:
         """Numeric extent of each thread loop under ``bindings``."""
         extents: list[int] = []
-        env = dict(bindings)
         for loop in self.grid_loops():
-            lo = _const_value(loop.lower, env)
-            hi = _const_value(loop.upper, env)
-            step = _const_value(loop.step, env) or 1.0
+            lo = _const_value(loop.lower, bindings)
+            hi = _const_value(loop.upper, bindings)
+            step = _const_value(loop.step, bindings) or 1.0
             if lo is None or hi is None:
                 raise LaunchError(
                     f"kernel {self.name!r}: cannot resolve extent of loop "
@@ -176,64 +208,73 @@ class Kernel:
         return total
 
     # ------------------------------------------------------------------
-    def _bound_names(self) -> tuple[str, ...]:
-        """Scalars any ``For`` lower/upper/step of the body reads, sorted.
+    @property
+    def content_key(self) -> str:
+        """Digest of everything the access and work analyses read.
 
-        The work estimate, the access summary and the grid extents read
-        their bindings only through loop bounds (trip counts and the
-        value ranges of loop iterators), so a launch's bindings outside
-        this set cannot change its descriptor.
+        The body, the thread vars, the indirect and monotone carriers,
+        the pattern overrides and the private orientations; not the
+        name, which only labels descriptors and timings.  Memoized:
+        kernels are not mutated after construction.
         """
-        names = self.__dict__.get("_bound_names_memo")
-        if names is None:
-            found: set[str] = set()
-            for stmt in self.body.walk():
-                if isinstance(stmt, For):
-                    for expr in (stmt.lower, stmt.upper, stmt.step):
-                        found |= expr.free_vars()
-            names = self._bound_names_memo = tuple(sorted(found))
-        return names
+        key = self.__dict__.get("_content_key")
+        if key is None:
+            doc = {
+                "body": stmt_to_dict(self.body),
+                "thread_vars": list(self.thread_vars),
+                "indirect": list(self.indirect_carriers),
+                "monotone": list(self.monotone_carriers),
+                "overrides": {name: pattern.value for name, pattern
+                              in sorted(self.pattern_overrides.items())},
+                "orientations": dict(sorted(
+                    self.private_orientations.items())),
+            }
+            key = self._content_key = hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        return key
 
     def describe(self, bindings: Mapping[str, float],
                  array_extents: Mapping[str, Sequence[Optional[int]]],
                  ) -> KernelDescriptor:
         """The static descriptor the timing model prices, memoized.
 
-        The memo is keyed on the bindings of the loop-bound scalars
-        (compared as floats, the form every analysis reads them in) and
-        on the array extents; a launch whose key was seen before gets
-        the same descriptor object back.  Descriptors are never mutated
-        after construction.
+        Two stages.  The symbolic one (:func:`_symbolic_stage`) runs once per
+        (content key, array extents) and is shared by every kernel of
+        that content.  The numeric one evaluates the sequential loops'
+        trip counts under ``bindings``; it reads them only through loop
+        bounds, so its descriptor is memoized on the kernel by the
+        bindings of the loop-bound scalars (as floats) and the extents.
+        A launch whose key was seen before gets the same descriptor.
         """
-        key = (tuple(float(bindings[n]) if n in bindings else None
-                     for n in self._bound_names()),
-               tuple(sorted((name, tuple(ext))
-                            for name, ext in array_extents.items())))
-        memo = self.__dict__.setdefault("_descriptor_memo", {})
-        desc = memo.get(key)
+        extents = tuple(sorted((name, tuple(ext))
+                               for name, ext in array_extents.items()))
+        staged = self.__dict__.setdefault("_staged", {})
+        entry = staged.get(extents)
+        if entry is None:
+            shared = (self.content_key, extents)
+            stage = _STAGES.get(shared)
+            if stage is None:
+                stage = _STAGES[shared] = _symbolic_stage(self,
+                                                          array_extents)
+            entry = staged[extents] = (stage, {})
+        stage, descriptors = entry
+        key = stage.bound_key(bindings)
+        desc = descriptors.get(key)
         if desc is None:
-            desc = memo[key] = self._describe(bindings, array_extents)
+            desc = descriptors[key] = self._descriptor(stage, bindings)
         return desc
 
     def _describe(self, bindings: Mapping[str, float],
                   array_extents: Mapping[str, Sequence[Optional[int]]],
                   ) -> KernelDescriptor:
-        from repro.ir.analysis.access import AccessPattern
+        """:meth:`describe` computed afresh, sharing no stage or memo."""
+        return self._descriptor(_symbolic_stage(self, array_extents),
+                                bindings)
 
-        work: WorkEstimate = body_work(self.body, self.thread_vars, bindings)
-        orientation_patterns = {
-            name: (AccessPattern.STRIDED if orient == "row"
-                   else AccessPattern.COALESCED)
-            for name, orient in self.private_orientations.items()
-            if orient in ("row", "column")
-        }
-        access = summarize_accesses(
-            self.body, self.thread_vars, array_extents, bindings,
-            indirect_carriers=self.indirect_carriers,
-            monotone_carriers=self.monotone_carriers,
-            local_patterns=orientation_patterns,
-            pattern_overrides=self.pattern_overrides)
-        smem = sum(t.smem_bytes_per_block for t in self.tiling)
+    def _descriptor(self, stage: BodyTerms,
+                    bindings: Mapping[str, float]) -> KernelDescriptor:
+        """The numeric stage: evaluate ``stage`` under one launch."""
+        work, access = stage.evaluate(bindings)
         return KernelDescriptor(
             name=self.name,
             total_threads=max(1, self.total_threads(bindings)),
@@ -241,7 +282,7 @@ class Kernel:
             flops_per_thread=work.flops,
             divergence=work.divergence,
             access=access,
-            smem_per_block=smem,
+            smem_per_block=sum(t.smem_bytes_per_block for t in self.tiling),
             regs_per_thread=self.regs_per_thread,
             dtype=self.dtype,
             placements=self.placements,
@@ -251,11 +292,11 @@ class Kernel:
     def __getstate__(self) -> dict:
         # pickles (pool-worker store deltas) and deep copies start with
         # empty memos: a copy whose body is then replaced must not
-        # answer from the original's descriptors or content hash
+        # answer from the original's descriptors or content hashes
         state = self.__dict__.copy()
-        state.pop("_descriptor_memo", None)
-        state.pop("_bound_names_memo", None)
-        state.pop("_ir_hash_memo", None)
+        for memo in ("_staged", "_content_key", "_grid_loops",
+                     "_private_bytes", "_ir_hash_memo"):
+            state.pop(memo, None)
         return state
 
     def elem_bytes(self) -> int:
@@ -271,15 +312,19 @@ class Kernel:
         """
         from repro.ir.stmt import LocalDecl
 
-        total = 0
-        for stmt in self.body.walk():
-            if isinstance(stmt, LocalDecl) and stmt.shape:
-                orient = self.private_orientations.get(stmt.name, "register")
-                if orient in ("row", "column"):
-                    n = 1
-                    for s in stmt.shape:
-                        n *= s
-                    total += n * numpy_dtype(stmt.dtype).itemsize
+        total = self.__dict__.get("_private_bytes")
+        if total is None:
+            total = 0
+            for stmt in self.body.walk():
+                if isinstance(stmt, LocalDecl) and stmt.shape:
+                    orient = self.private_orientations.get(stmt.name,
+                                                           "register")
+                    if orient in ("row", "column"):
+                        n = 1
+                        for s in stmt.shape:
+                            n *= s
+                        total += n * numpy_dtype(stmt.dtype).itemsize
+            self._private_bytes = total
         return total
 
     def __repr__(self) -> str:

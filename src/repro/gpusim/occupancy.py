@@ -10,6 +10,7 @@ counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ class Occupancy:
     sm_utilization: float
 
 
+@functools.lru_cache(maxsize=1024)
 def compute_occupancy(spec: DeviceSpec, block_threads: int, grid_blocks: int,
                       smem_per_block: int = 0,
                       regs_per_thread: int = 24) -> Occupancy:
@@ -36,7 +38,8 @@ def compute_occupancy(spec: DeviceSpec, block_threads: int, grid_blocks: int,
 
     Raises :class:`LaunchError` on configurations the hardware rejects
     (too many threads per block, block exceeding shared memory, zero
-    sizes).
+    sizes).  Memoized by value: pricing a descriptor and deriving its
+    counters both ask for the same launch.
     """
     if block_threads <= 0 or grid_blocks <= 0:
         raise LaunchError(

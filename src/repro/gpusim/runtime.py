@@ -160,8 +160,17 @@ class CudaRuntime:
                     f"{free} B free on device — strip-mine the parallel "
                     f"loop to reduce the iteration space")
         from repro.obs.counters import derive_counters
-        timing = price_kernel(desc, self.spec, self.timing)
-        counters = derive_counters(desc, self.spec)
+        # a price is a pure function of (descriptor, spec, config), so
+        # each memoized descriptor is priced once per pair; the key
+        # holds the pricing functions too, so a replaced one is never
+        # answered from another's results
+        key = (price_kernel, derive_counters, self.spec, self.timing)
+        priced = desc.priced.get(key)
+        if priced is None:
+            priced = desc.priced[key] = (
+                price_kernel(desc, self.spec, self.timing),
+                derive_counters(desc, self.spec))
+        timing, counters = priced
         if self.execute:
             execute_kernel(kernel, device_views, dict(scalars), functions)
             # pointer swaps may have replaced entries: write back

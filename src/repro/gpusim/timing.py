@@ -34,7 +34,7 @@ from repro.ir.analysis.access import AccessPattern
 from repro.ir.program import numpy_dtype
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingConfig:
     """Knobs for the ablation studies (all on by default)."""
 
@@ -52,7 +52,7 @@ class TimingConfig:
         default=False, metadata={"hash_default_exempt": True})
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelTiming:
     """Priced launch: the components and the resulting time."""
 

@@ -30,12 +30,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from repro.ir.analysis.affine import affine_form
 from repro.ir.analysis.ranges import (SymRange, bindings_env, estimate_trips,
                                       loop_range)
-from repro.ir.expr import ArrayRef, Const, Expr, Var
+from repro.ir.expr import ArrayRef, BinOp, Cast, Const, Expr, UnOp, Var
 from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
                            Stmt, While)
 
@@ -110,8 +110,6 @@ def _approx_warp_deriv(expr: Expr, fastest: str) -> Optional[float]:
     ``None`` when the derivative is genuinely unknown (products of two
     lane-dependent factors, lane-dependent divisors, gathers).
     """
-    from repro.ir.expr import BinOp, Cast, UnOp
-
     if isinstance(expr, Const):
         return 0.0
     if isinstance(expr, Var):
@@ -331,8 +329,6 @@ class AccessSummary:
 
 def _const_value(expr: Expr, bindings: Mapping[str, float]) -> Optional[float]:
     """Best-effort numeric evaluation of a bound expression."""
-    from repro.ir.expr import BinOp, Cast, UnOp
-
     if isinstance(expr, Const):
         return float(expr.value)
     if isinstance(expr, Var):
@@ -375,6 +371,141 @@ DEFAULT_SEQ_TRIPS = 16.0
 (e.g. CSR row loops); roughly the average nonzeros-per-row of the
 evaluation inputs."""
 
+#: One factor of a weight: a constant (0.5 per ``If`` branch,
+#: ``DEFAULT_SEQ_TRIPS`` per ``While``) or the index in a
+#: :class:`LoopNest` of an enclosing sequential ``For``, standing for
+#: its trip count.
+Factor = Union[float, int]
+
+
+@dataclass(frozen=True)
+class LoopNest:
+    """Every ``For`` of a body in scan order: the numeric stage's input.
+
+    The symbolic stages (:class:`AccessTerms` and
+    :class:`~repro.ir.analysis.metrics.WorkTerms`) name a loop by its
+    index here, and :meth:`trip_factors` is the only step of either
+    analysis that reads a launch's bindings.
+    """
+
+    loops: tuple[For, ...]
+    #: index of each loop's innermost enclosing ``For`` (-1: none)
+    parents: tuple[int, ...]
+    #: False for loops mapped to the thread grid, which carry no factor
+    sequential: tuple[bool, ...]
+    #: scalars any loop's lower/upper/step reads, sorted: the only
+    #: bindings :meth:`trip_factors` (and the grid extents) depend on
+    bound_names: tuple[str, ...]
+
+    def bound_key(self, bindings: Mapping[str, float]) -> tuple:
+        """The bindings of :attr:`bound_names`, as floats."""
+        return tuple(float(bindings[n]) if n in bindings else None
+                     for n in self.bound_names)
+
+    def trip_factors(self, bindings: Mapping[str, float],
+                     ) -> tuple[list, list[bool]]:
+        """Each sequential loop's trip count, and whether it is exact.
+
+        Exact when the bounds evaluate to numbers under ``bindings``;
+        otherwise the value-range estimate under the enclosing loops'
+        ranges, or ``DEFAULT_SEQ_TRIPS`` when that is unbounded too.
+        Thread-grid loops get ``None``.
+        """
+        trips: list = [None] * len(self.loops)
+        exact = [True] * len(self.loops)
+        envs: dict[int, dict[str, SymRange]] = {}
+
+        def env(i: int) -> dict[str, SymRange]:
+            """Value ranges inside loop ``i`` (-1: the bindings alone)."""
+            got = envs.get(i)
+            if got is None:
+                if i < 0:
+                    got = bindings_env(bindings)
+                else:
+                    outer = env(self.parents[i])
+                    got = dict(outer)
+                    got[self.loops[i].var] = loop_range(self.loops[i], outer)
+                envs[i] = got
+            return got
+
+        for i, loop in enumerate(self.loops):
+            if not self.sequential[i]:
+                continue
+            lo = _const_value(loop.lower, bindings)
+            hi = _const_value(loop.upper, bindings)
+            step = _const_value(loop.step, bindings) or 1.0
+            if lo is not None and hi is not None and step:
+                trips[i] = max(0.0, math.ceil((hi - lo) / step))
+            else:
+                est = estimate_trips(loop.lower, loop.upper, loop.step,
+                                     env(i))
+                trips[i] = est if est is not None else DEFAULT_SEQ_TRIPS
+                exact[i] = False
+        return trips, exact
+
+
+class _NestBuilder:
+    """Numbers the ``For`` loops of a scan into a :class:`LoopNest`."""
+
+    def __init__(self, thread_vars: Sequence[str]) -> None:
+        self.thread_vars = set(thread_vars)
+        self.loops: list[For] = []
+        self.parents: list[int] = []
+        self.stack = [-1]
+
+    def enter(self, loop: For) -> int:
+        self.loops.append(loop)
+        self.parents.append(self.stack[-1])
+        self.stack.append(len(self.loops) - 1)
+        return self.stack[-1]
+
+    def exit(self) -> None:
+        self.stack.pop()
+
+    def build(self) -> LoopNest:
+        names: set[str] = set()
+        for loop in self.loops:
+            for expr in (loop.lower, loop.upper, loop.step):
+                names |= expr.free_vars()
+        return LoopNest(tuple(self.loops), tuple(self.parents),
+                        tuple(l.var not in self.thread_vars
+                              for l in self.loops),
+                        tuple(sorted(names)))
+
+
+def _weight_values(weights: Sequence[tuple[Factor, ...]],
+                   trips: Sequence) -> list[float]:
+    """Each weight's value, multiplied outermost factor first (the
+    order a one-pass scan multiplies in, so every float matches)."""
+    out = []
+    for factors in weights:
+        w = 1.0
+        for f in factors:
+            w = w * (trips[f] if type(f) is int else f)
+        out.append(w)
+    return out
+
+
+@dataclass(frozen=True)
+class AccessTerms:
+    """The symbolic stage of :func:`summarize_accesses`.
+
+    Everything about a body's accesses except the trip counts of its
+    sequential loops: each reference's class, with its weight left as a
+    product of factors.  :meth:`evaluate` takes the trip counts of one
+    launch.
+    """
+
+    nest: LoopNest
+    #: the distinct weights, each a tuple of factors
+    weights: tuple[tuple[Factor, ...], ...]
+    #: (class, index into ``weights``) per reference, in scan order
+    refs: tuple[tuple[RefClass, int], ...]
+
+    def evaluate(self, trips: Sequence) -> AccessSummary:
+        w = _weight_values(self.weights, trips)
+        return AccessSummary([(cls, w[i]) for cls, i in self.refs])
+
 
 def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                        array_extents: Mapping[str, Sequence[Optional[int]]],
@@ -384,7 +515,8 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                        classify_against: str = "thread",
                        local_patterns: Optional[Mapping[str, AccessPattern]] = None,
                        pattern_overrides: Optional[Mapping[str, AccessPattern]] = None,
-                       ) -> AccessSummary:
+                       symbolic: bool = False,
+                       ) -> Union[AccessSummary, AccessTerms]:
     """Walk a kernel body, producing weighted access descriptors.
 
     Each reference is weighted by the product of enclosing *sequential*
@@ -403,17 +535,18 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
     ``pattern_overrides`` forces a pattern for named global arrays — the
     hook the compilers use to record transformation effects (e.g.
     OpenMPC's loop collapsing turning indirect CSR traffic coalesced).
+
+    Classification never reads ``bindings``; only the trip counts do.
+    With ``symbolic=True`` the walk stops there and returns the
+    :class:`AccessTerms`, which any launch's trip counts then evaluate.
     """
-    bindings = dict(bindings or {})
     local_patterns = dict(local_patterns or {})
     pattern_overrides = dict(pattern_overrides or {})
-    summary = AccessSummary()
+    found: list[tuple[RefClass, tuple[Factor, ...]]] = []
     local_arrays: set[str] = set()
     tset = set(thread_vars)
     loop_stack: list[str] = []
-    #: symbolic value ranges of bound scalars and enclosing loop
-    #: iterators — the trip-count estimator's environment.
-    range_env: dict[str, SymRange] = bindings_env(bindings)
+    nest = _NestBuilder(thread_vars)
     #: sequential loop indices whose bounds depend on the thread index
     #: (CSR row loops, frontier scans): addresses indexed by them are
     #: data-dependent across the warp — effectively indirect accesses.
@@ -458,7 +591,8 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                             indirect_carriers=indirect_carriers,
                             monotone_carriers=monotone_carriers)
 
-    def record(expr: Expr, weight: float, store_target: Optional[ArrayRef]) -> None:
+    def record(expr: Expr, weight: tuple[Factor, ...],
+               store_target: Optional[ArrayRef]) -> None:
         for node in expr.walk():
             if isinstance(node, ArrayRef):
                 cls = classify(
@@ -466,9 +600,9 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                     is_store=(store_target is not None and node is store_target),
                 )
                 if cls is not None:
-                    summary.refs.append((cls, weight))
+                    found.append((cls, weight))
 
-    def scan(stmt: Stmt, weight: float) -> None:
+    def scan(stmt: Stmt, weight: tuple[Factor, ...]) -> None:
         if isinstance(stmt, Block):
             for s in stmt.stmts:
                 scan(s, weight)
@@ -483,70 +617,56 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
                 # store (plus a load when augmented)
                 cls = classify(stmt.target, is_store=True)
                 if cls is not None:
-                    summary.refs.append((cls, weight))
+                    found.append((cls, weight))
                     if stmt.op is not None:
                         load_cls = RefClass(cls.array, cls.pattern, cls.stride,
                                             is_store=False)
-                        summary.refs.append((load_cls, weight))
+                        found.append((load_cls, weight))
                 # index expressions read whatever arrays they traverse
                 for index in stmt.target.indices:
                     record(index, weight, None)
         elif isinstance(stmt, For):
             loop_stack.append(stmt.var)
-            try:
-                _scan_for(stmt, weight)
-            finally:
-                loop_stack.pop()
+            idx = nest.enter(stmt)
+            _scan_for(stmt, weight, idx)
+            nest.exit()
+            loop_stack.pop()
         elif isinstance(stmt, While):
-            record(stmt.cond, weight * DEFAULT_SEQ_TRIPS, None)
-            scan(stmt.body, weight * DEFAULT_SEQ_TRIPS)
+            record(stmt.cond, weight + (DEFAULT_SEQ_TRIPS,), None)
+            scan(stmt.body, weight + (DEFAULT_SEQ_TRIPS,))
         elif isinstance(stmt, If):
             record(stmt.cond, weight, None)
-            scan(stmt.then_body, weight * 0.5)
+            scan(stmt.then_body, weight + (0.5,))
             if stmt.else_body is not None:
-                scan(stmt.else_body, weight * 0.5)
+                scan(stmt.else_body, weight + (0.5,))
         elif isinstance(stmt, Critical):
             scan(stmt.body, weight)
         else:
             for expr in stmt.exprs():
                 record(expr, weight, None)
 
-    def _scan_for(stmt: For, weight: float) -> None:
-        saved = range_env.get(stmt.var)
-        range_env[stmt.var] = loop_range(stmt, range_env)
-        try:
-            if stmt.var in thread_vars:
-                scan(stmt.body, weight)
-                return
-            lo = _const_value(stmt.lower, bindings)
-            hi = _const_value(stmt.upper, bindings)
-            step = _const_value(stmt.step, bindings) or 1.0
-            if lo is not None and hi is not None and step:
-                trips = max(0.0, math.ceil((hi - lo) / step))
-            else:
-                # value-range estimate (triangular/clamped bounds) before
-                # falling back to the legacy flat guess
-                est = estimate_trips(stmt.lower, stmt.upper, stmt.step,
-                                     range_env)
-                trips = est if est is not None else DEFAULT_SEQ_TRIPS
-            # Bounds that depend on the thread index (directly or through
-            # an array lookup like row_ptr[i]) make this an irregular
-            # loop: its index produces data-dependent addresses across
-            # the warp.
-            bound_vars = (stmt.lower.free_vars() | stmt.upper.free_vars())
-            was_irregular = stmt.var in irregular_vars
-            if bound_vars & (tset | irregular_vars):
-                irregular_vars.add(stmt.var)
-            record(stmt.lower, weight, None)
-            record(stmt.upper, weight, None)
-            scan(stmt.body, weight * trips)
-            if not was_irregular:
-                irregular_vars.discard(stmt.var)
-        finally:
-            if saved is None:
-                range_env.pop(stmt.var, None)
-            else:
-                range_env[stmt.var] = saved
+    def _scan_for(stmt: For, weight: tuple[Factor, ...], idx: int) -> None:
+        if stmt.var in tset:
+            scan(stmt.body, weight)
+            return
+        # Bounds that depend on the thread index (directly or through
+        # an array lookup like row_ptr[i]) make this an irregular
+        # loop: its index produces data-dependent addresses across
+        # the warp.
+        bound_vars = (stmt.lower.free_vars() | stmt.upper.free_vars())
+        was_irregular = stmt.var in irregular_vars
+        if bound_vars & (tset | irregular_vars):
+            irregular_vars.add(stmt.var)
+        record(stmt.lower, weight, None)
+        record(stmt.upper, weight, None)
+        scan(stmt.body, weight + (idx,))
+        if not was_irregular:
+            irregular_vars.discard(stmt.var)
 
-    scan(body, 1.0)
-    return summary
+    scan(body, ())
+    index: dict[tuple[Factor, ...], int] = {}
+    refs = tuple((cls, index.setdefault(w, len(index))) for cls, w in found)
+    terms = AccessTerms(nest.build(), tuple(index), refs)
+    if symbolic:
+        return terms
+    return terms.evaluate(terms.nest.trip_factors(bindings or {})[0])

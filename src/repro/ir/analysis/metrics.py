@@ -8,13 +8,12 @@ two sides of the ``max(compute, memory)`` roofline are consistent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
-from repro.ir.analysis.access import DEFAULT_SEQ_TRIPS, _const_value
-from repro.ir.analysis.ranges import (SymRange, bindings_env, estimate_trips,
-                                      loop_range)
+from repro.ir.analysis.access import (DEFAULT_SEQ_TRIPS, AccessSummary,
+                                      AccessTerms, Factor, LoopNest,
+                                      _NestBuilder, _weight_values)
 from repro.ir.expr import (INTRINSIC_FLOP_COST, ArrayRef, BinOp, Call, Cast,
                            Const, Expr, Ternary, UnOp, Var)
 from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
@@ -74,14 +73,78 @@ class WorkEstimate:
     branches: int = 0
 
 
-def body_work(body: Stmt, thread_vars: Sequence[str],
-              bindings: Optional[Mapping[str, float]] = None) -> WorkEstimate:
-    """Estimate per-thread flops and divergence for a kernel body."""
-    bindings = dict(bindings or {})
-    est = WorkEstimate()
-    range_env: dict[str, SymRange] = bindings_env(bindings)
+@dataclass(frozen=True)
+class WorkTerms:
+    """The symbolic stage of :func:`body_work`.
 
-    def scan(stmt: Stmt, weight: float, divergent: bool) -> None:
+    Weights are products of factors, as in
+    :class:`~repro.ir.analysis.access.AccessTerms`; :meth:`evaluate`
+    takes one launch's trip counts and replays the sums in scan order.
+    """
+
+    nest: LoopNest
+    #: the distinct weights, each a tuple of factors
+    weights: tuple[tuple[Factor, ...], ...]
+    #: ``(flops, loop, weight, tail)`` per flop term, in scan order: adds
+    #: ``flops * weight`` (``trips * weight``, a loop's bookkeeping, when
+    #: ``loop >= 0``), times ``tail`` when one is given
+    flops: tuple[tuple[float, int, int, Optional[float]], ...]
+    #: ``(amount, loop)`` per divergence increment, in scan order; one
+    #: with ``loop >= 0`` applies only when that loop's trips are estimated
+    divergence: tuple[tuple[float, int], ...]
+    branches: int
+
+    def evaluate(self, trips: Sequence, exact: Sequence[bool],
+                 ) -> WorkEstimate:
+        w = _weight_values(self.weights, trips)
+        flops = 0.0
+        for coef, loop, wi, tail in self.flops:
+            term = (trips[loop] if loop >= 0 else coef) * w[wi]
+            flops += term if tail is None else term * tail
+        divergence = 0.0
+        for amount, loop in self.divergence:
+            if loop < 0 or not exact[loop]:
+                divergence = min(1.0, divergence + amount)
+        return WorkEstimate(flops, divergence, self.branches)
+
+
+@dataclass(frozen=True)
+class BodyTerms:
+    """A body's symbolic access and work stages, priced together.
+
+    Both scans number the body's ``For`` loops in the same order, so
+    one :meth:`~repro.ir.analysis.access.LoopNest.trip_factors` call
+    serves both; :meth:`evaluate` is the whole numeric stage.
+    """
+
+    access: AccessTerms
+    work: WorkTerms
+
+    def bound_key(self, bindings: Mapping[str, float]) -> tuple:
+        """The only part of ``bindings`` :meth:`evaluate` reads."""
+        return self.access.nest.bound_key(bindings)
+
+    def evaluate(self, bindings: Mapping[str, float],
+                 ) -> tuple[WorkEstimate, AccessSummary]:
+        trips, exact = self.access.nest.trip_factors(bindings)
+        return self.work.evaluate(trips, exact), self.access.evaluate(trips)
+
+
+def body_work(body: Stmt, thread_vars: Sequence[str],
+              bindings: Optional[Mapping[str, float]] = None,
+              symbolic: bool = False) -> Union[WorkEstimate, WorkTerms]:
+    """Estimate per-thread flops and divergence for a kernel body.
+
+    With ``symbolic=True`` no bindings are read: the result is the
+    :class:`WorkTerms` that any launch's trip counts then evaluate.
+    """
+    nest = _NestBuilder(thread_vars)
+    found: list[tuple[float, int, tuple[Factor, ...], Optional[float]]] = []
+    divergence: list[tuple[float, int]] = []
+    branches = 0
+
+    def scan(stmt: Stmt, weight: tuple[Factor, ...], divergent: bool) -> None:
+        nonlocal branches
         if isinstance(stmt, Block):
             for s in stmt.stmts:
                 scan(s, weight, divergent)
@@ -92,61 +155,54 @@ def body_work(body: Stmt, thread_vars: Sequence[str],
                              for i in stmt.target.indices)
             if stmt.op is not None:
                 flops += BINOP_FLOP_COST.get(stmt.op, 1.0)
-            est.flops += flops * weight
+            found.append((flops, -1, weight, None))
             if divergent:
-                est.divergence = min(1.0, est.divergence + 0.05)
+                divergence.append((0.05, -1))
         elif isinstance(stmt, LocalDecl):
             if stmt.init is not None:
-                est.flops += _expr_flops_clean(stmt.init) * weight
+                found.append((_expr_flops_clean(stmt.init), -1, weight, None))
         elif isinstance(stmt, For):
-            est.flops += (_expr_flops_clean(stmt.lower)
-                          + _expr_flops_clean(stmt.upper)) * weight
-            saved = range_env.get(stmt.var)
-            range_env[stmt.var] = loop_range(stmt, range_env)
-            try:
-                if stmt.var in thread_vars:
-                    scan(stmt.body, weight, divergent)
-                else:
-                    lo = _const_value(stmt.lower, bindings)
-                    hi = _const_value(stmt.upper, bindings)
-                    step = _const_value(stmt.step, bindings) or 1.0
-                    if lo is not None and hi is not None and step:
-                        trips = max(0.0, math.ceil((hi - lo) / step))
-                    else:
-                        ranged = estimate_trips(stmt.lower, stmt.upper,
-                                                stmt.step, range_env)
-                        trips = (ranged if ranged is not None
-                                 else DEFAULT_SEQ_TRIPS)
-                        # data-dependent trip counts diverge across the warp
-                        est.divergence = min(1.0, est.divergence + 0.25)
-                    est.flops += trips * weight  # loop bookkeeping
-                    scan(stmt.body, weight * trips, divergent)
-            finally:
-                if saved is None:
-                    range_env.pop(stmt.var, None)
-                else:
-                    range_env[stmt.var] = saved
+            found.append((_expr_flops_clean(stmt.lower)
+                          + _expr_flops_clean(stmt.upper), -1, weight, None))
+            idx = nest.enter(stmt)
+            if stmt.var in thread_vars:
+                scan(stmt.body, weight, divergent)
+            else:
+                # data-dependent trip counts diverge across the warp
+                divergence.append((0.25, idx))
+                found.append((0.0, idx, weight, None))  # loop bookkeeping
+                scan(stmt.body, weight + (idx,), divergent)
+            nest.exit()
         elif isinstance(stmt, While):
-            est.divergence = min(1.0, est.divergence + 0.3)
-            est.flops += _expr_flops_clean(stmt.cond) * weight * DEFAULT_SEQ_TRIPS
-            scan(stmt.body, weight * DEFAULT_SEQ_TRIPS, True)
+            divergence.append((0.3, -1))
+            found.append((_expr_flops_clean(stmt.cond), -1, weight,
+                          DEFAULT_SEQ_TRIPS))
+            scan(stmt.body, weight + (DEFAULT_SEQ_TRIPS,), True)
         elif isinstance(stmt, If):
-            est.branches += 1
-            est.flops += _expr_flops_clean(stmt.cond) * weight
+            branches += 1
+            found.append((_expr_flops_clean(stmt.cond), -1, weight, None))
             cond_thread_dep = bool(stmt.cond.free_vars() & set(thread_vars)
                                    or stmt.cond.array_names())
             if cond_thread_dep:
-                est.divergence = min(1.0, est.divergence + 0.15)
-            scan(stmt.then_body, weight * 0.5, divergent or cond_thread_dep)
+                divergence.append((0.15, -1))
+            scan(stmt.then_body, weight + (0.5,), divergent or cond_thread_dep)
             if stmt.else_body is not None:
-                scan(stmt.else_body, weight * 0.5, divergent or cond_thread_dep)
+                scan(stmt.else_body, weight + (0.5,),
+                     divergent or cond_thread_dep)
         elif isinstance(stmt, Critical):
             # serialized updates: charge heavily
-            est.divergence = min(1.0, est.divergence + 0.5)
+            divergence.append((0.5, -1))
             scan(stmt.body, weight, True)
         else:
             for expr in stmt.exprs():
-                est.flops += _expr_flops_clean(expr) * weight
+                found.append((_expr_flops_clean(expr), -1, weight, None))
 
-    scan(body, 1.0, False)
-    return est
+    scan(body, (), False)
+    index: dict[tuple[Factor, ...], int] = {}
+    flops = tuple((coef, loop, index.setdefault(w, len(index)), tail)
+                  for coef, loop, w, tail in found)
+    terms = WorkTerms(nest.build(), tuple(index), flops, tuple(divergence),
+                      branches)
+    if symbolic:
+        return terms
+    return terms.evaluate(*terms.nest.trip_factors(bindings or {}))

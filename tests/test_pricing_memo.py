@@ -1,9 +1,12 @@
-"""Price once, launch many: the launch-descriptor memo, the shared
-workload slot with its CPU baseline, and the vectorized BFS levels.
+"""Price once, launch many: staged launch descriptors, the per-descriptor
+price cache, the shared workload slot with its CPU baseline, and the
+vectorized BFS levels.
 
 Every memo here is checked against a fresh computation with zero
-tolerance: a memoized descriptor must ``==`` the uncached one for every
-launch of the Figure-1 sweep, and a shared workload must leave every
+tolerance: a staged descriptor must ``==`` the uncached one (and the
+one the one-pass scans of :mod:`tests.legacy_pricing` build) for every
+launch of the Figure-1 sweep, a cached price must ``==`` a fresh one
+under every timing config, and a shared workload must leave every
 run's outputs exactly as a private one would.
 """
 
@@ -15,14 +18,27 @@ import threading
 import numpy as np
 import pytest
 
+import repro.gpusim.runtime as runtime_mod
 from repro.benchmarks import base
 from repro.benchmarks.bfs import _bfs_levels
 from repro.benchmarks.data import Graph, make_graph
-from repro.benchmarks.registry import get_benchmark
+from repro.benchmarks.registry import get_benchmark, iter_suite
+from repro.cpu.host import KEENELAND_HOST, price_serial
+from repro.gpusim.device import TESLA_M2090
 from repro.gpusim.kernel import Kernel
+from repro.gpusim.timing import TimingConfig, price_kernel
 from repro.harness.runner import run_speedups
-from repro.ir.stmt import Block
+from repro.ir.analysis.access import AccessPattern
+from repro.ir.expr import ArrayRef, Var
+from repro.ir.stmt import Assign, Block, For
 from repro.models.cache import STORE, compile_port
+from repro.obs.counters import derive_counters
+from tests.legacy_pricing import legacy_describe, legacy_price_region_serial
+
+#: every timing config the ablation benches price under
+ABLATION_CONFIGS = (TimingConfig(), TimingConfig(model_coalescing=False),
+                    TimingConfig(model_occupancy=False),
+                    TimingConfig(model_cache_hierarchy=True))
 
 
 def _launch_args(bench_name: str, model: str, region: str,
@@ -38,25 +54,48 @@ def _launch_args(bench_name: str, model: str, region: str,
     return kernel, bindings, extents
 
 
+def _check_every_launch(monkeypatch, sweep) -> list[int]:
+    """Run ``sweep`` checking each launch's staged descriptor against a
+    fresh ``_describe``, and each distinct one against the one-pass
+    scans; returns the descriptor ids launched."""
+    staged = Kernel.describe
+    seen: list[int] = []
+    checked: set[int] = set()
+
+    def checking(self, bindings, array_extents):
+        got = staged(self, bindings, array_extents)
+        assert got == self._describe(bindings, array_extents), \
+            (self.name, dict(bindings))
+        if id(got) not in checked:
+            checked.add(id(got))
+            assert got == legacy_describe(self, bindings, array_extents), \
+                (self.name, dict(bindings))
+        seen.append(id(got))
+        return got
+
+    monkeypatch.setattr(Kernel, "describe", checking)
+    sweep()
+    return seen
+
+
 class TestDescriptorMemo:
     def test_every_figure1_launch_matches_fresh(self, monkeypatch):
-        memoized = Kernel.describe
-        seen: list[int] = []
-
-        def checking(self, bindings, array_extents):
-            got = memoized(self, bindings, array_extents)
-            fresh = self._describe(bindings, array_extents)
-            assert got == fresh, (self.name, dict(bindings))
-            seen.append(id(got))
-            return got
-
-        monkeypatch.setattr(Kernel, "describe", checking)
-        run_speedups(scale="test")
-        run_speedups([get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")],
-                     scale="paper")
+        seen = _check_every_launch(monkeypatch, lambda: (
+            run_speedups(scale="test"),
+            run_speedups([get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")],
+                         scale="paper")))
         # the memo actually answers: far fewer descriptors than launches
         assert len(seen) > 3000
         assert len(set(seen)) < len(seen) // 2
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["LUD", "NW"])
+    def test_every_paper_launch_matches_fresh(self, monkeypatch, name):
+        # the pivot k and anti-diagonal d give nearly every launch its
+        # own trip counts: the numeric stage's hardest workload
+        seen = _check_every_launch(monkeypatch, lambda: run_speedups(
+            [get_benchmark(name)], scale="paper"))
+        assert len(seen) > 10000
 
     def test_non_bound_scalars_share_a_descriptor(self):
         # SRAD's per-iteration t appears in no loop bound
@@ -88,9 +127,11 @@ class TestMemoLeavesCopies:
         kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
                                                  "stencil")
         desc = kernel.describe(bindings, extents)
+        kernel.private_global_bytes_per_thread()
+        assert {"_staged", "_content_key", "_private_bytes"} <= set(vars(kernel))
         clone = pickle.loads(pickle.dumps(kernel))
-        assert "_descriptor_memo" not in vars(clone)
-        assert "_bound_names_memo" not in vars(clone)
+        assert not {"_staged", "_content_key", "_private_bytes"} & set(
+            vars(clone))
         assert clone.describe(bindings, extents) == desc
         # the original keeps answering from its memo
         assert kernel.describe(bindings, extents) is desc
@@ -105,7 +146,7 @@ class TestMemoLeavesCopies:
                    for result in art.compiled.results.values()
                    for k in result.kernels]
         assert kernels
-        assert not any("_descriptor_memo" in vars(k) for k in kernels)
+        assert not any("_staged" in vars(k) for k in kernels)
 
     def test_deepcopy_then_new_body_is_not_stale(self):
         kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
@@ -118,6 +159,148 @@ class TestMemoLeavesCopies:
         assert emptied == bad._describe(bindings, extents)
         assert emptied.access.refs == [] and emptied.flops_per_thread == 0
         assert kernel.describe(bindings, extents) is desc
+
+
+def _kernel(name="k", thread_vars=("i", "j"), **kwargs) -> Kernel:
+    """A 2-deep parallel nest reading ``b`` transposed."""
+    inner = For("j", 0, Var("m"), [Assign(
+        ArrayRef("a", (Var("i"), Var("j"))),
+        ArrayRef("b", (Var("j"), Var("i"))))], parallel=True)
+    return Kernel(name, For("i", 0, Var("n"), [inner], parallel=True),
+                  thread_vars, arrays=("a", "b"), **kwargs)
+
+
+class TestContentKey:
+    BINDINGS = {"n": 64.0, "m": 32.0}
+    EXTENTS = {"a": [64, 32], "b": [32, 64]}
+
+    @pytest.mark.parametrize("change", [
+        {"thread_vars": ("i",)},
+        {"indirect_carriers": ("b",)},
+        {"monotone_carriers": ("b",)},
+        {"pattern_overrides": {"b": AccessPattern.COALESCED}},
+        {"private_orientations": {"t": "row"}},
+        {"private_orientations": {"t": "column"}},
+    ])
+    def test_analysed_fields_split_the_key(self, change):
+        assert _kernel(**change).content_key != _kernel().content_key
+
+    def test_names_stay_out_of_the_key(self):
+        first, second = _kernel("first"), _kernel("second", block_threads=128)
+        assert first.content_key == second.content_key
+        a = first.describe(self.BINDINGS, self.EXTENTS)
+        b = second.describe(self.BINDINGS, self.EXTENTS)
+        # one shared symbolic stage, two descriptors with their own names
+        stage = next(iter(vars(first)["_staged"].values()))[0]
+        assert next(iter(vars(second)["_staged"].values()))[0] is stage
+        assert (a.name, b.name) == ("first", "second")
+        assert b.block_threads == 128
+        assert a == first._describe(self.BINDINGS, self.EXTENTS)
+        assert b == second._describe(self.BINDINGS, self.EXTENTS)
+        assert price_kernel(a, TESLA_M2090).name == "first"
+
+    def test_overrides_reach_the_descriptor(self):
+        plain = _kernel().describe(self.BINDINGS, self.EXTENTS)
+        forced = _kernel(pattern_overrides={"b": AccessPattern.COALESCED}
+                         ).describe(self.BINDINGS, self.EXTENTS)
+        patterns = {r.array: r.pattern for r, _ in forced.access.refs}
+        assert patterns["b"] is AccessPattern.COALESCED
+        assert plain.access != forced.access
+
+
+class TestPriceCache:
+    def test_cached_price_matches_fresh_under_every_config(self, monkeypatch):
+        launch = runtime_mod.CudaRuntime.launch
+        staged = Kernel.describe
+        described: list = []
+        launched: list = []
+
+        def recording(self, bindings, array_extents):
+            described.append(staged(self, bindings, array_extents))
+            return described[-1]
+
+        def checking(self, kernel, scalars, functions=None):
+            timing = launch(self, kernel, scalars, functions)
+            desc, record = described[-1], self.profiler.launches[-1]
+            assert record.timing is timing
+            assert timing == price_kernel(desc, self.spec, self.timing)
+            assert record.counters == derive_counters(desc, self.spec)
+            launched.append(desc)
+            return timing
+
+        monkeypatch.setattr(Kernel, "describe", recording)
+        monkeypatch.setattr(runtime_mod.CudaRuntime, "launch", checking)
+        benches = [get_benchmark(n)
+                   for n in ("JACOBI", "HOTSPOT", "SRAD", "NW", "LUD")]
+        # the default config both first and last: later configs must
+        # not overwrite (or answer for) the first one's prices
+        for config in ABLATION_CONFIGS + ABLATION_CONFIGS[:1]:
+            run_speedups(benches, scale="test", timing=config)
+        assert len(launched) > 1000
+        held = {len(desc.priced) for desc in launched}
+        assert max(held) >= len(ABLATION_CONFIGS)
+
+    def test_frozen_value_objects(self):
+        from dataclasses import FrozenInstanceError
+
+        kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
+                                                 "stencil")
+        desc = kernel.describe(bindings, extents)
+        timing = price_kernel(desc, TESLA_M2090)
+        config = TimingConfig()
+        for obj, attr in ((desc, "total_threads"), (timing, "time_s"),
+                          (config, "model_coalescing")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, attr, 0)
+        assert hash(config) == hash(TimingConfig())
+
+    def test_paper_slice_prices_each_descriptor_once(self, monkeypatch):
+        calls = {"gpu": 0, "host": 0}
+
+        def counting_gpu(desc, spec, config=None):
+            calls["gpu"] += 1
+            return price_kernel(desc, spec, config)
+
+        def counting_host(*args, **kwargs):
+            calls["host"] += 1
+            return price_serial(*args, **kwargs)
+
+        monkeypatch.setattr(runtime_mod, "price_kernel", counting_gpu)
+        monkeypatch.setattr(base, "price_serial", counting_host)
+        monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None, None, None))
+        run_speedups([get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")],
+                     scale="paper")
+        # 3,222 launches, 225 scheduled CPU regions
+        assert calls == {"gpu": 74, "host": 8}
+
+
+def _per_step_cpu_time(bench, wl) -> float:
+    """``cpu_time`` as it was: keyed on every step scalar, priced by
+    the one-pass scans."""
+    extents = {name: list(arr.shape) for name, arr in wl.arrays.items()}
+    bindings = {k: float(v) for k, v in wl.scalars.items()}
+    total = 0.0
+    cache: dict = {}
+    for step in wl.schedule:
+        region = bench.program.region(step.region)
+        key = (step.region, tuple(sorted(step.scalars.items())))
+        if key not in cache:
+            step_bindings = dict(bindings)
+            step_bindings.update({k: float(x)
+                                  for k, x in step.scalars.items()})
+            cache[key] = legacy_price_region_serial(
+                region, extents, step_bindings, bench.dtype,
+                KEENELAND_HOST) / max(1, region.invocations)
+        total += cache[key] * step.times
+    return total
+
+
+class TestCpuBaselineKey:
+    @pytest.mark.parametrize("name", [b.name for b in iter_suite()])
+    def test_loop_bound_key_matches_per_step_pricing(self, name):
+        bench = get_benchmark(name)
+        wl = bench.workload("test")
+        assert bench.cpu_time(wl) == _per_step_cpu_time(bench, wl)
 
 
 class TestWorkloadSlot:
