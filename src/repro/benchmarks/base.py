@@ -25,6 +25,7 @@ from repro.cpu.host import (KEENELAND_HOST, HostSpec, price_serial,
                             serial_stage)
 from repro.errors import BenchmarkError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
+from repro.gpusim.memo import LaunchMemo
 from repro.gpusim.runtime import CudaRuntime
 from repro.gpusim.timing import TimingConfig
 from repro.ir.analysis.metrics import BodyTerms
@@ -58,10 +59,11 @@ class Workload:
 
 
 #: the last workload a run built: ``((benchmark class, scale, seed),
-#: workload, {host: cpu seconds})``.  Replaced as one tuple and read
-#: into a local, so a thread never sees another benchmark's workload;
-#: one slot keeps a bench-major sweep's memory to one workload.
-_WORKLOAD_SLOT: tuple = (None, None, None)
+#: workload, {host: cpu seconds}, launch memo)``.  Replaced as one
+#: tuple and read into a local, so a thread never sees another
+#: benchmark's workload; one slot keeps a bench-major sweep's memory to
+#: one workload and the launches run on it.
+_WORKLOAD_SLOT: tuple = (None, None, None, None)
 
 
 class Benchmark(abc.ABC):
@@ -183,13 +185,15 @@ class Benchmark(abc.ABC):
             compiled = self.compile(model, variant,
                                     elide_transfers=elide_transfers)
         key = (type(self), scale, seed)
-        slot_key, wl, cpu_times = _WORKLOAD_SLOT
+        slot_key, wl, cpu_times, memo = _WORKLOAD_SLOT
         if slot_key != key:
             wl, cpu_times = self.workload(scale=scale, seed=seed), {}
             for arr in wl.arrays.values():
                 arr.setflags(write=False)
-            _WORKLOAD_SLOT = (key, wl, cpu_times)
-        rt = CudaRuntime(spec=device, timing=timing, execute=execute)
+            memo = LaunchMemo()
+            _WORKLOAD_SLOT = (key, wl, cpu_times, memo)
+        rt = CudaRuntime(spec=device, timing=timing, execute=execute,
+                         memo=memo)
         ex = ExecutableProgram(compiled, runtime=rt, host=host)
         if execute or type(self).arrays_for is not Benchmark.arrays_for:
             arrays = self.arrays_for(model, variant, wl)

@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import IRError
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.executor import execute_kernel
+from repro.gpusim.memo import LaunchMemo
 from repro.ir.program import Function, ParallelRegion, Program
 from repro.ir.stmt import Block, For, LocalDecl, Stmt
 
@@ -51,8 +52,11 @@ def run_region_host(region: ParallelRegion,
                     arrays: MutableMapping[str, np.ndarray],
                     scalars: Mapping[str, Value],
                     functions: Optional[Mapping[str, Function]] = None,
-                    ) -> None:
-    """Execute one parallel region in place with OpenMP semantics."""
+                    memo: Optional[LaunchMemo] = None) -> None:
+    """Execute one parallel region in place with OpenMP semantics.
+
+    ``memo`` is handed to every launch (see :func:`execute_kernel`).
+    """
     body = region.body
     # Split sibling work-sharing loops into successive "kernels".
     if not isinstance(body, Block):
@@ -67,7 +71,7 @@ def run_region_host(region: ParallelRegion,
         wrapper = For("__serial", 0, 1, Block(stmts), parallel=True)
         kern = Kernel(f"{region.name}__serial", wrapper, ["__serial"],
                       arrays=sorted(arrays), scalars=sorted(scalars))
-        execute_kernel(kern, arrays, dict(scalars), functions)
+        execute_kernel(kern, arrays, dict(scalars), functions, memo)
 
     for stmt in body.stmts:
         if isinstance(stmt, For) and stmt.parallel:
@@ -81,7 +85,7 @@ def run_region_host(region: ParallelRegion,
                     f"region {region.name!r}: cannot identify grid nest")
             kern = Kernel(f"{region.name}__{stmt.var}", stmt, nest,
                           arrays=sorted(arrays), scalars=sorted(scalars))
-            execute_kernel(kern, arrays, dict(scalars), functions)
+            execute_kernel(kern, arrays, dict(scalars), functions, memo)
         else:
             pending.append(stmt)
     flush_serial(pending)

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.errors import ExecutionError, LaunchError
 from repro.gpusim.kernel import Kernel
+from repro.gpusim.memo import LaunchMemo
 from repro.ir.expr import (ArrayRef, BinOp, Call, Cast, Const, Expr,
                            Ternary, UnOp, Var)
 from repro.ir.program import Function
@@ -102,7 +103,16 @@ class KernelExecutor:
 
     # -- launch ---------------------------------------------------------
     def run(self) -> None:
-        """Execute the kernel body over the full grid."""
+        """Execute the kernel body over the full grid.
+
+        Floating-point warnings are silenced for the whole launch:
+        inactive lanes compute on values that are discarded (0/0, NaN
+        casts), and a launch's results never depend on the warnings.
+        """
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            self._run()
+
+    def _run(self) -> None:
         loops = self.kernel.grid_loops()
         extents: list[int] = []
         lowers: list[int] = []
@@ -173,10 +183,7 @@ class KernelExecutor:
                 return ~np.asarray(operand)
         if isinstance(expr, Call):
             func = _INTRINSIC_FUNCS[expr.func]
-            args = [self._eval(a) for a in expr.args]
-            with np.errstate(invalid="ignore", divide="ignore",
-                             over="ignore"):
-                return func(*args)
+            return func(*[self._eval(a) for a in expr.args])
         if isinstance(expr, Ternary):
             cond = self._eval(expr.cond)
             if not _is_vector(cond):
@@ -201,11 +208,10 @@ class KernelExecutor:
                 if _is_vector(operand):
                     if operand.dtype.kind == "f":
                         # inactive lanes may hold NaN/inf; their values
-                        # are discarded, so cast them to 0 silently
-                        with np.errstate(invalid="ignore"):
-                            safe = np.nan_to_num(operand, nan=0.0,
-                                                 posinf=0.0, neginf=0.0)
-                            return np.trunc(safe).astype(np.int64)
+                        # are discarded, so cast them to 0
+                        safe = np.nan_to_num(operand, nan=0.0, posinf=0.0,
+                                             neginf=0.0)
+                        return np.trunc(safe).astype(np.int64)
                     return operand.astype(np.int64)
                 return int(operand)
             target = np.float32 if expr.dtype == "float" else np.float64
@@ -220,49 +226,48 @@ class KernelExecutor:
         left = self._eval(expr.left)
         right = self._eval(expr.right)
         op = expr.op
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                return np.true_divide(left, right)
-            if op == "//":
-                return np.floor_divide(left, right)
-            if op == "%":
-                return np.mod(left, right)
-            if op == "min":
-                return np.minimum(left, right)
-            if op == "max":
-                return np.maximum(left, right)
-            if op == "<":
-                return np.less(left, right)
-            if op == "<=":
-                return np.less_equal(left, right)
-            if op == ">":
-                return np.greater(left, right)
-            if op == ">=":
-                return np.greater_equal(left, right)
-            if op == "==":
-                return np.equal(left, right)
-            if op == "!=":
-                return np.not_equal(left, right)
-            if op == "&&":
-                return np.logical_and(left, right)
-            if op == "||":
-                return np.logical_or(left, right)
-            if op == "&":
-                return np.bitwise_and(left, right)
-            if op == "|":
-                return np.bitwise_or(left, right)
-            if op == "^":
-                return np.bitwise_xor(left, right)
-            if op == "<<":
-                return np.left_shift(left, right)
-            if op == ">>":
-                return np.right_shift(left, right)
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            return np.true_divide(left, right)
+        if op == "//":
+            return np.floor_divide(left, right)
+        if op == "%":
+            return np.mod(left, right)
+        if op == "min":
+            return np.minimum(left, right)
+        if op == "max":
+            return np.maximum(left, right)
+        if op == "<":
+            return np.less(left, right)
+        if op == "<=":
+            return np.less_equal(left, right)
+        if op == ">":
+            return np.greater(left, right)
+        if op == ">=":
+            return np.greater_equal(left, right)
+        if op == "==":
+            return np.equal(left, right)
+        if op == "!=":
+            return np.not_equal(left, right)
+        if op == "&&":
+            return np.logical_and(left, right)
+        if op == "||":
+            return np.logical_or(left, right)
+        if op == "&":
+            return np.bitwise_and(left, right)
+        if op == "|":
+            return np.bitwise_or(left, right)
+        if op == "^":
+            return np.bitwise_xor(left, right)
+        if op == "<<":
+            return np.left_shift(left, right)
+        if op == ">>":
+            return np.right_shift(left, right)
         raise ExecutionError(f"unknown binary op {op!r}")
 
     # -- array addressing -------------------------------------------------
@@ -506,9 +511,8 @@ class KernelExecutor:
         the lanes with ``j < trips``.  Lanes the enclosing mask has
         turned off get zero trips, so every step has an active lane.
         """
-        with np.errstate(invalid="ignore"):
-            lo_i = lo_v.astype(np.int64)
-            hi_i = hi_v.astype(np.int64)
+        lo_i = lo_v.astype(np.int64)
+        hi_i = hi_v.astype(np.int64)
         trips = np.maximum(0, -((lo_i - hi_i) // step))
         if self.mask is not None:
             trips = np.where(self.mask, trips, 0)
@@ -609,24 +613,38 @@ class KernelExecutor:
 
 def execute_kernel(kernel: Kernel, arrays: MutableMapping[str, np.ndarray],
                    scalars: Mapping[str, Value],
-                   functions: Optional[Mapping[str, Function]] = None) -> None:
+                   functions: Optional[Mapping[str, Function]] = None,
+                   memo: Optional[LaunchMemo] = None) -> None:
     """Run ``kernel`` in place over ``arrays``, timed when observed.
 
-    The scalar reference implementation (:mod:`repro.gpusim.reference`)
-    is the oracle the interpreter is checked against — see
-    ``docs/architecture.md``.
+    With a ``memo``, a launch the memo has seen before on the same
+    inputs writes back the elements it changed instead of being
+    interpreted again (see :mod:`repro.gpusim.memo`); it is still
+    counted and timed as a launch.  The scalar reference implementation
+    (:mod:`repro.gpusim.reference`) is the oracle the interpreter is
+    checked against — see ``docs/architecture.md``.
     """
     from repro.obs import metrics as obs_metrics
     from repro.obs import tracer as obs
 
+    def interpret() -> None:
+        KernelExecutor(kernel, arrays, scalars, functions).run()
+
+    def launch() -> None:
+        if memo is None:
+            interpret()
+        else:
+            memo.launch(interpret, kernel, arrays, scalars, functions,
+                        KernelExecutor)
+
     registry = obs_metrics.current_registry()
     if obs.current_tracer() is None and registry is None:
-        KernelExecutor(kernel, arrays, scalars, functions).run()
+        launch()
         return
     with obs.span(f"interpret {kernel.name}", "executor",
                   kernel=kernel.name):
         t0 = time.perf_counter()
-        KernelExecutor(kernel, arrays, scalars, functions).run()
+        launch()
         elapsed = time.perf_counter() - t0
     if registry is not None:
         registry.inc("executor_interpret_launches",

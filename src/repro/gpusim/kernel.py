@@ -24,7 +24,8 @@ from repro.ir.analysis.access import (AccessPattern, AccessSummary,
 from repro.ir.analysis.metrics import BodyTerms, body_work
 from repro.ir.program import Function, numpy_dtype
 from repro.ir.serialize import stmt_to_dict
-from repro.ir.stmt import Block, CallStmt, For, Stmt, as_block
+from repro.ir.stmt import (Block, CallStmt, For, PointerArith, Stmt,
+                           as_block)
 from repro.ir.transforms.tiling import TilingDecision
 
 #: default threads per block for compiler-generated kernels
@@ -209,19 +210,34 @@ class Kernel:
 
     # ------------------------------------------------------------------
     @property
+    def body_digest(self) -> str:
+        """sha256 of the serialized body and thread vars, memoized.
+
+        The one serialization of the body both :attr:`content_key` and
+        :func:`kernel_ir_hash` build on; kernels are not mutated after
+        construction.
+        """
+        digest = self.__dict__.get("_body_digest")
+        if digest is None:
+            doc = {"body": stmt_to_dict(self.body),
+                   "thread_vars": list(self.thread_vars)}
+            digest = self._body_digest = hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        return digest
+
+    @property
     def content_key(self) -> str:
         """Digest of everything the access and work analyses read.
 
-        The body, the thread vars, the indirect and monotone carriers,
-        the pattern overrides and the private orientations; not the
-        name, which only labels descriptors and timings.  Memoized:
-        kernels are not mutated after construction.
+        The body and thread vars (:attr:`body_digest`), the indirect and
+        monotone carriers, the pattern overrides and the private
+        orientations; not the name, which only labels descriptors and
+        timings.  Memoized: kernels are not mutated after construction.
         """
         key = self.__dict__.get("_content_key")
         if key is None:
             doc = {
-                "body": stmt_to_dict(self.body),
-                "thread_vars": list(self.thread_vars),
+                "body": self.body_digest,
                 "indirect": list(self.indirect_carriers),
                 "monotone": list(self.monotone_carriers),
                 "overrides": {name: pattern.value for name, pattern
@@ -294,8 +310,8 @@ class Kernel:
         # empty memos: a copy whose body is then replaced must not
         # answer from the original's descriptors or content hashes
         state = self.__dict__.copy()
-        for memo in ("_staged", "_content_key", "_grid_loops",
-                     "_private_bytes", "_ir_hash_memo"):
+        for memo in ("_staged", "_body_digest", "_content_key",
+                     "_grid_loops", "_private_bytes", "_ir_hash_memo"):
             state.pop(memo, None)
         return state
 
@@ -333,51 +349,67 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# IR hashing (the replay-memo key)
+# IR hashing (the launch-memo key)
 # ---------------------------------------------------------------------------
 
-def _reachable_functions(body: Stmt,
-                         functions: Mapping[str, Function]) -> dict:
-    """Serialized bodies of every function reachable from ``body``."""
-    out: dict[str, dict] = {}
+def _reachable_functions(body: Stmt, functions: Mapping[str, Function],
+                         ) -> dict[str, Function]:
+    """Every function of ``functions`` that ``body`` calls, transitively."""
+    out: dict[str, Function] = {}
     pending = [body]
     while pending:
         node = pending.pop()
         for stmt in node.walk():
             if isinstance(stmt, CallStmt) and stmt.func in functions \
                     and stmt.func not in out:
-                func = functions[stmt.func]
-                out[stmt.func] = {
-                    "params": [(p.name, p.is_array, p.dtype)
-                               for p in func.params],
-                    "body": stmt_to_dict(func.body),
-                }
+                func = out[stmt.func] = functions[stmt.func]
                 pending.append(func.body)
     return out
+
+
+def kernel_ir_summary(kernel: Kernel,
+                      functions: Optional[Mapping[str, Function]] = None,
+                      ) -> tuple[str, bool]:
+    """``(kernel_ir_hash, swaps pointers?)``, memoized on the kernel.
+
+    The second item says whether the body or a reachable function swaps
+    two arrays, which changes the buffer a name refers to rather than
+    any array's contents.
+    """
+    funcs = dict(functions or {})
+    memo = getattr(kernel, "_ir_hash_memo", None)
+    sig = tuple(sorted((name, id(fn)) for name, fn in funcs.items()))
+    if memo is not None and memo[0] == sig:
+        return memo[1:]
+    reachable = sorted(_reachable_functions(kernel.body, funcs).items())
+    doc = {
+        "v": 2,
+        "body": kernel.body_digest,
+        "functions": {
+            name: {"params": [(p.name, p.is_array, p.dtype)
+                              for p in func.params],
+                   "body": stmt_to_dict(func.body)}
+            for name, func in reachable},
+    }
+    digest = hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    swaps = any(isinstance(stmt, PointerArith)
+                for body in [kernel.body] + [f.body for _, f in reachable]
+                for stmt in body.walk())
+    kernel._ir_hash_memo = (sig, digest, swaps)  # type: ignore[attr-defined]
+    return digest, swaps
 
 
 def kernel_ir_hash(kernel: Kernel,
                    functions: Optional[Mapping[str, Function]] = None) -> str:
     """Content hash of everything that determines a kernel's *values*.
 
-    The kernel name is deliberately excluded (it only decorates error
-    messages), so identically-shaped kernels from different ports share
-    one replay.
-    Memoized on the kernel object — bodies are immutable.
+    The body and thread vars (:attr:`Kernel.body_digest`) and every
+    function reachable from the body.  The kernel name is deliberately
+    excluded (it only decorates error messages), and so are the
+    carriers and overrides :attr:`Kernel.content_key` adds (they steer
+    the analyses, not the values), so identically-shaped kernels from
+    different ports share one launch key.  Memoized on the kernel
+    object — bodies are immutable.
     """
-    funcs = dict(functions or {})
-    memo = getattr(kernel, "_ir_hash_memo", None)
-    sig = tuple(sorted((name, id(fn)) for name, fn in funcs.items()))
-    if memo is not None and memo[0] == sig:
-        return memo[1]
-    doc = {
-        "v": 1,
-        "body": stmt_to_dict(kernel.body),
-        "thread_vars": list(kernel.thread_vars),
-        "functions": {name: spec for name, spec in sorted(
-            _reachable_functions(kernel.body, funcs).items())},
-    }
-    digest = hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()).hexdigest()
-    kernel._ir_hash_memo = (sig, digest)  # type: ignore[attr-defined]
-    return digest
+    return kernel_ir_summary(kernel, functions)[0]

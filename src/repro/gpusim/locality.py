@@ -18,16 +18,16 @@ is memoized in :func:`repro.models.cache.compile_port` — the shared
 artifact store the lint/xfer/tv suites hit.
 
 Many models lower a region to the same kernel body, so most launches
-repeat one another exactly.  Each replay is memoized on everything that
-determines it (see :func:`_launch_key`); a repeat gets the stored
-report under its own kernel name and the stored post-launch array
-contents, without tracing again.
+repeat one another exactly.  Each replay goes through the launch memo
+(:mod:`repro.gpusim.memo`) with the element size and device as extra
+key fields and the cache report as payload; a repeat gets the stored
+report under its own kernel name and the elements the launch changed,
+without tracing again.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Mapping, MutableMapping, Optional, Sequence
@@ -36,9 +36,11 @@ import numpy as np
 
 from repro.gpusim.cache import CacheReport, simulate_cache
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
-from repro.gpusim.kernel import Kernel, kernel_ir_hash
+from repro.gpusim.kernel import Kernel
+from repro.gpusim.memo import LaunchMemo
 from repro.gpusim.trace import TracingExecutor
-from repro.ir.analysis.reuse import KernelReuse, analyze_kernel_reuse
+from repro.ir.analysis.reuse import (KernelReuse, analyze_kernel_reuse,
+                                     memoized_reuse)
 from repro.models.cache import compile_port
 from repro.obs import metrics
 from repro.obs import tracer as obs
@@ -78,79 +80,40 @@ class LocalityRecord:
                 "kernels": [k.to_dict() for k in self.kernels]}
 
 
-#: the replay memo of the last (benchmark, scale) analyzed:
-#: ``((benchmark, scale), {launch key: (report, {array: (contents,
-#: digest)})})``.  Replaced as one tuple and read into a local; one slot
-#: bounds memory to one benchmark's launches in a benchmark-major sweep.
+#: the launch memo of the last (benchmark, scale) analyzed, as
+#: ``((benchmark, scale), memo)``.  Replaced as one tuple and read into
+#: a local; one slot bounds memory to one benchmark's launches in a
+#: benchmark-major sweep.
 _REPLAY_SLOT: tuple = (None, None)
 
 
-def _replays(benchmark: str, scale: str) -> dict:
-    """The replay memo for ``(benchmark, scale)``, swapping the slot."""
+def _replays(benchmark: str, scale: str) -> LaunchMemo:
+    """The launch memo for ``(benchmark, scale)``, swapping the slot."""
     global _REPLAY_SLOT
     key = (benchmark, scale)
     slot_key, replays = _REPLAY_SLOT
     if slot_key != key:
-        replays = {}
+        replays = LaunchMemo()
         _REPLAY_SLOT = (key, replays)
     return replays
 
 
-def _digest(arr: np.ndarray) -> bytes:
-    """sha256 of an array's dtype, shape and C-order bytes."""
-    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
-    h.update(np.ascontiguousarray(arr))
-    return h.digest()
-
-
-def _launch_key(kern: Kernel, functions: Mapping, spec: DeviceSpec,
-                digests: Mapping[str, bytes],
-                scalars: Mapping[str, object]) -> tuple:
-    """Everything a launch's trace and replay depend on.
-
-    The trace is a function of the body, thread variables and reachable
-    functions (:func:`kernel_ir_hash`), the contents of the arrays it
-    reads (all of them, by name) and the scalars (compared by type and
-    ``repr``, so ``0``, ``0.0`` and ``-0.0`` stay apart); the replay
-    adds the element size and the device's cache geometry.  The kernel
-    name only labels the report.
-    """
-    return (kernel_ir_hash(kern, functions), kern.elem_bytes(), spec,
-            tuple(sorted(digests.items())),
-            tuple(sorted((name, type(v).__name__, repr(v))
-                         for name, v in scalars.items())))
-
-
 def _replay(kern: Kernel, arrays: MutableMapping[str, np.ndarray],
             scalars: dict, functions: Mapping, spec: DeviceSpec,
-            digests: dict[str, bytes], replays: dict) -> CacheReport:
+            replays: LaunchMemo) -> CacheReport:
     """Trace and replay one launch, or repeat a memoized one.
 
-    Either way ``arrays`` ends in the launch's post-state and
-    ``digests`` describes it.
+    Either way ``arrays`` ends in the launch's post-state.
     """
-    key = _launch_key(kern, functions, spec, digests, scalars)
-    hit = replays.get(key)
-    if hit is not None:
-        report, changed = hit
-        for name, (contents, digest) in changed.items():
-            np.copyto(arrays[name], contents)
-            digests[name] = digest
-        return dataclasses.replace(report, kernel=kern.name)
-    executor = TracingExecutor(kern, arrays, scalars, functions)
-    executor.run()
-    report = simulate_cache(executor.trace, kern.elem_bytes(), spec,
-                            kernel=kern.name)
-    changed = {}
-    for name, arr in arrays.items():
-        digest = _digest(arr)
-        if digest != digests.get(name):
-            contents = arr.copy()
-            contents.setflags(write=False)
-            changed[name] = (contents, digest)
-            digests[name] = digest
-    replays[key] = (report, changed)
-    return report
+    def trace() -> CacheReport:
+        executor = TracingExecutor(kern, arrays, scalars, functions)
+        executor.run()
+        return simulate_cache(executor.trace, kern.elem_bytes(), spec,
+                              kernel=kern.name)
+
+    report = replays.launch(trace, kern, arrays, scalars, functions,
+                            TracingExecutor, kern.elem_bytes(), spec)
+    return dataclasses.replace(report, kernel=kern.name)
 
 
 def locality_port(benchmark: str, model: str, variant: Optional[str] = None,
@@ -165,7 +128,6 @@ def locality_port(benchmark: str, model: str, variant: Optional[str] = None,
     wl = bench.workload(scale=scale)
     arrays = bench.arrays_for(model, chosen, wl)
     extents = {name: list(a.shape) for name, a in arrays.items()}
-    digests = {name: _digest(a) for name, a in arrays.items()}
     functions = compiled.program.functions
 
     kernels: list[KernelLocality] = []
@@ -186,9 +148,9 @@ def locality_port(benchmark: str, model: str, variant: Optional[str] = None,
                         if isinstance(v, (int, float))}
             for kern in result.kernels:
                 simulated = _replay(kern, arrays, scalars, functions, spec,
-                                    digests, replays)
-                static = analyze_kernel_reuse(kern, bindings, extents, spec,
-                                              functions=functions)
+                                    replays)
+                static = memoized_reuse(analyze_kernel_reuse, kern,
+                                        bindings, extents, spec, functions)
                 kernels.append(KernelLocality(region=step.region,
                                               kernel=kern.name,
                                               simulated=simulated,

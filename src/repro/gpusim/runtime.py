@@ -23,6 +23,7 @@ from repro.errors import GpuSimError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.executor import execute_kernel
 from repro.gpusim.kernel import Kernel
+from repro.gpusim.memo import LaunchMemo
 from repro.gpusim.memory import DeviceBuffer, MemoryManager, MemorySpace
 from repro.gpusim.profiler import LaunchRecord, Profiler, TransferRecord
 from repro.gpusim.timing import (KernelTiming, TimingConfig, price_kernel,
@@ -44,10 +45,14 @@ class CudaRuntime:
 
     def __init__(self, spec: DeviceSpec = TESLA_M2090,
                  timing: Optional[TimingConfig] = None,
-                 execute: bool = True) -> None:
+                 execute: bool = True,
+                 memo: Optional[LaunchMemo] = None) -> None:
         self.spec = spec
         self.timing = timing or TimingConfig()
         self.execute = execute
+        #: launches seen before on the same inputs replay from here
+        #: (None: every launch is interpreted)
+        self.memo = memo
         self.mem = MemoryManager(spec)
         self.profiler = Profiler(device_name=spec.name)
         self.clock_s = 0.0
@@ -172,7 +177,8 @@ class CudaRuntime:
                 derive_counters(desc, self.spec))
         timing, counters = priced
         if self.execute:
-            execute_kernel(kernel, device_views, dict(scalars), functions)
+            execute_kernel(kernel, device_views, dict(scalars), functions,
+                           self.memo)
             # pointer swaps may have replaced entries: write back
             for name in kernel.arrays:
                 if device_views[name] is not self.buffers[name].data:

@@ -34,11 +34,13 @@ dynamic trace carries for such kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
+from repro.errors import LaunchError
 from repro.gpusim.coalescing import transactions_per_warp
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
+from repro.gpusim.kernel import kernel_ir_hash
 from repro.ir.analysis.access import (AccessPattern, RefClass,
                                       DEFAULT_SEQ_TRIPS, _const_value,
                                       _strip_monotone, classify_ref)
@@ -50,7 +52,8 @@ from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
                            Stmt, While)
 
 __all__ = ["ReusePair", "LoopWorkingSet", "ArrayPrediction", "KernelReuse",
-           "analyze_kernel_reuse", "STATIC_AGREEMENT_TOLERANCE"]
+           "analyze_kernel_reuse", "memoized_reuse",
+           "STATIC_AGREEMENT_TOLERANCE"]
 
 #: Documented tolerance for static-vs-simulated L1/L2 miss-ratio
 #: agreement on regular (``exact=True``) kernels: the static model
@@ -774,3 +777,44 @@ def analyze_kernel_reuse(kernel, bindings: Mapping[str, float],
         pred.l2_misses = compulsory + (0.0 if dist <= eff_l2
                                        else retouch2)
     return report
+
+
+#: every analysis :func:`memoized_reuse` ran, by what it read, with its
+#: report or the error it raised; reports are shared between callers,
+#: so no caller may mutate one
+_ANALYSES: dict[tuple, KernelReuse | LaunchError] = {}
+
+
+def memoized_reuse(analyze, kernel, bindings: Mapping[str, float],
+                   array_extents: Mapping[str, Sequence[int]],
+                   spec: DeviceSpec = TESLA_M2090,
+                   functions: Optional[Mapping[str, object]] = None
+                   ) -> KernelReuse:
+    """``analyze(kernel, ...)`` once per distinct analysis, labelled
+    with ``kernel``'s name.
+
+    ``analyze`` is the caller's binding of :func:`analyze_kernel_reuse`,
+    called on a miss.  The key is everything the analysis reads: the
+    kernel's content key, its body with every reachable function
+    (:func:`~repro.gpusim.kernel.kernel_ir_hash`), its element size,
+    the bindings, the extents and the device.  An analysis whose launch
+    the bindings leave unresolved raises its :class:`LaunchError` again
+    (worded for the kernel that raised it first).
+    """
+    key = (kernel.content_key, kernel_ir_hash(kernel, functions),
+           kernel.elem_bytes(), tuple(sorted(bindings.items())),
+           tuple(sorted((name, tuple(ext))
+                        for name, ext in array_extents.items())), spec)
+    report = _ANALYSES.get(key)
+    if report is None:
+        try:
+            report = analyze(kernel, bindings, array_extents, spec,
+                             functions=functions)
+        except LaunchError as exc:
+            report = exc.with_traceback(None)
+        _ANALYSES[key] = report
+    if isinstance(report, LaunchError):
+        raise report
+    if report.kernel == kernel.name:
+        return report
+    return replace(report, kernel=kernel.name)

@@ -36,7 +36,8 @@ from typing import Iterator
 
 from repro.gpusim.kernel import Kernel
 from repro.ir.analysis.access import AccessPattern
-from repro.ir.analysis.reuse import KernelReuse, analyze_kernel_reuse
+from repro.ir.analysis.reuse import (KernelReuse, analyze_kernel_reuse,
+                                     memoized_reuse)
 from repro.lint.engine import LintContext, checker, declare
 from repro.lint.findings import Finding, Severity
 
@@ -84,9 +85,8 @@ def _lint_bindings(ctx: LintContext) -> tuple[dict, dict]:
 def _analyze(kernel: Kernel, ctx: LintContext,
              bindings: dict, extents: dict) -> KernelReuse | None:
     try:
-        return analyze_kernel_reuse(kernel, bindings, extents,
-                                    spec=ctx.device,
-                                    functions=ctx.program.functions)
+        return memoized_reuse(analyze_kernel_reuse, kernel, bindings,
+                              extents, ctx.device, ctx.program.functions)
     except Exception:
         # a kernel the lint-scale bindings cannot resolve (unbound
         # launch symbol, irregular shape) is skipped, not a crash

@@ -600,7 +600,8 @@ class ExecutableProgram:
                     self.rt.dtoh(name)
             for _ in range(times):
                 run_region_host(region, self.rt.host_arrays, scalars,
-                                self.compiled.program.functions)
+                                self.compiled.program.functions,
+                                self.rt.memo)
             for name in sorted(reads | writes):
                 if name in self.rt.buffers and name in self._resident:
                     self.rt.htod(name)

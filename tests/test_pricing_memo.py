@@ -267,7 +267,7 @@ class TestPriceCache:
 
         monkeypatch.setattr(runtime_mod, "price_kernel", counting_gpu)
         monkeypatch.setattr(base, "price_serial", counting_host)
-        monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None, None, None))
+        monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None,) * 4)
         run_speedups([get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")],
                      scale="paper")
         # 3,222 launches, 225 scheduled CPU regions
@@ -307,7 +307,7 @@ class TestWorkloadSlot:
     def test_timing_only_run_binds_read_only_arrays(self):
         out = get_benchmark("EP").run("OpenACC", scale="test",
                                       execute=False, validate=False)
-        (_, scale, seed), wl, _ = base._WORKLOAD_SLOT
+        (_, scale, seed), wl, *_ = base._WORKLOAD_SLOT
         assert (scale, seed) == ("test", 0)
         assert wl.arrays and not any(a.flags.writeable
                                      for a in wl.arrays.values())
@@ -369,7 +369,7 @@ class TestWorkloadSlot:
             return priced(self, wl, host=host)
 
         monkeypatch.setattr(base.Benchmark, "cpu_time", counting)
-        monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None, None, None))
+        monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None,) * 4)
         slow = HostSpec(name="half-speed host", flops_per_s=1.1e9)
         a = bench.run("OpenACC", scale="test", execute=False, validate=False)
         b = bench.run("HMPP", scale="test", execute=False, validate=False)

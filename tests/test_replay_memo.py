@@ -1,9 +1,10 @@
-"""Replay each distinct launch once: the locality replay memo.
+"""Replay each distinct launch once: the locality suite's launch memo.
 
-The memo in :mod:`repro.gpusim.locality` must be invisible: every port's
-record and every array it leaves behind equal a run that clears the
-memo before every launch.  Its key rests on :func:`kernel_ir_hash`, so
-a copied kernel must not keep its original's hash; and the batched
+The locality suite replays through the shared launch memo
+(:mod:`repro.gpusim.memo`), which must be invisible: every port's
+record and every array it leaves behind equal a run that uses a fresh
+memo for every launch.  Its key rests on :func:`kernel_ir_hash`, so a
+copied kernel must not keep its original's hash; and the batched
 :func:`repro.gpusim.cache.line_stream` must equal the per-event stream
 it replaced, byte for byte.
 """
@@ -18,11 +19,12 @@ from hypothesis import strategies as st
 
 from repro.benchmarks.base import ALL_MODELS
 from repro.benchmarks.registry import BENCHMARK_ORDER, get_benchmark
-from repro.gpusim import locality, trace
+from repro.gpusim import locality, memo, trace
 from repro.gpusim.cache import LineStream, line_stream
 from repro.gpusim.device import TESLA_M2090
 from repro.gpusim.kernel import kernel_ir_hash
-from repro.gpusim.trace import MemoryTrace
+from repro.gpusim.memo import LaunchMemo
+from repro.gpusim.trace import MemoryTrace, TracingExecutor
 from repro.ir.stmt import Block
 from repro.models.cache import compile_port
 
@@ -39,7 +41,7 @@ class TestContentHash:
         kernel, functions = _kernel()
         original = kernel_ir_hash(kernel, functions)
         clone = copy.deepcopy(kernel)
-        assert "_ir_hash_memo" not in vars(clone)
+        assert not {"_ir_hash_memo", "_body_digest"} & set(vars(clone))
         assert kernel_ir_hash(copy.deepcopy(kernel), functions) == original
         clone.body = Block(())
         assert kernel_ir_hash(clone, functions) != original
@@ -141,16 +143,15 @@ def _count_traces(monkeypatch) -> list:
 
 def _run_ports(monkeypatch, benchmarks, fresh: bool):
     """Every model's record of each benchmark, the arrays each port
-    ended with, and the launches traced; ``fresh`` clears the memo
-    before every launch."""
+    ended with, and the launches traced; ``fresh`` hands every launch
+    a new memo."""
     monkeypatch.setattr(locality, "_REPLAY_SLOT", (None, None))
     runs = _count_traces(monkeypatch)
     if fresh:
         replay = locality._replay
 
         def cleared(*args):
-            args[-1].clear()
-            return replay(*args)
+            return replay(*args[:-1], LaunchMemo())
 
         monkeypatch.setattr(locality, "_replay", cleared)
     records, arrays = [], []
@@ -206,9 +207,8 @@ def _launch(bench="JACOBI", model="OpenACC", region="stencil"):
 
 
 def _replay(kern, state, scalars, functions, replays):
-    digests = {n: locality._digest(a) for n, a in state.items()}
     return locality._replay(kern, state, scalars, functions, TESLA_M2090,
-                            digests, replays)
+                            replays)
 
 
 class TestReplay:
@@ -217,7 +217,7 @@ class TestReplay:
         renamed = copy.deepcopy(kernel)
         renamed.name = "renamed_k0"
         runs = _count_traces(monkeypatch)
-        replays = {}
+        replays = LaunchMemo()
         first, second = (copy.deepcopy(arrays) for _ in range(2))
         reports = [_replay(kern, state, scalars, functions, replays)
                    for kern, state in ((kernel, first), (renamed, second))]
@@ -236,7 +236,7 @@ class TestReplay:
     def test_array_contents_split_the_key(self, monkeypatch):
         kernel, functions, arrays, scalars = _launch()
         runs = _count_traces(monkeypatch)
-        replays = {}
+        replays = LaunchMemo()
         name = next(n for n in kernel.arrays if arrays[n].size > 1)
         changed = copy.deepcopy(arrays)
         changed[name].flat[0] += 1.0
@@ -245,18 +245,18 @@ class TestReplay:
         assert len(runs) == 2 and len(replays) == 2
 
     def test_digest_sees_dtype_and_shape(self):
-        digests = {locality._digest(a) for a in (
+        digests = {memo.digest(a) for a in (
             np.zeros(4, np.int64), np.zeros(4, np.float64),
             np.zeros((2, 2), np.float64), np.zeros((2, 2)).T)}
         assert len(digests) == 3
 
     def test_scalars_split_the_key(self):
         kernel, functions, arrays, scalars = _launch()
-        digests = {n: locality._digest(a) for n, a in arrays.items()}
 
         def key(**extra):
-            return locality._launch_key(kernel, functions, TESLA_M2090,
-                                        dict(digests), {**scalars, **extra})
+            return memo.launch_key(kernel, arrays, {**scalars, **extra},
+                                   functions, TracingExecutor,
+                                   (kernel.elem_bytes(), TESLA_M2090))
 
         keys = {key(s=v) for v in (0, 0.0, -0.0, 1, True)}
         assert len(keys) == 5 and key() not in keys
@@ -272,4 +272,16 @@ class TestReplay:
         locality.locality_port("NW", "OpenACC")
         key, nw = locality._REPLAY_SLOT
         assert key == ("NW", "test") and nw is not jacobi
-        assert not set(nw) & set(jacobi)
+        assert not nw._entries.keys() & jacobi._entries.keys()
+
+    def test_locality_replays_through_the_shared_memo(self, monkeypatch):
+        monkeypatch.setattr(locality, "_REPLAY_SLOT", (None, None))
+        locality.locality_port("JACOBI", "OpenACC")
+        assert type(locality._REPLAY_SLOT[1]) is memo.LaunchMemo
+        assert locality.LaunchMemo is memo.LaunchMemo
+        for retired in ("_launch_key", "_digest", "hashlib"):
+            assert not hasattr(locality, retired)
+        # the locality key is the shared one plus (element size, device)
+        keys = list(locality._REPLAY_SLOT[1]._entries)
+        assert keys and all(k[1] is TracingExecutor
+                            and k[-1] == (8, TESLA_M2090) for k in keys)
