@@ -23,7 +23,7 @@ from repro.gpusim.device import TESLA_M2090
 bench = get_benchmark("SPMUL")
 wl = bench.workload("paper")
 bindings = {k: float(x) for k, x in wl.scalars.items()}
-extents = {n: list(a.shape) for n, a in wl.arrays.items()}
+extents = {n: list(shape) for n, (shape, _) in wl.shapes.items()}
 
 for model in ("PGI Accelerator", "OpenMPC"):
     compiled = bench.compile(model, "best")

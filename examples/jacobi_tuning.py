@@ -44,7 +44,8 @@ for variant in ("naive", "best"):
     kernel = compiled.results["stencil"].kernels[0]
     wl = bench.workload("paper")
     desc = kernel.describe({k: float(x) for k, x in wl.scalars.items()},
-                           {n: list(a.shape) for n, a in wl.arrays.items()})
+                           bench.extents_for("PGI Accelerator", variant,
+                                             wl))
     loads = [(ref, c) for ref, c in desc.access.refs
              if ref.array == "a" and not ref.is_store]
     ref = loads[0][0]

@@ -173,19 +173,26 @@ class Backprop(Benchmark):
 
     def workload(self, scale: str = "test", seed: int = 0) -> Workload:
         ni, nh, no = self._dims(scale)
-        rng = np.random.default_rng(seed)
-        w1 = rng.standard_normal((nh, ni + 1)) * 0.1   # canonical [j][i]
-        w2 = rng.standard_normal((nh + 1, no)) * 0.1   # canonical [j][k]
-        inp = rng.random(ni)
-        target = rng.random(no)
+
+        def build() -> dict[str, np.ndarray]:
+            rng = np.random.default_rng(seed)
+            return {"w1": rng.standard_normal((nh, ni + 1)) * 0.1,
+                    "w2": rng.standard_normal((nh + 1, no)) * 0.1,
+                    "inp": rng.random(ni), "target": rng.random(no)}
+
+        w1 = ((nh, ni + 1), np.float64)   # canonical [j][i]
+        w2 = ((nh + 1, no), np.float64)   # canonical [j][k]
         return Workload(
             sizes={"ni": ni, "nh": nh, "no": no},
-            arrays={"w1": w1, "oldw1": np.zeros_like(w1),
-                    "w2": w2, "oldw2": np.zeros_like(w2),
-                    "inp": inp, "target": target,
-                    "hidden": np.zeros(nh), "out": np.zeros(no),
-                    "delta_o": np.zeros(no), "delta_h": np.zeros(nh),
-                    "errsum": np.zeros(2)},
+            shapes={"w1": w1, "oldw1": w1, "w2": w2, "oldw2": w2,
+                    "inp": ((ni,), np.float64),
+                    "target": ((no,), np.float64),
+                    "hidden": ((nh,), np.float64),
+                    "out": ((no,), np.float64),
+                    "delta_o": ((no,), np.float64),
+                    "delta_h": ((nh,), np.float64),
+                    "errsum": ((2,), np.float64)},
+            build=build,
             scalars={"ni": ni, "ni1": ni + 1, "nh": nh, "nh1": nh + 1,
                      "no": no},
             schedule=[ScheduleStep(r)
@@ -228,14 +235,13 @@ class Backprop(Benchmark):
     def output_arrays(self) -> tuple[str, ...]:
         return ("w1", "w2", "hidden", "out", "errsum")
 
-    def arrays_for(self, model, variant, wl):
-        arrays = wl.copy_arrays()
+    def layout(self, model, variant, arrays):
         transposed = (model != "R-Stream"
                       and (variant == "best"
                            or model == "Hand-Written CUDA"))
         if transposed:
             for name in ("w1", "oldw1", "w2", "oldw2"):
-                arrays[name] = np.ascontiguousarray(arrays[name].T)
+                arrays[name] = arrays[name].T
         return arrays
 
     def canonical_output(self, name, array, model, variant, wl):

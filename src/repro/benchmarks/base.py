@@ -4,9 +4,10 @@ Each benchmark provides:
 
 * the **OpenMP input program** (IR) — the single source of truth the
   paper's methodology starts from;
-* a **workload** (arrays + scalars + a region schedule) at two scales:
-  ``test`` (small, functionally executed and validated) and ``paper``
-  (evaluation-sized, priced analytically with ``execute=False``);
+* a **workload** (array shapes + scalars + a region schedule, with the
+  array data built on first use) at two scales: ``test`` (small,
+  functionally executed and validated) and ``paper`` (evaluation-sized,
+  priced analytically with ``execute=False`` from the shapes alone);
 * a **NumPy reference** implementation for validation;
 * **ports** to each model, possibly with restructured input programs,
   directives, data regions, and tuning variants — the raw material of
@@ -16,8 +17,9 @@ Each benchmark provides:
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,17 +47,76 @@ ALL_MODELS: tuple[str, ...] = (
 )
 
 
+#: an array's declared ``(shape, dtype)``
+ArraySpec = tuple[tuple[int, ...], np.dtype]
+
+#: serializes first builds, so a workload shared by threads builds once
+_BUILD_LOCK = threading.Lock()
+
+
 @dataclass
 class Workload:
-    """One problem instance: inputs, sizes, and the host-driver schedule."""
+    """One problem instance: array shapes, sizes, scalars and the
+    host-driver schedule, with the array data built on first use.
+
+    ``shapes`` declares every array's ``(shape, dtype)`` in binding
+    order; the analytical model needs nothing more.  ``build`` makes the
+    data the first time :attr:`arrays` is read, at most once; an array
+    it leaves out is zeros.  The built arrays are read-only and must
+    match their declarations.
+    """
 
     sizes: Mapping[str, int]
-    arrays: dict[str, np.ndarray]
+    shapes: Mapping[str, ArraySpec]
+    build: Callable[[], Mapping[str, np.ndarray]]
     scalars: dict[str, Value]
     schedule: list[ScheduleStep]
+    _arrays: Optional[dict[str, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
 
-    def copy_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.arrays.items()}
+    def __post_init__(self) -> None:
+        self.shapes = {name: (tuple(int(d) for d in shape), np.dtype(dtype))
+                       for name, (shape, dtype) in self.shapes.items()}
+
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The array data, built on first access."""
+        if self._arrays is None:
+            with _BUILD_LOCK:
+                if self._arrays is None:
+                    self._arrays = self._materialize()
+        return self._arrays
+
+    def _materialize(self) -> dict[str, np.ndarray]:
+        made = dict(self.build())
+        extra = sorted(made.keys() - self.shapes.keys())
+        if extra:
+            raise BenchmarkError(f"workload built undeclared array(s) "
+                                 f"{', '.join(extra)}")
+        arrays: dict[str, np.ndarray] = {}
+        for name, (shape, dtype) in self.shapes.items():
+            arr = made.get(name)
+            if arr is None:
+                arr = np.zeros(shape, dtype)
+            elif arr.shape != shape or arr.dtype != dtype:
+                raise BenchmarkError(
+                    f"workload array {name!r} was built as {arr.dtype} "
+                    f"{arr.shape}, declared {dtype} {shape}")
+            arr.setflags(write=False)
+            arrays[name] = arr
+        return arrays
+
+    def stand_ins(self) -> dict[str, np.ndarray]:
+        """Read-only zero-stride arrays with the declared shapes, dtypes
+        and ``nbytes``, occupying no memory; builds nothing."""
+        return {name: np.broadcast_to(np.zeros((), dtype), shape)
+                for name, (shape, dtype) in self.shapes.items()}
+
+
+def shapes_of(arrays: Mapping[str, np.ndarray]) -> dict[str, ArraySpec]:
+    """The declarations of already-built arrays (benchmarks whose sizes
+    or schedule depend on their data build it in ``workload()``)."""
+    return {name: (arr.shape, arr.dtype) for name, arr in arrays.items()}
 
 
 #: the last workload a run built: ``((benchmark class, scale, seed),
@@ -159,9 +220,9 @@ class Benchmark(abc.ABC):
         port, whose runtime guards skip provably redundant transfers.
 
         Consecutive runs at the same (benchmark, scale, seed) share one
-        workload, with its arrays read-only, and one CPU baseline per
-        host.  Executing runs get private writable copies; timing-only
-        runs bind the shared arrays unless the port re-lays them out.
+        workload, whose data is built once and read-only, and one CPU
+        baseline per host.  Executing runs get private writable copies;
+        timing-only runs bind zero-byte stand-ins and never build data.
         """
         with obs.span("bench.run", category="harness", benchmark=self.name,
                       model=model, variant=variant, scale=scale):
@@ -188,19 +249,16 @@ class Benchmark(abc.ABC):
         slot_key, wl, cpu_times, memo = _WORKLOAD_SLOT
         if slot_key != key:
             wl, cpu_times = self.workload(scale=scale, seed=seed), {}
-            for arr in wl.arrays.values():
-                arr.setflags(write=False)
             memo = LaunchMemo()
             _WORKLOAD_SLOT = (key, wl, cpu_times, memo)
         rt = CudaRuntime(spec=device, timing=timing, execute=execute,
                          memo=memo)
         ex = ExecutableProgram(compiled, runtime=rt, host=host)
-        if execute or type(self).arrays_for is not Benchmark.arrays_for:
+        if execute:
             arrays = self.arrays_for(model, variant, wl)
         else:
-            # timing-only runs never write host arrays: bind the shared
-            # read-only ones instead of private copies
-            arrays = dict(wl.arrays)
+            # the analytical model needs sizes, not values
+            arrays = self.layout(model, variant, wl.stand_ins())
         ex.bind_arrays(arrays)
         schedule = self.schedule_for(model, variant, wl)
         for step in schedule:
@@ -242,15 +300,28 @@ class Benchmark(abc.ABC):
                           speedup=result, validated=validated,
                           validation_errors=errors)
 
+    def layout(self, model: str, variant: str,
+               arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Views of ``arrays`` in the layout the port's program expects.
+
+        The one relayout hook, applied alike to real data and to
+        stand-ins.  Defaults to the canonical layout; ports that re-lay
+        data out (transposed BACKPROP weights) override this.
+        """
+        return arrays
+
     def arrays_for(self, model: str, variant: str,
                    wl: Workload) -> dict[str, np.ndarray]:
-        """Host arrays in the layout the port's program expects.
+        """Private writable C-ordered copies of the workload arrays in the
+        port's :meth:`layout`."""
+        return {name: np.array(arr, order="C") for name, arr
+                in self.layout(model, variant, dict(wl.arrays)).items()}
 
-        Defaults to private copies of the canonical workload arrays;
-        ports that re-lay data out (transposed BACKPROP weights) override
-        this and return re-laid copies.
-        """
-        return wl.copy_arrays()
+    def extents_for(self, model: str, variant: str,
+                    wl: Workload) -> dict[str, list[int]]:
+        """Array extents in the port's layout, from the shapes alone."""
+        return {name: list(arr.shape) for name, arr
+                in self.layout(model, variant, wl.stand_ins()).items()}
 
     def schedule_for(self, model: str, variant: str,
                      wl: Workload) -> list[ScheduleStep]:
@@ -280,7 +351,7 @@ class Benchmark(abc.ABC):
         bindings the host model depends on.
         """
         program = self.program
-        extents = {name: list(arr.shape) for name, arr in wl.arrays.items()}
+        extents = {name: list(shape) for name, (shape, _) in wl.shapes.items()}
         bindings = {k: float(v) for k, v in wl.scalars.items()}
         total = 0.0
         stages: dict[str, BodyTerms] = {}

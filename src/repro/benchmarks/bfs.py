@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shapes_of
 from repro.benchmarks.data import Graph, make_graph
 from repro.ir.builder import (accum, aref, assign, block, critical, iff,
                               pfor, sfor, v)
@@ -141,15 +141,16 @@ class Bfs(Benchmark):
             schedule.append(ScheduleStep("bfs_expand"))
             schedule.append(ScheduleStep("bfs_update"))
         schedule.append(ScheduleStep("level_histogram"))
+        arrays = {"node_start": graph.node_start.copy(),
+                  "edges": graph.edges.copy(),
+                  "cost": cost, "mask": mask,
+                  "updating": np.zeros(n, dtype=np.int64),
+                  "visited": visited,
+                  "hist": np.zeros(n)}
         return Workload(
             sizes={"n_nodes": n, "n_edges": graph.n_edges,
                    "n_levels": n_levels},
-            arrays={"node_start": graph.node_start.copy(),
-                    "edges": graph.edges.copy(),
-                    "cost": cost, "mask": mask,
-                    "updating": np.zeros(n, dtype=np.int64),
-                    "visited": visited,
-                    "hist": np.zeros(n)},
+            shapes=shapes_of(arrays), build=lambda: arrays,
             scalars={"n_nodes": n, "n1": n + 1, "n_edges": graph.n_edges},
             schedule=schedule)
 

@@ -180,21 +180,25 @@ class Cfd(Benchmark):
     def workload(self, scale: str = "test", seed: int = 0) -> Workload:
         nelr = 300 if scale == "test" else 200_000
         iters = _ITER_TEST if scale == "test" else _ITER_PAPER
-        rng = np.random.default_rng(seed)
-        mesh = make_graph(nelr, avg_degree=4, seed=seed)
-        # exactly 4 neighbour slots per element (-1 = boundary face)
-        elem = np.full(nelr * 4, -1, dtype=np.int64)
-        for i in range(nelr):
-            lo, hi = mesh.node_start[i], min(mesh.node_start[i] + 4,
-                                             mesh.node_start[i + 1])
-            nbrs = mesh.edges[lo:hi]
-            elem[i * 4:i * 4 + len(nbrs)] = nbrs
-        areas = 1.0 + rng.random(nelr)
-        normals = rng.standard_normal(nelr * 4) * 0.01
         nbound = max(1, nelr // 50)
-        boundary = rng.choice(nelr, size=nbound, replace=False).astype(
-            np.int64)
-        ff = np.array([1.4, 0.1, 0.0, 0.0, 2.5])
+
+        def build() -> dict[str, np.ndarray]:
+            rng = np.random.default_rng(seed)
+            mesh = make_graph(nelr, avg_degree=4, seed=seed)
+            # exactly 4 neighbour slots per element (-1 = boundary face)
+            elem = np.full(nelr * 4, -1, dtype=np.int64)
+            for i in range(nelr):
+                lo, hi = mesh.node_start[i], min(mesh.node_start[i] + 4,
+                                                 mesh.node_start[i + 1])
+                nbrs = mesh.edges[lo:hi]
+                elem[i * 4:i * 4 + len(nbrs)] = nbrs
+            return {"areas": 1.0 + rng.random(nelr),
+                    "normals": rng.standard_normal(nelr * 4) * 0.01,
+                    "elements_surrounding": elem,
+                    "boundary": rng.choice(nelr, size=nbound,
+                                           replace=False).astype(np.int64),
+                    "ff": np.array([1.4, 0.1, 0.0, 0.0, 2.5])}
+
         ntotal = nelr * NVAR
         schedule: list[ScheduleStep] = [ScheduleStep("init_flat")]
         for _ in range(iters):
@@ -209,15 +213,18 @@ class Cfd(Benchmark):
         schedule.append(ScheduleStep("reduce_rms"))
         return Workload(
             sizes={"nelr": nelr, "iters": iters},
-            arrays={"variables": np.zeros(ntotal),
-                    "old_variables": np.zeros(ntotal),
-                    "fluxes": np.zeros(ntotal),
-                    "step_factors": np.zeros(nelr),
-                    "speed_tmp": np.zeros(nelr),
-                    "areas": areas, "normals": normals,
-                    "elements_surrounding": elem,
-                    "boundary": boundary, "ff": ff,
-                    "rms": np.zeros(1)},
+            shapes={"variables": ((ntotal,), np.float64),
+                    "old_variables": ((ntotal,), np.float64),
+                    "fluxes": ((ntotal,), np.float64),
+                    "step_factors": ((nelr,), np.float64),
+                    "speed_tmp": ((nelr,), np.float64),
+                    "areas": ((nelr,), np.float64),
+                    "normals": ((nelr * 4,), np.float64),
+                    "elements_surrounding": ((nelr * 4,), np.int64),
+                    "boundary": ((nbound,), np.int64),
+                    "ff": ((NVAR,), np.float64),
+                    "rms": ((1,), np.float64)},
+            build=build,
             scalars={"nelr": nelr, "ntotal": ntotal, "nfour": nelr * 4,
                      "nbound": nbound, "rkcoef": 1.0},
             schedule=schedule)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shapes_of
 from repro.benchmarks.data import CsrMatrix, make_csr
 from repro.gpusim.memory import MemorySpace
 from repro.ir.builder import (accum, aref, assign, block, idx, intrinsic,
@@ -178,15 +178,17 @@ class Cg(Benchmark):
         schedule.append(ScheduleStep("norm_z", scalars={"zero": 0}))
         schedule.append(ScheduleStep("scale_x"))
         n_slots = _CGIT_PAPER + 1 if scale != "test" else _CGIT_TEST + 1
+        # nnz depends on the matrix: the data is built here
+        arrays = {"rowstr": mat.rowstr.copy(), "colidx": mat.colidx.copy(),
+                  "a": mat.values.copy(),
+                  "x": np.zeros(mat.n), "z": np.zeros(mat.n),
+                  "p": np.zeros(mat.n), "q": np.zeros(mat.n),
+                  "r": np.zeros(mat.n), "r2": np.zeros(mat.n),
+                  "rho": np.zeros(n_slots), "dpq": np.zeros(n_slots),
+                  "sumr": np.zeros(1), "znorm": np.zeros(1)}
         return Workload(
             sizes={"n": mat.n, "nnz": mat.nnz, "cgitmax": cgitmax},
-            arrays={"rowstr": mat.rowstr.copy(), "colidx": mat.colidx.copy(),
-                    "a": mat.values.copy(),
-                    "x": np.zeros(mat.n), "z": np.zeros(mat.n),
-                    "p": np.zeros(mat.n), "q": np.zeros(mat.n),
-                    "r": np.zeros(mat.n), "r2": np.zeros(mat.n),
-                    "rho": np.zeros(n_slots), "dpq": np.zeros(n_slots),
-                    "sumr": np.zeros(1), "znorm": np.zeros(1)},
+            shapes=shapes_of(arrays), build=lambda: arrays,
             scalars={"n": mat.n, "n1": mat.n + 1, "nnz": mat.nnz,
                      "k": 0, "k1": 0, "kk": 0, "zero": 0},
             schedule=schedule)

@@ -119,8 +119,9 @@ class Ep(Benchmark):
             nk, chunk = 65536, 256  # 2^24 pairs
         return Workload(
             sizes={"nk": nk, "chunk": chunk},
-            arrays={"q": np.zeros(_NQ), "sx": np.zeros(1),
-                    "sy": np.zeros(1)},
+            shapes={"q": ((_NQ,), np.float64), "sx": ((1,), np.float64),
+                    "sy": ((1,), np.float64)},
+            build=dict,
             scalars={"nk": nk, "chunk": chunk, "seed0": 271828 + seed},
             schedule=[ScheduleStep("ep_main")])
 

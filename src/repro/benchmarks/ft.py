@@ -224,8 +224,11 @@ class Ft(Benchmark):
         n2 = n * n
         ntotal = n2 * n
         nhalf = n // 2
-        jm = np.arange(nhalf)
-        wtab = np.exp(-2j * np.pi * jm / n)
+
+        def build() -> dict[str, np.ndarray]:
+            wtab = np.exp(-2j * np.pi * np.arange(nhalf) / n)
+            return {"wtab_re": wtab.real.copy(), "wtab_im": wtab.imag.copy()}
+
         steps: list[ScheduleStep] = [
             ScheduleStep("indexmap"), ScheduleStep("init")]
         for _dim in range(3):
@@ -241,18 +244,16 @@ class Ft(Benchmark):
             steps.append(ScheduleStep("copy_yx"))
         steps.append(ScheduleStep("evolve"))
         steps.append(ScheduleStep("checksum"))
-        arrays = {
-            "xr": np.zeros(ntotal), "xi": np.zeros(ntotal),
-            "yr": np.zeros(ntotal), "yi": np.zeros(ntotal),
-            "tw": np.zeros(ntotal),
-            "wtab_re": wtab.real.copy(), "wtab_im": wtab.imag.copy(),
-            "chk": np.zeros(2),
-        }
+        cube = ((ntotal,), np.float64)
+        half = ((nhalf,), np.float64)
+        shapes = {"xr": cube, "xi": cube, "yr": cube, "yi": cube, "tw": cube,
+                  "wtab_re": half, "wtab_im": half, "chk": ((2,), np.float64)}
         scalars = {"n": n, "n2": n2, "ntotal": ntotal, "nhalf": nhalf,
                    "nlines": n2, "l": 1, "m": 1,
                    "seed0": 314159 + seed, "alpha": 1e-6}
         return Workload(sizes={"n": n, "ntotal": ntotal, "log_n": log_n},
-                        arrays=arrays, scalars=scalars, schedule=steps)
+                        shapes=shapes, build=build, scalars=scalars,
+                        schedule=steps)
 
     def reference(self, wl: Workload) -> dict[str, np.ndarray]:
         n = wl.sizes["n"]

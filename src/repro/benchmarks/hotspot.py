@@ -100,16 +100,17 @@ class Hotspot(Benchmark):
         rows = cols = 64 if scale == "test" else 1024
         iters = _ITER_TEST if scale == "test" else _ITER_PAPER
         assert iters % 2 == 0
-        temp = 323.0 + 10.0 * make_grid(rows, cols, seed=seed)
-        power = make_grid(rows, cols, seed=seed + 1) * 0.5
         schedule: list[ScheduleStep] = []
         for it in range(iters):
             schedule.append(ScheduleStep("step_ab" if it % 2 == 0
                                          else "step_ba"))
+        grid = ((rows, cols), np.float64)
         return Workload(
             sizes={"rows": rows, "cols": cols, "iters": iters},
-            arrays={"temp": temp, "temp2": np.zeros((rows, cols)),
-                    "power": power},
+            shapes={"temp": grid, "temp2": grid, "power": grid},
+            build=lambda: {
+                "temp": 323.0 + 10.0 * make_grid(rows, cols, seed=seed),
+                "power": make_grid(rows, cols, seed=seed + 1) * 0.5},
             scalars={"rows": rows, "cols": cols, "cap": 0.5,
                      "rx": 0.1, "ry": 0.1, "rz": 0.05, "amb": 80.0},
             schedule=schedule)

@@ -131,14 +131,14 @@ class Jacobi(Benchmark):
     def workload(self, scale: str = "test", seed: int = 0) -> Workload:
         n = 48 if scale == "test" else 4096
         iters = _ITER_TEST if scale == "test" else _ITER_PAPER
-        a = make_grid(n, seed=seed)
-        b = np.zeros((n, n))
         schedule: list[ScheduleStep] = []
         for _ in range(iters):
             schedule.append(ScheduleStep("stencil"))
             schedule.append(ScheduleStep("copyback"))
+        grid = ((n, n), np.float64)
         return Workload(sizes={"n": n, "iters": iters},
-                        arrays={"a": a, "b": b},
+                        shapes={"a": grid, "b": grid},
+                        build=lambda: {"a": make_grid(n, seed=seed)},
                         scalars={"n": n},
                         schedule=schedule)
 

@@ -159,8 +159,13 @@ class Kmeans(Benchmark):
     def workload(self, scale: str = "test", seed: int = 0) -> Workload:
         npoints, nf, k = self._dims(scale)
         iters = _ITER_TEST if scale == "test" else _ITER_PAPER
-        points = make_clusters(npoints, nf, k, seed=seed)
-        centers = points[:k].reshape(-1).copy()
+
+        def build() -> dict[str, np.ndarray]:
+            points = make_clusters(npoints, nf, k, seed=seed)
+            return {"points": points,
+                    "centers": points[:k].reshape(-1).copy(),
+                    "membership": np.full(npoints, -1, dtype=np.int64)}
+
         schedule: list[ScheduleStep] = []
         for t in range(iters):
             schedule.append(ScheduleStep("assign_membership",
@@ -169,10 +174,14 @@ class Kmeans(Benchmark):
         schedule.append(ScheduleStep("compute_rmse"))
         return Workload(
             sizes={"npoints": npoints, "nf": nf, "k": k, "iters": iters},
-            arrays={"points": points, "centers": centers,
-                    "csums": np.zeros(k * nf), "ccounts": np.zeros(k),
-                    "membership": np.full(npoints, -1, dtype=np.int64),
-                    "delta": np.zeros(iters), "rmse": np.zeros(1)},
+            shapes={"points": ((npoints, nf), np.float64),
+                    "centers": ((k * nf,), np.float64),
+                    "csums": ((k * nf,), np.float64),
+                    "ccounts": ((k,), np.float64),
+                    "membership": ((npoints,), np.int64),
+                    "delta": ((iters,), np.float64),
+                    "rmse": ((1,), np.float64)},
+            build=build,
             scalars={"npoints": npoints, "nf": nf, "k": k, "kf": k * nf,
                      "t": 0, "iters": iters},
             schedule=schedule)

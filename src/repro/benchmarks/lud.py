@@ -94,7 +94,6 @@ class Lud(Benchmark):
     # -- workload -----------------------------------------------------------
     def workload(self, scale: str = "test", seed: int = 0) -> Workload:
         n = 48 if scale == "test" else 2048
-        a0 = make_spd_dense(n, seed=seed)
         schedule: list[ScheduleStep] = [ScheduleStep("init_a")]
         for k in range(n - 1):
             schedule.append(ScheduleStep("lud_scale", scalars={"k": k}))
@@ -102,8 +101,10 @@ class Lud(Benchmark):
         schedule.append(ScheduleStep("lud_norm"))
         return Workload(
             sizes={"n": n},
-            arrays={"a0": a0.reshape(-1).copy(),
-                    "a": np.zeros(n * n), "nrm": np.zeros(1)},
+            shapes={"a0": ((n * n,), np.float64),
+                    "a": ((n * n,), np.float64), "nrm": ((1,), np.float64)},
+            build=lambda: {
+                "a0": make_spd_dense(n, seed=seed).reshape(-1).copy()},
             scalars={"n": n, "nn": n * n, "k": 0},
             schedule=schedule)
 

@@ -127,19 +127,26 @@ class Nw(Benchmark):
     def workload(self, scale: str = "test", seed: int = 0) -> Workload:
         n = 64 if scale == "test" else 2048
         assert n % _TILE == 0
-        seq1, seq2 = make_sequences(n, seed=seed)
-        blosum = make_blosum(seed=seed + 1)
+        alpha = 4
+
+        def build() -> dict[str, np.ndarray]:
+            seq1, seq2 = make_sequences(n, alphabet=alpha, seed=seed)
+            return {"seq1": seq1, "seq2": seq2,
+                    "blosum": make_blosum(alphabet=alpha, seed=seed + 1)}
+
         schedule: list[ScheduleStep] = [ScheduleStep("init_refs")]
         for d in range(n):
             schedule.append(ScheduleStep("wave_upper", scalars={"d": d}))
         for d in range(n, 2 * n - 1):
             schedule.append(ScheduleStep("wave_lower", scalars={"d": d}))
         return Workload(
-            sizes={"n": n, "alpha": blosum.shape[0]},
-            arrays={"seq1": seq1, "seq2": seq2, "blosum": blosum,
-                    "refm": np.zeros((n, n)),
-                    "items": np.zeros((n + 1, n + 1))},
-            scalars={"n": n, "n1": n + 1, "alpha": blosum.shape[0],
+            sizes={"n": n, "alpha": alpha},
+            shapes={"seq1": ((n,), np.int64), "seq2": ((n,), np.int64),
+                    "blosum": ((alpha, alpha), np.float64),
+                    "refm": ((n, n), np.float64),
+                    "items": ((n + 1, n + 1), np.float64)},
+            build=build,
+            scalars={"n": n, "n1": n + 1, "alpha": alpha,
                      "penalty": 10.0, "d": 0, "blo": 0, "bcount": 1,
                      "bd": 0},
             schedule=schedule)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shapes_of
 from repro.benchmarks.data import CsrMatrix, make_csr
 from repro.gpusim.memory import MemorySpace
 from repro.ir.builder import (accum, aref, assign, block, idx, intrinsic,
@@ -124,11 +124,13 @@ class Spmul(Benchmark):
             schedule.append(ScheduleStep("spmv"))
             schedule.append(ScheduleStep("norm2", scalars={"t": t}))
             schedule.append(ScheduleStep("scale", scalars={"t": t}))
+        # nnz depends on the matrix: the data is built here
+        arrays = {"rowstr": mat.rowstr.copy(), "colidx": mat.colidx.copy(),
+                  "val": mat.values.copy(), "x": x,
+                  "y": np.zeros(mat.n), "nrm": np.zeros(iters)}
         return Workload(
             sizes={"n": mat.n, "nnz": mat.nnz, "iters": iters},
-            arrays={"rowstr": mat.rowstr.copy(), "colidx": mat.colidx.copy(),
-                    "val": mat.values.copy(), "x": x,
-                    "y": np.zeros(mat.n), "nrm": np.zeros(iters)},
+            shapes=shapes_of(arrays), build=lambda: arrays,
             scalars={"n": mat.n, "n1": mat.n + 1, "nnz": mat.nnz,
                      "t": 0, "iters": iters},
             schedule=schedule)

@@ -191,26 +191,30 @@ class Srad(Benchmark):
     def workload(self, scale: str = "test", seed: int = 0) -> Workload:
         rows = cols = 48 if scale == "test" else 2048
         iters = _ITER_TEST if scale == "test" else _ITER_PAPER
-        img = 255.0 * make_grid(rows, cols, seed=seed)
-        idx_n = np.maximum(np.arange(rows) - 1, 0).astype(np.int64)
-        idx_s = np.minimum(np.arange(rows) + 1, rows - 1).astype(np.int64)
-        idx_w = np.maximum(np.arange(cols) - 1, 0).astype(np.int64)
-        idx_e = np.minimum(np.arange(cols) + 1, cols - 1).astype(np.int64)
+
+        def build() -> dict[str, np.ndarray]:
+            ri, ci = np.arange(rows), np.arange(cols)
+            return {
+                "img": 255.0 * make_grid(rows, cols, seed=seed),
+                "iN": np.maximum(ri - 1, 0).astype(np.int64),
+                "iS": np.minimum(ri + 1, rows - 1).astype(np.int64),
+                "jW": np.maximum(ci - 1, 0).astype(np.int64),
+                "jE": np.minimum(ci + 1, cols - 1).astype(np.int64)}
+
         schedule: list[ScheduleStep] = [ScheduleStep("extract")]
         for t in range(iters):
             schedule.append(ScheduleStep("reduce_stats", scalars={"t": t}))
             schedule.append(ScheduleStep("diffusion", scalars={"t": t}))
             schedule.append(ScheduleStep("update"))
+        grid = ((rows, cols), np.float64)
         return Workload(
             sizes={"rows": rows, "cols": cols, "iters": iters},
-            arrays={"img": img, "J": np.zeros((rows, cols)),
-                    "c": np.zeros((rows, cols)),
-                    "dN": np.zeros((rows, cols)),
-                    "dS": np.zeros((rows, cols)),
-                    "dW": np.zeros((rows, cols)),
-                    "dE": np.zeros((rows, cols)),
-                    "sums": np.zeros(2 * iters),
-                    "iN": idx_n, "iS": idx_s, "jW": idx_w, "jE": idx_e},
+            shapes={"img": grid, "J": grid, "c": grid, "dN": grid,
+                    "dS": grid, "dW": grid, "dE": grid,
+                    "sums": ((2 * iters,), np.float64),
+                    "iN": ((rows,), np.int64), "iS": ((rows,), np.int64),
+                    "jW": ((cols,), np.int64), "jE": ((cols,), np.int64)},
+            build=build,
             scalars={"rows": rows, "cols": cols, "size": rows * cols,
                      "t": 0, "lam": 0.5, "nslots": 2 * iters},
             schedule=schedule)

@@ -54,8 +54,7 @@ def explain_model(bench: Benchmark, model: str, variant: str = "best",
     """Compile one port and price every kernel once."""
     compiled: CompiledProgram = bench.compile(model, variant)
     wl = bench.workload(scale)
-    arrays = bench.arrays_for(model, variant, wl)
-    extents = {name: list(a.shape) for name, a in arrays.items()}
+    extents = bench.extents_for(model, variant, wl)
     bindings = {k: float(x) for k, x in wl.scalars.items()}
 
     out = ModelExplanation(model=model)

@@ -123,8 +123,7 @@ def tune_benchmark(bench, model: str, variant: str = "best",
     """Tune every translated kernel of one benchmark port."""
     compiled = bench.compile(model, variant)
     wl = bench.workload(scale)
-    arrays = bench.arrays_for(model, variant, wl)
-    extents = {name: list(a.shape) for name, a in arrays.items()}
+    extents = bench.extents_for(model, variant, wl)
     bindings = {k: float(x) for k, x in wl.scalars.items()}
     results: dict[str, TuneResult] = {}
     for name, region in compiled.results.items():

@@ -304,25 +304,30 @@ class TestCpuBaselineKey:
 
 
 class TestWorkloadSlot:
-    def test_timing_only_run_binds_read_only_arrays(self):
-        out = get_benchmark("EP").run("OpenACC", scale="test",
-                                      execute=False, validate=False)
+    def test_timing_only_run_binds_stand_ins(self):
+        bench = get_benchmark("EP")
+        out = bench.run("OpenACC", scale="test", seed=4, execute=False,
+                        validate=False)
         (_, scale, seed), wl, *_ = base._WORKLOAD_SLOT
-        assert (scale, seed) == ("test", 0)
-        assert wl.arrays and not any(a.flags.writeable
-                                     for a in wl.arrays.values())
+        assert (scale, seed) == ("test", 4)
+        assert wl._arrays is None      # no data was built
+        assert list(out.arrays) == list(wl.shapes)
         for name, arr in out.arrays.items():
-            assert arr is wl.arrays[name]
-        name = next(iter(wl.arrays))
+            assert (arr.shape, arr.dtype) == wl.shapes[name]
+            assert not arr.flags.writeable and not any(arr.strides)
         with pytest.raises(ValueError):
-            wl.arrays[name][...] = 0
+            out.arrays["q"][...] = 1
+        # data built later, for an executing run, is read-only in the slot
+        bench.run("OpenACC", scale="test", seed=4)
+        assert base._WORKLOAD_SLOT[1] is wl
+        assert not any(a.flags.writeable for a in wl.arrays.values())
 
     def test_relaid_ports_still_get_their_layout(self):
         # BACKPROP's best port transposes its weights even when only priced
         out = get_benchmark("BACKPROP").run("OpenACC", scale="test",
                                             execute=False, validate=False)
         wl = base._WORKLOAD_SLOT[1]
-        assert out.arrays["w1"].shape == wl.arrays["w1"].shape[::-1]
+        assert out.arrays["w1"].shape == wl.shapes["w1"][0][::-1]
 
     @pytest.mark.parametrize("name", ["JACOBI", "BFS", "LUD"])
     def test_repeated_execute_runs_are_independent(self, name):
