@@ -13,14 +13,12 @@ so a ``xfer --all`` sweep after a lint sweep compiles nothing new.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.dataflow.report import XferAnalysis, analyze_compiled
 from repro.models import DIRECTIVE_MODELS
 from repro.models.cache import compile_port
-from repro.obs import metrics
 from repro.obs import tracer as obs
 
 __all__ = ["XferRecord", "xfer_port", "xfer_suite"]
@@ -69,17 +67,11 @@ def xfer_port(benchmark: str, model: str, variant: Optional[str] = None,
     bench = get_benchmark(benchmark)
     wl = bench.workload(scale=scale)
     schedule = bench.schedule_for(model, chosen, wl)
-    t0 = time.perf_counter()
     with obs.span("analysis.xfer", "analysis", kind="xfer",
                   benchmark=benchmark, model=compiled.model):
         analysis = analyze_compiled(
             compiled, schedule=schedule, outputs=bench.output_arrays(),
             nbytes=_array_nbytes(compiled, wl))
-    metrics.inc("analysis_runs", labels={"kind": "xfer"},
-                help="analysis passes executed", deterministic=True)
-    metrics.observe("analysis_seconds", time.perf_counter() - t0,
-                    labels={"kind": "xfer"},
-                    help="wall-clock per analysis run")
     return XferRecord(benchmark=bench.name, model=compiled.model,
                       variant=chosen, scale=scale, analysis=analysis)
 

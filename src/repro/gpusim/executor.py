@@ -29,7 +29,6 @@ Semantics notes:
 from __future__ import annotations
 
 import math
-import time
 from typing import (Callable, Iterator, Mapping, MutableMapping, Optional,
                     Sequence, Union)
 
@@ -624,7 +623,6 @@ def execute_kernel(kernel: Kernel, arrays: MutableMapping[str, np.ndarray],
     (:mod:`repro.gpusim.reference`) is the oracle the interpreter is
     checked against — see ``docs/architecture.md``.
     """
-    from repro.obs import metrics as obs_metrics
     from repro.obs import tracer as obs
 
     def interpret() -> None:
@@ -637,20 +635,9 @@ def execute_kernel(kernel: Kernel, arrays: MutableMapping[str, np.ndarray],
             memo.launch(interpret, kernel, arrays, scalars, functions,
                         KernelExecutor)
 
-    registry = obs_metrics.current_registry()
-    if obs.current_tracer() is None and registry is None:
+    if obs.current_tracer() is None:
         launch()
         return
     with obs.span(f"interpret {kernel.name}", "executor",
                   kernel=kernel.name):
-        t0 = time.perf_counter()
         launch()
-        elapsed = time.perf_counter() - t0
-    if registry is not None:
-        registry.inc("executor_interpret_launches",
-                     labels={"kernel": kernel.name},
-                     help="kernels run through the interpreting executor",
-                     deterministic=True)
-        registry.observe("executor_interpret_seconds", elapsed,
-                         labels={"kernel": kernel.name},
-                         help="interpreter wall-clock per kernel launch")

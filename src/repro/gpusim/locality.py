@@ -28,7 +28,6 @@ without tracing again.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Mapping, MutableMapping, Optional, Sequence
 
@@ -42,7 +41,6 @@ from repro.gpusim.trace import TracingExecutor
 from repro.ir.analysis.reuse import (KernelReuse, analyze_kernel_reuse,
                                      memoized_reuse)
 from repro.models.cache import compile_port
-from repro.obs import metrics
 from repro.obs import tracer as obs
 
 __all__ = ["KernelLocality", "LocalityRecord", "locality_port",
@@ -132,7 +130,6 @@ def locality_port(benchmark: str, model: str, variant: Optional[str] = None,
 
     kernels: list[KernelLocality] = []
     seen: set[str] = set()
-    t0 = time.perf_counter()
     with obs.span("analysis.locality", "analysis", kind="locality",
                   benchmark=benchmark, model=compiled.model):
         for step in bench.schedule_for(model, chosen, wl):
@@ -155,11 +152,6 @@ def locality_port(benchmark: str, model: str, variant: Optional[str] = None,
                                               kernel=kern.name,
                                               simulated=simulated,
                                               static=static))
-    metrics.inc("analysis_runs", labels={"kind": "locality"},
-                help="analysis passes executed", deterministic=True)
-    metrics.observe("analysis_seconds", time.perf_counter() - t0,
-                    labels={"kind": "locality"},
-                    help="wall-clock per analysis run")
     return LocalityRecord(benchmark=bench.name, model=compiled.model,
                           variant=chosen, scale=scale,
                           kernels=tuple(kernels))

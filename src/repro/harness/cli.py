@@ -23,12 +23,10 @@ Subcommands regenerate the paper's evaluation artifacts:
 * ``selfprof [BENCH MODEL]`` — the harness *self*-profile: wall-clock
   attribution per phase (compile/analyze/execute/simulate/merge) over
   the span tree, worker utilization, ``--flamegraph`` collapsed-stack
-  export, ``--metrics``/``--openmetrics`` registry export
-  (``--deterministic`` restricts to the jobs-invariant families);
-* ``loadgen`` — replay a seeded synthetic compile/run/exec request
-  stream against a cold then warm ArtifactStore, reporting throughput,
-  exact p50/p99 latency, and store hit rates (``--smoke`` gates CI on
-  a nonzero warm hit rate);
+  export, ``--metrics``/``--openmetrics`` export of the metric families
+  derived from the span tree (``--deterministic`` restricts to the
+  jobs-invariant families); ``--scale paper`` profiles the Figure-1
+  path (eval units only);
 * ``all`` — everything (the EXPERIMENTS.md payload); ``--json`` emits
   the machine-readable rollup, ``--journal`` checkpoints the sharded
   sweep for resume.
@@ -51,6 +49,7 @@ import argparse
 import functools
 import importlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Optional
@@ -618,53 +617,49 @@ def _cmd_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selfprof_pair_units(benchmark: str, model: str):
-    """The single-pair selfprof workload: every applicable unit kind.
-
-    (This mixes kinds over one pair, so it exercises every phase; the
-    jobs-invariant metrics guarantee applies to ``--all``, whose
-    stratified workload keeps the compile-once partition.)
-    """
-    from repro.harness.parallel import WorkUnit
-    from repro.harness.runner import FIGURE1_MODELS, TABLE2_MODELS
-    from repro.models import resolve_model
-
-    model = _resolve_port("selfprof", resolve_model, model)
-    _resolve_port("selfprof", get_benchmark, benchmark)
-    directive = model in TABLE2_MODELS
-    fig1 = model in FIGURE1_MODELS
-    flags = (("coverage",) if directive else ()) + \
-        (("speedups", "profile") if fig1 else ())
-    units = [WorkUnit(kind="eval", bench=benchmark, model=model,
-                      flags=flags, seq=0)]
-    kinds = ["tv", "locality"] + (["lint", "xfer"] if directive else []) \
-        + (["exec"] if fig1 else [])
-    for kind in kinds:
-        units.append(WorkUnit(kind=kind, bench=benchmark, model=model,
-                              seq=len(units)))
-    return units
+def _check_selfprof_args(args: argparse.Namespace) -> None:
+    """Reject bad selfprof input before the sweep runs."""
+    if args.deterministic and not args.metrics:
+        raise UsageError("selfprof: --deterministic requires --metrics")
+    if args.top < 0:
+        raise UsageError(f"selfprof: --top must be >= 0 (got {args.top})")
+    if args.min_coverage is not None \
+            and not 0.0 <= args.min_coverage <= 1.0:
+        raise UsageError(f"selfprof: --min-coverage must be within "
+                         f"[0, 1] (got {args.min_coverage})")
+    for flag in ("flamegraph", "metrics", "openmetrics"):
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(parent) \
+                or not os.access(parent, os.W_OK):
+            raise UsageError(f"selfprof: --{flag} path {path!r} is not "
+                             f"writable")
 
 
 def _cmd_selfprof(args: argparse.Namespace) -> int:
     from repro.harness.parallel import (SweepContext, run_sweep,
-                                        selfprof_units)
+                                        selfprof_pair_units, selfprof_units)
+    from repro.models import resolve_model
     from repro.obs.flamegraph import write_collapsed
     from repro.obs.merge import absorb_payloads
-    from repro.obs.metrics import (MetricsRegistry, collecting,
-                                   render_metrics_json)
+    from repro.obs.metrics import metrics_from_spans, render_metrics_json
     from repro.obs.selfprof import attribute_spans, render_attribution
     from repro.obs.tracer import Tracer, tracing
 
     jobs = args.jobs
     _require_port_args("selfprof", args)
+    _check_selfprof_args(args)
     if args.all_ports:
-        units = selfprof_units()
+        units = selfprof_units(scale=args.scale)
     else:
-        units = _selfprof_pair_units(args.benchmark, args.model)
+        model = _resolve_port("selfprof", resolve_model, args.model)
+        _resolve_port("selfprof", get_benchmark, args.benchmark)
+        units = selfprof_pair_units(args.benchmark, model, scale=args.scale)
 
-    registry = MetricsRegistry()
     tracer = Tracer()
-    with tracing(tracer), collecting(registry):
+    with tracing(tracer):
         with tracer.span("selfprof.suite", "harness", scale=args.scale,
                          jobs=jobs):
             sweep = run_sweep(units, jobs=jobs,
@@ -679,6 +674,7 @@ def _cmd_selfprof(args: argparse.Namespace) -> int:
         rows = write_collapsed(args.flamegraph, tracer.spans)
         print(f"wrote {rows} collapsed stacks to {args.flamegraph}",
               file=sys.stderr)
+    registry = metrics_from_spans(tracer.spans, stats)
     if args.metrics:
         doc = registry.to_dict(deterministic_only=args.deterministic)
         with open(args.metrics, "w", encoding="utf-8") as fh:
@@ -708,42 +704,6 @@ def _cmd_selfprof(args: argparse.Namespace) -> int:
               f"{attribution.coverage:.1%} is below the required "
               f"{args.min_coverage:.1%}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.harness.loadgen import (DEFAULT_MIX, MixError, parse_mix,
-                                       run_loadgen)
-    from repro.obs.metrics import MetricsRegistry, collecting
-
-    if args.requests < 1:
-        raise UsageError(f"loadgen: --requests must be >= 1 "
-                         f"(got {args.requests})")
-    mix = args.mix or DEFAULT_MIX
-    try:
-        parse_mix(mix)
-    except MixError as exc:
-        raise UsageError(f"loadgen: {exc}") from exc
-
-    registry = MetricsRegistry()
-    with collecting(registry):
-        report = run_loadgen(requests=args.requests, seed=args.seed,
-                             mix=mix, scale=args.scale)
-    if args.openmetrics:
-        with open(args.openmetrics, "w", encoding="utf-8") as fh:
-            fh.write(registry.to_openmetrics())
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    if args.smoke:
-        problems = report.smoke_failures()
-        if problems:
-            for problem in problems:
-                print(f"loadgen smoke: {problem}", file=sys.stderr)
-            return 1
-        print("loadgen smoke: ok (warm hit rate "
-              f"{report.warm.hit_rate:.1%})", file=sys.stderr)
     return 0
 
 
@@ -832,7 +792,9 @@ def main(argv: list[str] | None = None) -> int:
     p_sp.add_argument("--all", action="store_true", dest="all_ports",
                       help="profile the stratified full-suite workload")
     p_sp.add_argument("--scale", default="test",
-                      choices=("test", "paper"))
+                      choices=("test", "paper"),
+                      help="paper profiles the Figure-1 path (eval units "
+                           "only)")
     p_sp.add_argument("--json", action="store_true",
                       help="machine-readable attribution + sweep stats")
     p_sp.add_argument("--top", type=int, default=8, metavar="N",
@@ -841,7 +803,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="write collapsed stacks (flamegraph.pl / "
                            "speedscope folded format)")
     p_sp.add_argument("--metrics", default=None, metavar="PATH",
-                      help="write the metrics registry as canonical JSON")
+                      help="write the metrics derived from the span tree "
+                           "as canonical JSON")
     p_sp.add_argument("--deterministic", action="store_true",
                       help="restrict --metrics to deterministic families "
                            "(byte-identical for any --jobs)")
@@ -853,28 +816,6 @@ def main(argv: list[str] | None = None) -> int:
                            "FRAC (e.g. 0.95)")
     _add_jobs(p_sp)
     p_sp.set_defaults(func=_cmd_selfprof)
-
-    p_lg = sub.add_parser(
-        "loadgen", help="replay a seeded synthetic request stream cold "
-                        "vs warm; report p50/p99 latency + throughput")
-    p_lg.add_argument("--requests", type=int, default=40, metavar="N",
-                      help="requests per phase (default 40)")
-    p_lg.add_argument("--seed", type=int, default=0,
-                      help="stream seed (the stream is a pure function "
-                           "of it)")
-    p_lg.add_argument("--mix", default=None,
-                      help="request mix, e.g. compile=6,run=3,exec=1")
-    p_lg.add_argument("--scale", default="test",
-                      choices=("test", "paper"))
-    p_lg.add_argument("--json", action="store_true",
-                      help="machine-readable report")
-    p_lg.add_argument("--openmetrics", default=None, metavar="PATH",
-                      help="write OpenMetrics/Prometheus text exposition")
-    p_lg.add_argument("--smoke", action="store_true",
-                      help="CI gate: exit 1 unless the warm phase hit "
-                           "the artifact store")
-    _add_jobs(p_lg)
-    p_lg.set_defaults(func=_cmd_loadgen)
 
     p_pass = sub.add_parser(
         "passes", help="pass-pipeline report: per-pass state diffs and "

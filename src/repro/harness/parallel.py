@@ -54,8 +54,6 @@ from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.timing import TimingConfig
 from repro.models.cache import STORE, StoreView, merge_view_stats
 from repro.obs import tracer as obs
-from repro.obs.metrics import (MetricsRegistry, MetricsSnapshot, collecting,
-                               current_registry)
 from repro.obs.tracer import Tracer, tracing
 
 JOURNAL_SCHEMA = 1
@@ -121,9 +119,6 @@ class UnitEnvelope:
     result: Any
     spans: list[dict] = field(default_factory=list)
     store: StoreView = field(default_factory=StoreView)
-    #: metrics recorded while the unit ran (absorbed in unit order);
-    #: ``None`` for untraced units and pre-metrics journal entries
-    metrics: Optional[MetricsSnapshot] = None
 
 
 @dataclass
@@ -265,30 +260,17 @@ def execute_unit(unit: WorkUnit, ctx: SweepContext) -> UnitEnvelope:
                          f"known: {sorted(UNIT_RUNNERS)}")
     before = STORE.view()
     spans: list[dict] = []
-    metrics: Optional[MetricsSnapshot] = None
     if ctx.trace:
         tracer = Tracer()
-        registry = MetricsRegistry()
-        with tracing(tracer), collecting(registry):
-            with tracer.span(unit.label(), "harness.unit",
-                             bench=unit.bench, model=unit.model,
-                             kind=unit.kind):
-                t_unit = time.perf_counter()
-                result = runner(unit, ctx)
-                registry.inc("sweep_units", labels={"kind": unit.kind},
-                             help="work units executed by the sweep engine",
-                             deterministic=True)
-                registry.observe("sweep_unit_seconds",
-                                 time.perf_counter() - t_unit,
-                                 labels={"kind": unit.kind},
-                                 help="wall-clock per work unit")
+        with tracing(tracer), tracer.span(
+                unit.label(), "harness.unit", bench=unit.bench,
+                model=unit.model, kind=unit.kind):
+            result = runner(unit, ctx)
         spans = [sp.to_dict() for sp in tracer.spans]
-        metrics = registry.snapshot()
     else:
         result = runner(unit, ctx)
     delta = STORE.delta_view(before, include_artifacts=ctx.ship_artifacts)
-    return UnitEnvelope(unit=unit, result=result, spans=spans, store=delta,
-                        metrics=metrics)
+    return UnitEnvelope(unit=unit, result=result, spans=spans, store=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +528,7 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
             raise SweepError(
                 f"work unit {unit.label()} failed in a worker:\n{detail}")
 
-    # fold journal entries back in (worker id -1 marks "not run now");
-    # metrics snapshots absorb into the ambient registry in unit order,
-    # the same deterministic fold the store and spans get
-    registry = current_registry()
+    # fold journal entries back in (worker id -1 marks "not run now")
     with obs.span("sweep.merge", "harness.merge", units=len(ordered)):
         outcomes: list[UnitOutcome] = []
         views: list[StoreView] = []
@@ -568,23 +547,12 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
             views.append(env.store)
             if ctx.ship_artifacts:
                 STORE.absorb(env.store)
-            snap = getattr(env, "metrics", None)  # pre-metrics journals
-            if registry is not None and snap is not None:
-                registry.absorb(snap)
 
         stats.units_executed = len(envelopes)
         for idx, wid in workers_of.items():
             stats.per_worker[wid] = stats.per_worker.get(wid, 0) + 1
         stats.store = merge_view_stats(views)
     stats.elapsed_s = time.perf_counter() - t0
-    if registry is not None:
-        store = stats.store
-        registry.set_gauge("sweep_workers", stats.jobs,
-                           help="worker processes in the last sweep")
-        registry.inc("store_hits", store.get("hits", 0),
-                     help="artifact-store cache hits", deterministic=True)
-        registry.inc("store_misses", store.get("misses", 0),
-                     help="artifact-store cache misses", deterministic=True)
     return SweepResult(outcomes=outcomes, stats=stats)
 
 
@@ -668,8 +636,38 @@ def evaluation_units(benchmarks: Optional[Sequence[str]] = None,
     return units
 
 
+#: selfprof's unit kinds per scale.  Paper scale builds ``eval`` units
+#: only — the Figure-1 path, priced analytically; exec and locality
+#: units interpret and trace every kernel, which only test-scale inputs
+#: keep affordable.
+SELFPROF_KINDS: dict[str, tuple[str, ...]] = {
+    "test": ("eval", "lint", "tv", "xfer", "locality", "exec"),
+    "paper": ("eval",),
+}
+
+
+def _selfprof_unit(kind: str, bench: str, model: str,
+                   seq: int) -> Optional[WorkUnit]:
+    """``kind``'s unit for one pair, or ``None`` where it does not
+    apply: lint and xfer cover only the directive models, exec (and an
+    eval unit's speedups and profile) only the Figure-1 ones."""
+    from repro.harness.runner import FIGURE1_MODELS, TABLE2_MODELS
+
+    directive = model in TABLE2_MODELS
+    fig1 = model in FIGURE1_MODELS
+    if (kind in ("lint", "xfer") and not directive) \
+            or (kind == "exec" and not fig1):
+        return None
+    flags: tuple[str, ...] = ()
+    if kind == "eval":
+        flags = (("coverage",) if directive else ()) + \
+            (("speedups", "profile") if fig1 else ())
+    return WorkUnit(kind=kind, bench=bench, model=model, flags=flags,
+                    seq=seq)
+
+
 def selfprof_units(benchmarks: Optional[Sequence[str]] = None,
-                   ) -> list[WorkUnit]:
+                   scale: str = "test") -> list[WorkUnit]:
     """A stratified workload for harness self-profiling.
 
     Every (bench, model) pair appears in exactly **one** unit — the
@@ -677,10 +675,11 @@ def selfprof_units(benchmarks: Optional[Sequence[str]] = None,
     pair compiled by two units would hit the artifact cache under
     ``--jobs 1`` but recompile on a cold worker store under
     ``--jobs 4``, making pass-run counts scheduling-dependent).  Unit
-    kinds are round-robined across pairs so every harness phase shows
-    up in the trace: compile (all kinds), analyze (lint/tv/xfer/
-    locality), execute (exec units drive the interpreting executor),
-    simulate (eval profiles), merge and harness (the engine itself).
+    kinds (:data:`SELFPROF_KINDS` at ``scale``) are round-robined
+    across pairs so every harness phase shows up in the trace: compile
+    (all kinds), analyze (lint/tv/xfer/locality), execute (exec units
+    drive the interpreting executor), simulate (eval profiles), merge
+    and harness (the engine itself).
     """
     from repro.benchmarks.registry import BENCHMARK_ORDER
     from repro.harness.runner import FIGURE1_MODELS, TABLE2_MODELS
@@ -689,33 +688,32 @@ def selfprof_units(benchmarks: Optional[Sequence[str]] = None,
         else list(BENCHMARK_ORDER)
     model_order = list(TABLE2_MODELS) + [m for m in FIGURE1_MODELS
                                          if m not in TABLE2_MODELS]
-    kinds = ("eval", "lint", "tv", "xfer", "locality", "exec")
+    kinds = SELFPROF_KINDS[scale]
     units: list[WorkUnit] = []
-    rr = 0
-    for bench in benches:
-        for model in model_order:
-            directive = model in TABLE2_MODELS
-            fig1 = model in FIGURE1_MODELS
-            kind = "eval"
-            for probe in range(len(kinds)):
-                kind = kinds[(rr + probe) % len(kinds)]
-                if kind in ("lint", "xfer") and not directive:
-                    continue          # those suites only cover directives
-                if kind == "exec" and not fig1:
-                    continue          # exec needs a runnable Figure 1 port
+    pairs = [(bench, model) for bench in benches for model in model_order]
+    for rr, (bench, model) in enumerate(pairs):
+        for probe in range(len(kinds)):     # eval always applies
+            unit = _selfprof_unit(kinds[(rr + probe) % len(kinds)],
+                                  bench, model, len(units))
+            if unit is not None:
                 break
-            rr += 1
-            if kind == "eval":
-                flags: list[str] = []
-                if directive:
-                    flags.append("coverage")
-                if fig1:
-                    flags.extend(["speedups", "profile"])
-                units.append(WorkUnit(kind="eval", bench=bench, model=model,
-                                      flags=tuple(flags), seq=len(units)))
-            else:
-                units.append(WorkUnit(kind=kind, bench=bench, model=model,
-                                      seq=len(units)))
+        units.append(unit)
+    return units
+
+
+def selfprof_pair_units(bench: str, model: str,
+                        scale: str = "test") -> list[WorkUnit]:
+    """The single-pair selfprof workload: every applicable unit kind.
+
+    (This mixes kinds over one pair, so it exercises every phase; the
+    jobs-invariant metrics guarantee applies to :func:`selfprof_units`,
+    whose stratified workload keeps the compile-once partition.)
+    """
+    units: list[WorkUnit] = []
+    for kind in SELFPROF_KINDS[scale]:
+        unit = _selfprof_unit(kind, bench, model, len(units))
+        if unit is not None:
+            units.append(unit)
     return units
 
 

@@ -24,7 +24,6 @@ port.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -32,7 +31,6 @@ from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.ir.program import Program
 from repro.lint.findings import Finding, LintReport, Severity
 from repro.models.base import CompiledProgram
-from repro.obs import metrics
 from repro.obs import tracer as obs
 
 CheckFn = Callable[["LintContext"], Iterable[Finding]]
@@ -164,7 +162,6 @@ def run_lint(program: Program, compiled: Optional[CompiledProgram] = None,
     def keep(rule_id: str) -> bool:
         return wanted is None or rule_id.startswith(wanted)
 
-    t0 = time.perf_counter()
     with obs.span("analysis.lint", "analysis", kind="lint",
                   program=program.name, model=ctx.model):
         for chk in CHECKERS:
@@ -175,9 +172,4 @@ def run_lint(program: Program, compiled: Optional[CompiledProgram] = None,
             report.extend(f for f in chk.fn(ctx) if keep(f.rule))
         if compiled is not None:
             report.extend(f for f in _coverage_findings(ctx) if keep(f.rule))
-    metrics.inc("analysis_runs", labels={"kind": "lint"},
-                help="analysis passes executed", deterministic=True)
-    metrics.observe("analysis_seconds", time.perf_counter() - t0,
-                    labels={"kind": "lint"},
-                    help="wall-clock per analysis run")
     return report

@@ -1,19 +1,19 @@
 """repro.obs — the observability layer.
 
-Unified tracing spans (:mod:`repro.obs.tracer`), the labeled metrics
-registry with exact quantiles (:mod:`repro.obs.metrics`), simulated
-hardware counters derived from the timing model's own analyses
-(:mod:`repro.obs.counters`), per-kernel bottleneck attribution
+Unified tracing spans (:mod:`repro.obs.tracer`), labeled metrics with
+exact quantiles derived from the span tree (:mod:`repro.obs.metrics`),
+simulated hardware counters derived from the timing model's own
+analyses (:mod:`repro.obs.counters`), per-kernel bottleneck attribution
 (:mod:`repro.obs.bottleneck`), profiling runs and their reports
 (:mod:`repro.obs.profile`), harness self-profiling — wall-clock phase
 attribution and flamegraphs over the span tree
 (:mod:`repro.obs.selfprof`, :mod:`repro.obs.flamegraph`) — and the
 perf-regression baseline gate (:mod:`repro.obs.baseline`).
 
-Import order matters here: :mod:`repro.obs.tracer` and
-:mod:`repro.obs.metrics` are dependency-free and must come first,
-because :mod:`repro.gpusim.runtime` imports them while
-:mod:`repro.obs.counters` imports gpusim modules.
+Import order matters here: :mod:`repro.obs.tracer` is dependency-free
+and must come first, because :mod:`repro.gpusim.runtime` imports it
+while :mod:`repro.obs.counters` imports gpusim modules.
+:mod:`repro.obs.metrics` depends only on the tracer.
 """
 
 from repro.obs.tracer import (JSONL_SCHEMA, RunManifest, Span,
@@ -22,10 +22,8 @@ from repro.obs.tracer import (JSONL_SCHEMA, RunManifest, Span,
                               make_manifest, read_jsonl, set_attr, span,
                               tracing)
 from repro.obs.metrics import (METRICS_SCHEMA, Counter, Family, Gauge,
-                               Histogram, MetricsRegistry,
-                               MetricsSnapshot, collecting,
-                               current_registry, exact_quantile, inc,
-                               observe, render_metrics_json, set_gauge)
+                               Histogram, MetricsRegistry, exact_quantile,
+                               metrics_from_spans, render_metrics_json)
 from repro.obs.counters import (KernelCounters, TransferCounters,
                                 derive_counters, transfer_counters)
 from repro.obs.bottleneck import Bottleneck, classify_kernel, classify_run
@@ -34,9 +32,8 @@ __all__ = [
     "Tracer", "Span", "RunManifest", "TraceDocument", "JSONL_SCHEMA",
     "tracing", "current_tracer", "span", "set_attr", "add_counter",
     "add_counters", "config_hash", "make_manifest", "read_jsonl",
-    "MetricsRegistry", "MetricsSnapshot", "Counter", "Gauge", "Histogram",
-    "Family", "METRICS_SCHEMA", "collecting", "current_registry",
-    "exact_quantile", "inc", "observe", "set_gauge",
+    "MetricsRegistry", "Counter", "Gauge", "Histogram", "Family",
+    "METRICS_SCHEMA", "exact_quantile", "metrics_from_spans",
     "render_metrics_json",
     "KernelCounters", "TransferCounters", "derive_counters",
     "transfer_counters",

@@ -1,52 +1,43 @@
-"""First-class metrics registry: labeled counters, gauges, histograms.
+"""Metrics derived from the span tree: labeled counters, gauges, histograms.
 
 Where :mod:`repro.obs.tracer` answers "what happened, in what order,
-inside this run", this module answers "how much, how often, how slow —
-across runs and workers".  Instrumented code records into an *ambient*
-registry (a :mod:`contextvars` variable, mirroring the tracer) through
-the module-level :func:`inc` / :func:`observe` / :func:`set_gauge`
-helpers, which are no-ops unless a registry is installed with
-:func:`collecting`.
+inside this run", this module answers "how much, how often, how slow".
+Instrumented code records nothing here: every metric family is a view
+of one span category (:data:`SPAN_FAMILIES`), built once from a
+finished trace by :func:`metrics_from_spans`.  The sweep's
+:class:`~repro.harness.parallel.SweepStats` is the one non-span input
+(worker count and artifact-store hits/misses).
 
 Three metric kinds:
 
-* **counter** — monotonically increasing total (``inc``); merged by
-  summation;
-* **gauge** — last-known level (``set_gauge``); merged by maximum (the
-  only associative, commutative, order-free choice that still means
-  something for "peak workers busy"-style series);
-* **histogram** — every observation is kept, so ``p50/p90/p99/max``
-  are **exact** (nearest-rank over the sorted sample, no bucket
-  boundary error); merged by concatenation.  The sample sets here are
-  bounded (one entry per pass run / kernel launch / request), so exact
-  beats approximate sketches at no meaningful cost.
+* **counter** — a total: one per matching span;
+* **gauge** — a level: the sweep's worker count;
+* **histogram** — every observation (a span's duration) is kept, so
+  ``p50/p90/p99/max`` are **exact** (nearest-rank over the sorted
+  sample, no bucket boundary error).  The sample sets here are bounded
+  (one entry per pass run / kernel launch / unit), so exact beats
+  approximate sketches at no meaningful cost.
 
-Families are declared ``deterministic=True`` when their merged values
-are a pure function of the work graph — counts of pass runs, units,
+Families are declared ``deterministic=True`` when their values are a
+pure function of the work graph — counts of pass runs, units,
 interpreted launches — and therefore must be **byte-identical for any
-``--jobs`` value** (the parallel engine partitions the work, and sums
-are permutation-invariant).  Wall-clock families (every ``*_seconds``
-histogram) are declared non-deterministic and excluded from the
-deterministic export that CI diffs across worker counts.
-
-Cross-process merge follows the PR 5 absorb idiom: workers snapshot
-(:meth:`MetricsRegistry.snapshot` → picklable), the parent absorbs in
-unit order (:meth:`MetricsRegistry.absorb`).  Export as canonical JSON
-(:meth:`to_dict` + :func:`render_metrics_json`) or OpenMetrics /
-Prometheus text exposition (:meth:`to_openmetrics`).
+``--jobs`` value** (the parallel engine partitions the work, and every
+unit's spans reach the merged trace).  Wall-clock families (every
+``*_seconds`` histogram) and the worker gauge are non-deterministic
+and excluded from the deterministic export that CI diffs across worker
+counts.  Export as canonical JSON (:meth:`MetricsRegistry.to_dict` +
+:func:`render_metrics_json`) or OpenMetrics / Prometheus text
+exposition (:meth:`MetricsRegistry.to_openmetrics`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-_REGISTRY: contextvars.ContextVar[Optional["MetricsRegistry"]] = \
-    contextvars.ContextVar("repro_obs_metrics", default=None)
+from repro.obs.tracer import Span
 
 METRICS_SCHEMA = 1
 
@@ -55,7 +46,6 @@ QUANTILES: tuple[tuple[str, float], ...] = (
     ("p50", 0.50), ("p90", 0.90), ("p99", 0.99),
 )
 
-Number = Union[int, float]
 LabelsTuple = tuple[tuple[str, str], ...]
 
 
@@ -86,29 +76,16 @@ def exact_quantile(sorted_values: Sequence[float], q: float) -> float:
 
 @dataclass
 class Counter:
-    """A summable total."""
+    """A total."""
 
     value: float = 0.0
-
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
 
 
 @dataclass
 class Gauge:
-    """A last-known level (merged across workers by max)."""
+    """A level."""
 
     value: float = 0.0
-    _set: bool = False
-
-    def set(self, value: Number) -> None:
-        self.value = float(value)
-        self._set = True
-
-    def merge(self, value: Number) -> None:
-        self.value = max(self.value, float(value)) if self._set \
-            else float(value)
-        self._set = True
 
 
 @dataclass
@@ -116,9 +93,6 @@ class Histogram:
     """Every observation, kept — quantiles are exact, not sketched."""
 
     values: list[float] = field(default_factory=list)
-
-    def observe(self, value: Number) -> None:
-        self.values.append(float(value))
 
     @property
     def count(self) -> int:
@@ -141,7 +115,6 @@ class Histogram:
 
 Series = Union[Counter, Gauge, Histogram]
 
-_KIND_OF = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
 _CLASS_OF = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
@@ -152,81 +125,31 @@ class Family:
     name: str
     kind: str
     help: str = ""
-    #: merged values are a pure function of the work graph — included
-    #: in the byte-identity export CI diffs across ``--jobs`` values
+    #: values are a pure function of the work graph — included in the
+    #: byte-identity export CI diffs across ``--jobs`` values
     deterministic: bool = False
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """A picklable registry snapshot (the cross-process absorb unit)."""
-
-    families: tuple[tuple[str, str, str, bool], ...] = ()
-    #: (name, labels, payload) — payload is a float for counters and
-    #: gauges, a tuple of observations for histograms
-    series: tuple[tuple[str, LabelsTuple, Any], ...] = ()
-
-
 class MetricsRegistry:
-    """Holds every (family, label set) series of one collection scope."""
+    """Holds every (family, label set) series of one export."""
 
     def __init__(self) -> None:
         self._families: dict[str, Family] = {}
         self._series: dict[tuple[str, LabelsTuple], Series] = {}
 
-    # -- declaration -----------------------------------------------------
-    def declare(self, name: str, kind: str, help: str = "",
-                deterministic: bool = False) -> Family:
-        fam = self._families.get(name)
-        if fam is not None:
-            if fam.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already declared as {fam.kind}, "
-                    f"not {kind}")
-            return fam
-        if kind not in _CLASS_OF:
-            raise ValueError(f"unknown metric kind {kind!r}")
-        fam = Family(name=name, kind=kind, help=help,
-                     deterministic=deterministic)
-        self._families[name] = fam
-        return fam
-
-    def _series_for(self, name: str, kind: str,
-                    labels: Optional[Mapping[str, Any]],
-                    help: str, deterministic: bool) -> Series:
-        fam = self.declare(name, kind, help=help,
-                           deterministic=deterministic)
-        key = (name, _labels_key(labels))
+    def series(self, family: Family,
+               labels: Optional[Mapping[str, Any]] = None) -> Series:
+        """``family``'s series under ``labels``, created empty (and the
+        family declared) on first use."""
+        known = self._families.setdefault(family.name, family)
+        if known.kind != family.kind:
+            raise ValueError(f"metric {family.name!r} already declared as "
+                             f"{known.kind}, not {family.kind}")
+        key = (family.name, _labels_key(labels))
         series = self._series.get(key)
         if series is None:
-            series = _CLASS_OF[fam.kind]()
-            self._series[key] = series
+            series = self._series[key] = _CLASS_OF[family.kind]()
         return series
-
-    # -- recording -------------------------------------------------------
-    def inc(self, name: str, amount: Number = 1,
-            labels: Optional[Mapping[str, Any]] = None, help: str = "",
-            deterministic: bool = False) -> None:
-        series = self._series_for(name, "counter", labels, help,
-                                  deterministic)
-        assert isinstance(series, Counter)
-        series.inc(amount)
-
-    def observe(self, name: str, value: Number,
-                labels: Optional[Mapping[str, Any]] = None,
-                help: str = "", deterministic: bool = False) -> None:
-        series = self._series_for(name, "histogram", labels, help,
-                                  deterministic)
-        assert isinstance(series, Histogram)
-        series.observe(value)
-
-    def set_gauge(self, name: str, value: Number,
-                  labels: Optional[Mapping[str, Any]] = None,
-                  help: str = "", deterministic: bool = False) -> None:
-        series = self._series_for(name, "gauge", labels, help,
-                                  deterministic)
-        assert isinstance(series, Gauge)
-        series.set(value)
 
     # -- queries ---------------------------------------------------------
     def get(self, name: str,
@@ -240,42 +163,6 @@ class MetricsRegistry:
         return sorted(((labels, s) for (n, labels), s
                        in self._series.items() if n == name),
                       key=lambda item: item[0])
-
-    # -- cross-process merge (the absorb idiom) --------------------------
-    def snapshot(self) -> MetricsSnapshot:
-        families = tuple(
-            (f.name, f.kind, f.help, f.deterministic)
-            for f in self.families())
-        series: list[tuple[str, LabelsTuple, Any]] = []
-        for (name, labels) in sorted(self._series):
-            s = self._series[(name, labels)]
-            if isinstance(s, Histogram):
-                payload: Any = tuple(s.values)
-            else:
-                payload = s.value
-            series.append((name, labels, payload))
-        return MetricsSnapshot(families=families, series=tuple(series))
-
-    def absorb(self, snapshot: MetricsSnapshot) -> None:
-        """Merge a worker snapshot: counters sum, gauges max, histogram
-        samples concatenate.  Deterministic families stay jobs-invariant
-        because the work-unit graph partitions the work and these merges
-        are associative and commutative."""
-        for name, kind, help, deterministic in snapshot.families:
-            self.declare(name, kind, help=help, deterministic=deterministic)
-        for name, labels, payload in snapshot.series:
-            fam = self._families[name]
-            key = (name, labels)
-            series = self._series.get(key)
-            if series is None:
-                series = _CLASS_OF[fam.kind]()
-                self._series[key] = series
-            if isinstance(series, Counter):
-                series.inc(payload)
-            elif isinstance(series, Gauge):
-                series.merge(payload)
-            else:
-                series.values.extend(payload)
 
     # -- exports ---------------------------------------------------------
     def to_dict(self, deterministic_only: bool = False) -> dict:
@@ -371,48 +258,90 @@ def render_metrics_json(doc: Mapping[str, Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Ambient-registry helpers (the only API instrumented code touches)
+# The family table: what each span category yields
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def collecting(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` as the ambient registry for the block."""
-    token = _REGISTRY.set(registry)
-    try:
-        yield registry
-    finally:
-        _REGISTRY.reset(token)
+@dataclass(frozen=True)
+class SpanFamilies:
+    """One span category's two families: a run counter (one per span)
+    and a wall-clock histogram (the span's duration), both labeled by
+    ``labels(span)``."""
+
+    category: str
+    labels: Callable[[Span], Mapping[str, Any]]
+    runs: Family
+    seconds: Family
 
 
-def current_registry() -> Optional[MetricsRegistry]:
-    return _REGISTRY.get()
+def _attr(key: str) -> Callable[[Span], Mapping[str, Any]]:
+    return lambda span: {key: span.attrs[key]}
 
 
-def inc(name: str, amount: Number = 1,
-        labels: Optional[Mapping[str, Any]] = None, help: str = "",
-        deterministic: bool = False) -> None:
-    """Increment a counter on the ambient registry (no-op untracked)."""
-    registry = _REGISTRY.get()
-    if registry is not None:
-        registry.inc(name, amount, labels=labels, help=help,
-                     deterministic=deterministic)
+def _pass_labels(span: Span) -> Mapping[str, Any]:
+    return {"model": span.attrs["model"], "stage": span.attrs["stage"],
+            "pass": span.name.removeprefix("pass.")}
 
 
-def observe(name: str, value: Number,
-            labels: Optional[Mapping[str, Any]] = None, help: str = "",
-            deterministic: bool = False) -> None:
-    """Record a histogram observation on the ambient registry."""
-    registry = _REGISTRY.get()
-    if registry is not None:
-        registry.observe(name, value, labels=labels, help=help,
-                         deterministic=deterministic)
+SPAN_FAMILIES: tuple[SpanFamilies, ...] = (
+    SpanFamilies(
+        "pipeline", _pass_labels,
+        Family("pipeline_pass_runs", "counter",
+               "pipeline pass executions", deterministic=True),
+        Family("pipeline_pass_seconds", "histogram",
+               "wall-clock per pipeline pass run")),
+    SpanFamilies(
+        "analysis", _attr("kind"),
+        Family("analysis_runs", "counter", "analysis passes executed",
+               deterministic=True),
+        Family("analysis_seconds", "histogram",
+               "wall-clock per analysis run")),
+    SpanFamilies(
+        "executor", _attr("kernel"),
+        Family("executor_interpret_launches", "counter",
+               "kernels run through the interpreting executor",
+               deterministic=True),
+        Family("executor_interpret_seconds", "histogram",
+               "interpreter wall-clock per kernel launch")),
+    SpanFamilies(
+        "harness.unit", _attr("kind"),
+        Family("sweep_units", "counter",
+               "work units executed by the sweep engine",
+               deterministic=True),
+        Family("sweep_unit_seconds", "histogram",
+               "wall-clock per work unit")),
+)
+
+#: the families read off the sweep's stats rather than its spans
+SWEEP_WORKERS = Family("sweep_workers", "gauge",
+                       "worker processes in the last sweep")
+STORE_HITS = Family("store_hits", "counter", "artifact-store cache hits",
+                    deterministic=True)
+STORE_MISSES = Family("store_misses", "counter",
+                      "artifact-store cache misses", deterministic=True)
+
+_BY_CATEGORY = {row.category: row for row in SPAN_FAMILIES}
 
 
-def set_gauge(name: str, value: Number,
-              labels: Optional[Mapping[str, Any]] = None, help: str = "",
-              deterministic: bool = False) -> None:
-    """Set a gauge on the ambient registry."""
-    registry = _REGISTRY.get()
-    if registry is not None:
-        registry.set_gauge(name, value, labels=labels, help=help,
-                          deterministic=deterministic)
+def metrics_from_spans(spans: Iterable[Span],
+                       stats: Any = None) -> MetricsRegistry:
+    """Every metric family of one finished trace.
+
+    Spans of categories outside :data:`SPAN_FAMILIES` are ignored.
+    ``stats`` (a :class:`~repro.harness.parallel.SweepStats`, duck-typed
+    so this module stays dependency-free) adds the worker gauge and the
+    artifact-store counters.
+    """
+    registry = MetricsRegistry()
+    for span in spans:
+        row = _BY_CATEGORY.get(span.category)
+        if row is None:
+            continue
+        labels = row.labels(span)
+        registry.series(row.runs, labels).value += 1
+        registry.series(row.seconds, labels).values.append(
+            span.dur_s or 0.0)
+    if stats is not None:
+        registry.series(SWEEP_WORKERS).value = float(stats.jobs)
+        registry.series(STORE_HITS).value = stats.store.get("hits", 0)
+        registry.series(STORE_MISSES).value = stats.store.get("misses", 0)
+    return registry

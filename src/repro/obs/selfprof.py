@@ -34,7 +34,6 @@ from repro.obs.tracer import Span
 #: phases considered "named" by the coverage gate
 NAMED_PHASES: tuple[str, ...] = (
     "compile", "analyze", "execute", "simulate", "merge", "harness",
-    "loadgen",
 )
 
 SELFPROF_SCHEMA = 1
@@ -61,8 +60,6 @@ def classify_span(span: Span) -> tuple[str, str]:
         return "simulate", cat
     if cat == "harness.merge":
         return "merge", name
-    if cat == "loadgen":
-        return "loadgen", str(span.attrs.get("kind", name))
     if cat in ("harness", "harness.bench", "harness.unit"):
         return "harness", cat
     return "other", f"{cat or 'uncategorized'}:{name}"

@@ -16,7 +16,6 @@ Table II coverage diagnostics carry a pass attribution.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
@@ -25,17 +24,7 @@ from repro.gpusim.kernel import Kernel
 from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, For
 from repro.ir.transforms.tiling import TilingDecision
-from repro.obs import metrics
 from repro.obs import tracer as obs
-
-
-def _record_pass(model: str, stage: str, name: str, elapsed: float) -> None:
-    """Per-pass metrics: run counts (deterministic) + wall-clock."""
-    labels = {"model": model, "stage": stage, "pass": name}
-    metrics.inc("pipeline_pass_runs", labels=labels,
-                help="pipeline pass executions", deterministic=True)
-    metrics.observe("pipeline_pass_seconds", elapsed, labels=labels,
-                    help="wall-clock per pipeline pass run")
 
 if TYPE_CHECKING:  # avoid the import cycle with repro.models.base
     from repro.ir.analysis.features import RegionFeatures
@@ -246,23 +235,18 @@ class PassManager:
             ir_before = ctx.ir_key()
             dec_before = ctx.decisions_key()
             notes_before = len(ctx.applied)
-            t_pass = time.perf_counter()
             try:
                 with obs.span(f"pass.{p.name}", category="pipeline",
                               model=self.model, stage=p.stage,
                               region=region.name):
                     p.run(ctx)
             except UnsupportedFeatureError as exc:
-                _record_pass(self.model, p.stage, p.name,
-                             time.perf_counter() - t_pass)
                 rec.rejected = True
                 records.append(rec)
                 return RegionCompilation(
                     translated=False, records=records,
                     reads=ctx.reads, writes=ctx.writes,
                     error=exc, failed_pass=p.name, failed_stage=p.stage)
-            _record_pass(self.model, p.stage, p.name,
-                         time.perf_counter() - t_pass)
             rec.changed = (ctx.ir_key() != ir_before
                            or ctx.decisions_key() != dec_before)
             rec.notes = tuple(ctx.applied[notes_before:])
@@ -276,9 +260,6 @@ class PassManager:
 
     def run_program(self, compiled: "CompiledProgram") -> None:
         for p in self.program_passes:
-            t_pass = time.perf_counter()
             with obs.span(f"pass.{p.name}", category="pipeline",
                           model=self.model, stage=p.stage):
                 p.run(compiled)
-            _record_pass(self.model, p.stage, p.name,
-                         time.perf_counter() - t_pass)

@@ -8,11 +8,9 @@ reusing the memoized compilations from :mod:`repro.lint.suite`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.obs import metrics
 from repro.obs import tracer as obs
 from repro.tv.certify import Certificate, CertStatus, validate_compiled
 
@@ -55,15 +53,9 @@ def validate_port(benchmark: str, model: str,
 
     port, compiled, chosen = compile_port(benchmark, model, variant,
                                           elide=elide)
-    t0 = time.perf_counter()
     with obs.span("analysis.tv", "analysis", kind="tv",
                   benchmark=benchmark, model=compiled.model):
         certs = validate_compiled(port.program, compiled)
-    metrics.inc("analysis_runs", labels={"kind": "tv"},
-                help="analysis passes executed", deterministic=True)
-    metrics.observe("analysis_seconds", time.perf_counter() - t0,
-                    labels={"kind": "tv"},
-                    help="wall-clock per analysis run")
     return TvRecord(benchmark=get_benchmark(benchmark).name,
                     model=compiled.model, variant=chosen,
                     certificates=certs)

@@ -204,3 +204,36 @@ class TestAnalysisTable:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+def _selfprof_cases():
+    missing = os.path.join("{tmp}", "missing", "out")
+    for flag in ("--metrics", "--openmetrics", "--flamegraph"):
+        yield pytest.param([flag, missing], flag, id=f"unwritable{flag}")
+    yield pytest.param(["--flamegraph", "{tmp}"], "--flamegraph",
+                       id="directory-as-path")
+    yield pytest.param(["--deterministic"], "--deterministic",
+                       id="deterministic-without-metrics")
+    yield pytest.param(["--top", "-3"], "--top", id="negative-top")
+    yield pytest.param(["--min-coverage", "1.01"], "--min-coverage",
+                       id="min-coverage-above-1")
+    yield pytest.param(["--min-coverage", "-0.5"], "--min-coverage",
+                       id="min-coverage-below-0")
+
+
+class TestSelfprofInput:
+    @pytest.mark.parametrize("extra,needle", _selfprof_cases())
+    def test_bad_input_exits_2_before_the_sweep(self, extra, needle,
+                                                tmp_path, monkeypatch,
+                                                capsys):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("selfprof ran its sweep on bad input")
+
+        monkeypatch.setattr("repro.harness.parallel.run_sweep", no_sweep)
+        argv = ["selfprof", "JACOBI", "OpenACC",
+                *(arg.format(tmp=tmp_path) for arg in extra)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -1,22 +1,39 @@
-"""Metrics registry: exact quantiles, merge laws, exports.
+"""Metrics derived from spans: exact quantiles, the family table, exports.
 
-The property section pins the two contracts the deterministic export
+The property sections pin the two contracts the deterministic export
 rests on: nearest-rank quantiles match the sorted-list reference
-definition, and snapshot/absorb merging is associative, commutative,
-and partition-invariant — which is exactly why ``--jobs N`` cannot
-change a deterministic family's value.
+definition, and deriving metrics is partition-invariant — deriving each
+shard of a span list and summing equals deriving the whole list, which
+is exactly why ``--jobs N`` (which shards the units, hence their spans)
+cannot change a deterministic family's value.
 """
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               collecting, current_registry, exact_quantile,
-                               inc, observe, render_metrics_json, set_gauge)
+from repro.errors import UnsupportedFeatureError
+from repro.obs.metrics import (SPAN_FAMILIES, STORE_HITS, STORE_MISSES,
+                               SWEEP_WORKERS, Counter, Family, Histogram,
+                               MetricsRegistry, exact_quantile,
+                               metrics_from_spans, render_metrics_json)
+from repro.obs.tracer import Span, Tracer
+
+_ATTRS = {"pipeline": ("model", "stage"), "analysis": ("kind",),
+          "executor": ("kernel",), "harness.unit": ("kind",)}
+
+
+def _span(category, name="s", dur=1.0, sid=0, **attrs):
+    return Span(span_id=sid, parent_id=None, name=name, category=category,
+                t0_s=0.0, dur_s=dur, attrs=dict(attrs))
+
+
+def _stats(jobs=1, hits=0, misses=0):
+    return SimpleNamespace(jobs=jobs, store={"hits": hits, "misses": misses})
 
 
 class TestExactQuantile:
@@ -48,28 +65,12 @@ class TestExactQuantile:
 
 class TestSeries:
     def test_counter_sums(self):
-        c = Counter()
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-
-    def test_gauge_set_then_merge_max(self):
-        g = Gauge()
-        g.set(3)
-        g.merge(1)
-        assert g.value == 3.0
-        g.merge(9)
-        assert g.value == 9.0
-
-    def test_gauge_merge_into_unset_takes_value(self):
-        g = Gauge()
-        g.merge(-5)
-        assert g.value == -5.0   # not max(0.0, -5)
+        spans = [_span("analysis", kind="lint") for _ in range(3)]
+        reg = metrics_from_spans(spans)
+        assert reg.get("analysis_runs", {"kind": "lint"}).value == 3
 
     def test_histogram_quantiles(self):
-        h = Histogram()
-        for v in (5.0, 1.0, 3.0, 2.0, 4.0):
-            h.observe(v)
+        h = Histogram(values=[5.0, 1.0, 3.0, 2.0, 4.0])
         q = h.quantiles()
         assert q["p50"] == 3.0
         assert q["min"] == 1.0 and q["max"] == 5.0
@@ -79,169 +80,166 @@ class TestSeries:
 class TestRegistry:
     def test_labels_are_canonicalized(self):
         reg = MetricsRegistry()
-        reg.inc("runs", labels={"b": "x", "a": "y"})
-        reg.inc("runs", labels={"a": "y", "b": "x"})
+        fam = Family("runs", "counter")
+        reg.series(fam, {"b": "x", "a": "y"}).value += 1
+        reg.series(fam, {"a": "y", "b": "x"}).value += 1
         series = reg.series_of("runs")
         assert len(series) == 1
         assert series[0][1].value == 2
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.inc("thing")
+        reg.series(Family("thing", "counter"))
         with pytest.raises(ValueError):
-            reg.observe("thing", 1.0)
+            reg.series(Family("thing", "histogram"))
 
     def test_deterministic_only_export_filters(self):
-        reg = MetricsRegistry()
-        reg.inc("det", deterministic=True)
-        reg.observe("wall_seconds", 0.5)
+        reg = metrics_from_spans([_span("executor", kernel="k")])
         full = reg.to_dict()
         det = reg.to_dict(deterministic_only=True)
-        assert set(full["metrics"]) == {"det", "wall_seconds"}
-        assert set(det["metrics"]) == {"det"}
+        assert set(full["metrics"]) == {"executor_interpret_launches",
+                                        "executor_interpret_seconds"}
+        assert set(det["metrics"]) == {"executor_interpret_launches"}
 
     def test_integral_counters_export_as_int(self):
-        reg = MetricsRegistry()
-        reg.inc("n", 2)
-        row = reg.to_dict()["metrics"]["n"]["series"][0]
+        reg = metrics_from_spans([], _stats(hits=2))
+        row = reg.to_dict()["metrics"]["store_hits"]["series"][0]
         assert row["value"] == 2 and isinstance(row["value"], int)
 
     def test_render_is_canonical(self):
-        reg = MetricsRegistry()
-        reg.inc("n", labels={"k": "v"})
+        reg = metrics_from_spans([_span("analysis", kind="tv")])
         a = render_metrics_json(reg.to_dict())
         b = render_metrics_json(json.loads(a))
         assert a == b
 
 
-class TestAmbientHelpers:
-    def test_noop_without_registry(self):
-        assert current_registry() is None
-        inc("orphan")
-        observe("orphan_seconds", 1.0)
-        set_gauge("orphan_level", 2.0)   # must not raise
+class TestDerivation:
+    """Each family of the table, from hand-built spans."""
 
-    def test_collecting_installs_and_restores(self):
-        reg = MetricsRegistry()
-        with collecting(reg):
-            assert current_registry() is reg
-            inc("runs", labels={"kind": "x"})
-            observe("lat", 0.25)
-            set_gauge("level", 3)
-        assert current_registry() is None
-        assert reg.get("runs", {"kind": "x"}).value == 1
-        assert reg.get("lat").values == [0.25]
-        assert reg.get("level").value == 3.0
+    def test_pass_span_labels(self):
+        reg = metrics_from_spans([
+            _span("pipeline", "pass.codegen", 0.5, model="OpenACC",
+                  stage="codegen", region="r0"),
+            _span("pipeline", "pass.codegen", 1.5, model="OpenACC",
+                  stage="codegen", region="r1")])
+        labels = {"model": "OpenACC", "stage": "codegen", "pass": "codegen"}
+        assert reg.get("pipeline_pass_runs", labels).value == 2
+        assert reg.get("pipeline_pass_seconds", labels).values == [0.5, 1.5]
+
+    def test_rejecting_pass_still_counts(self):
+        tracer = Tracer()
+        with pytest.raises(UnsupportedFeatureError):
+            with tracer.span("pass.legality", "pipeline", model="HMPP",
+                             stage="legality"):
+                raise UnsupportedFeatureError("rejected")
+        reg = metrics_from_spans(tracer.spans)
+        labels = {"model": "HMPP", "stage": "legality", "pass": "legality"}
+        assert reg.get("pipeline_pass_runs", labels).value == 1
+        assert reg.get("pipeline_pass_seconds", labels).count == 1
+
+    @pytest.mark.parametrize("category,attr,runs,seconds", [
+        ("analysis", "kind", "analysis_runs", "analysis_seconds"),
+        ("executor", "kernel", "executor_interpret_launches",
+         "executor_interpret_seconds"),
+        ("harness.unit", "kind", "sweep_units", "sweep_unit_seconds"),
+    ])
+    def test_attr_labeled_families(self, category, attr, runs, seconds):
+        reg = metrics_from_spans([_span(category, dur=0.25, **{attr: "a"}),
+                                  _span(category, dur=0.75, **{attr: "b"}),
+                                  _span(category, dur=0.5, **{attr: "a"})])
+        assert reg.get(runs, {attr: "a"}).value == 2
+        assert reg.get(runs, {attr: "b"}).value == 1
+        assert reg.get(seconds, {attr: "a"}).values == [0.25, 0.5]
+
+    def test_stats_families(self):
+        reg = metrics_from_spans([], _stats(jobs=4, hits=26, misses=75))
+        assert reg.get("sweep_workers").value == 4.0
+        assert reg.get("store_hits").value == 26
+        assert reg.get("store_misses").value == 75
+
+    def test_unknown_categories_are_ignored(self):
+        spans = [_span("gpu.launch", kernel="k"), _span("harness"),
+                 _span("compile", model="OpenACC"), _span("")]
+        assert metrics_from_spans(spans).to_dict()["metrics"] == {}
+
+    def test_no_gauge_is_deterministic(self):
+        families = [SWEEP_WORKERS, STORE_HITS, STORE_MISSES] + [
+            fam for row in SPAN_FAMILIES for fam in (row.runs, row.seconds)]
+        assert any(fam.kind == "gauge" for fam in families)
+        for fam in families:
+            assert not (fam.kind == "gauge" and fam.deterministic), fam.name
+
+    def test_only_runs_counters_are_deterministic(self):
+        for row in SPAN_FAMILIES:
+            assert row.runs.kind == "counter" and row.runs.deterministic
+            assert row.seconds.kind == "histogram"
+            assert not row.seconds.deterministic
 
 
-def _registry_from(events):
-    """Build a registry from (kind, name, value) event tuples.
-
-    Names are namespaced by kind — re-declaring a family under a
-    different kind is a hard error (TestRegistry pins that), not a
-    merge-law concern.
-    """
-    reg = MetricsRegistry()
-    for kind, base, value in events:
-        name = f"{kind}_{base}"
-        if kind == "c":
-            reg.inc(name, value, deterministic=True)
-        elif kind == "g":
-            reg.set_gauge(name, value)
-        else:
-            reg.observe(name, value)
-    return reg
-
-
-_EVENTS = st.lists(
-    st.tuples(st.sampled_from(["c", "g", "h"]),
+_SPANS = st.lists(
+    st.tuples(st.sampled_from(sorted(_ATTRS) + ["gpu.launch"]),
               st.sampled_from(["alpha", "beta"]),
-              st.integers(min_value=0, max_value=100).map(float)),
+              st.integers(min_value=0, max_value=100),
+              st.integers(min_value=0, max_value=4)),
     max_size=40)
 
 
-def _canonical(reg: MetricsRegistry) -> str:
-    doc = reg.to_dict()
-    # histogram sample *order* differs across merge orders; values are
-    # a multiset, so canonicalize through sorted quantile summaries —
-    # exactly what the JSON export exposes
-    return render_metrics_json(doc)
+def _spans_from(events):
+    """(category, label value, duration ms, shard) → (spans, shards)."""
+    spans = []
+    for sid, (category, value, ms, _) in enumerate(events):
+        attrs = {key: value for key in _ATTRS.get(category, ("kernel",))}
+        spans.append(_span(category, f"pass.{value}", ms / 1000, sid,
+                           **attrs))
+    return spans, [shard for *_, shard in events]
+
+
+def _summed(registries):
+    """Counters add, histogram samples pool (as a sorted multiset)."""
+    out = {}
+    for reg in registries:
+        for fam in reg.families():
+            for labels, series in reg.series_of(fam.name):
+                key = (fam, labels)
+                if isinstance(series, Counter):
+                    out[key] = out.get(key, 0) + series.value
+                else:
+                    out[key] = sorted(out.get(key, []) + series.values)
+    return out
 
 
 class TestMergeLaws:
-    @given(_EVENTS, _EVENTS)
+    @given(_SPANS)
     @settings(max_examples=100, deadline=None)
-    def test_absorb_is_commutative_on_exports(self, ev_a, ev_b):
-        ab = MetricsRegistry()
-        ab.absorb(_registry_from(ev_a).snapshot())
-        ab.absorb(_registry_from(ev_b).snapshot())
-        ba = MetricsRegistry()
-        ba.absorb(_registry_from(ev_b).snapshot())
-        ba.absorb(_registry_from(ev_a).snapshot())
-        assert _canonical(ab) == _canonical(ba)
-
-    @given(_EVENTS, _EVENTS, _EVENTS)
-    @settings(max_examples=100, deadline=None)
-    def test_absorb_is_associative(self, ev_a, ev_b, ev_c):
-        left = MetricsRegistry()
-        left.absorb(_registry_from(ev_a).snapshot())
-        left.absorb(_registry_from(ev_b).snapshot())
-        left.absorb(_registry_from(ev_c).snapshot())
-        mid = MetricsRegistry()
-        mid.absorb(_registry_from(ev_a).snapshot())
-        mid.absorb(_registry_from(ev_b).snapshot())
-        right = MetricsRegistry()
-        right.absorb(mid.snapshot())
-        right.absorb(_registry_from(ev_c).snapshot())
-        assert _canonical(left) == _canonical(right)
-
-    @given(st.lists(st.tuples(st.sampled_from(["c", "h"]),
-                              st.sampled_from(["alpha", "beta"]),
-                              st.integers(0, 100).map(float)),
-                    max_size=40),
-           st.integers(min_value=1, max_value=5))
-    @settings(max_examples=100, deadline=None)
-    def test_partition_invariance(self, events, jobs):
-        """Splitting the event stream across N 'workers' and absorbing
-        the shards in order reproduces the serial registry — the
-        jobs-invariance the CI byte-identity gate checks.  Gauges are
-        excluded: last-write (serial) vs max (merge) only agree for
-        monotone series, which is why no gauge family is ever declared
-        deterministic."""
-        serial = _registry_from(events)
-        shards = [events[i::jobs] for i in range(jobs)]
-        merged = MetricsRegistry()
-        for shard in shards:
-            merged.absorb(_registry_from(shard).snapshot())
-        a = serial.to_dict()
-        b = merged.to_dict()
-        # counters + gauges byte-identical; histograms equal as multisets
-        for doc in (a, b):
-            for fam in doc["metrics"].values():
-                for row in fam["series"]:
-                    row.pop("sum", None)   # float addition order differs
-        assert render_metrics_json(a) == render_metrics_json(b)
+    def test_partition_invariance(self, events):
+        """Deriving each shard of a span list and summing equals deriving
+        the whole list — the jobs-invariance the CI byte-identity gate
+        checks, since the sweep engine shards units (and so their
+        spans) across workers.  The stats families come from the merged
+        sweep, never from a shard."""
+        spans, shard_of = _spans_from(events)
+        shards = [[sp for sp, s in zip(spans, shard_of) if s == i]
+                  for i in range(5)]
+        whole = metrics_from_spans(spans)
+        assert _summed([whole]) == _summed(
+            metrics_from_spans(shard) for shard in shards)
 
 
 class TestOpenMetrics:
     def test_exposition_format(self):
-        reg = MetricsRegistry()
-        reg.inc("runs", 3, labels={"kind": "eval"}, help="work units")
-        reg.set_gauge("workers", 4)
-        for v in (0.1, 0.2, 0.3):
-            reg.observe("lat_seconds", v)
-        text = reg.to_openmetrics()
-        assert '# TYPE runs counter' in text
-        assert 'runs_total{kind="eval"} 3' in text
-        assert '# TYPE workers gauge' in text
-        assert "workers 4" in text
-        assert '# TYPE lat_seconds summary' in text
-        assert 'lat_seconds{quantile="0.5"} 0.2' in text
-        assert "lat_seconds_count 3" in text
+        spans = [_span("harness.unit", dur=v, kind="eval")
+                 for v in (0.1, 0.2, 0.3)]
+        text = metrics_from_spans(spans, _stats(jobs=4)).to_openmetrics()
+        assert '# TYPE sweep_units counter' in text
+        assert 'sweep_units_total{kind="eval"} 3' in text
+        assert '# TYPE sweep_workers gauge' in text
+        assert "sweep_workers 4" in text
+        assert '# TYPE sweep_unit_seconds summary' in text
+        assert 'sweep_unit_seconds{kind="eval",quantile="0.5"} 0.2' in text
+        assert 'sweep_unit_seconds_count{kind="eval"} 3' in text
         assert text.endswith("# EOF\n")
 
     def test_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.inc("n", labels={"k": 'a"b\\c'})
+        reg = metrics_from_spans([_span("executor", kernel='a"b\\c')])
         text = reg.to_openmetrics()
-        assert 'k="a\\"b\\\\c"' in text
+        assert 'kernel="a\\"b\\\\c"' in text
