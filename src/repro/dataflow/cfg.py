@@ -104,6 +104,9 @@ class XferNode:
     trips: int
     events: tuple[Event, ...]
 
+    def __hash__(self) -> int:  # O(1): never rehash the ``events`` tuple
+        return hash((self.uid, self.kind))
+
     def __repr__(self) -> str:  # compact — nodes appear in solver errors
         return f"<{self.kind} {self.uid} x{self.trips}>"
 

@@ -552,6 +552,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     from repro.obs.tracer import Tracer, tracing
 
     jobs = args.jobs
+    _check_writable("all", "journal", args.journal)
     sweep = None
     tracer = Tracer()
     t_wall = time.perf_counter()
@@ -628,14 +629,18 @@ def _check_selfprof_args(args: argparse.Namespace) -> None:
         raise UsageError(f"selfprof: --min-coverage must be within "
                          f"[0, 1] (got {args.min_coverage})")
     for flag in ("flamegraph", "metrics", "openmetrics"):
-        path = getattr(args, flag)
-        if path is None:
-            continue
-        parent = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path) or not os.path.isdir(parent) \
-                or not os.access(parent, os.W_OK):
-            raise UsageError(f"selfprof: --{flag} path {path!r} is not "
-                             f"writable")
+        _check_writable("selfprof", flag, getattr(args, flag))
+
+
+def _check_writable(cmd: str, flag: str, path: str | None) -> None:
+    """Reject an output path that cannot be written, before any work."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(parent) \
+            or not os.access(path if os.path.exists(path) else parent,
+                             os.W_OK):
+        raise UsageError(f"{cmd}: --{flag} path {path!r} is not writable")
 
 
 def _cmd_selfprof(args: argparse.Namespace) -> int:

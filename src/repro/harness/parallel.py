@@ -21,9 +21,10 @@ exactly what the serial sweep produces:
   (benchmark × model build order), *never* completion order, so any
   ``jobs`` value yields structurally identical results and
   byte-identical JSON rollups;
-* **obs merge** — every unit runs under its own tracer; span payloads
-  are merged in unit order (:mod:`repro.obs.merge`), keeping counter
-  totals independent of the worker count;
+* **obs merge** — if the caller has a tracer installed, every unit runs
+  under its own tracer; span payloads are merged in unit order
+  (:mod:`repro.obs.merge`), keeping counter totals independent of the
+  worker count;
 * **checkpoint/resume** — each completed unit is journaled (JSONL, one
   pickled envelope per line); re-running an interrupted sweep with the
   same journal executes only the missing shards.
@@ -105,10 +106,6 @@ class SweepContext:
     scale: str = "paper"
     device: DeviceSpec = TESLA_M2090
     timing: Optional[TimingConfig] = None
-    #: ship compiled artifacts back so the parent store is warm
-    ship_artifacts: bool = True
-    #: run each unit under its own tracer and ship the spans back
-    trace: bool = True
 
 
 @dataclass
@@ -252,25 +249,23 @@ def _run_exec_unit(unit: WorkUnit, ctx: SweepContext) -> dict:
             "speedup": round(outcome.speedup.speedup, 4)}
 
 
-def execute_unit(unit: WorkUnit, ctx: SweepContext) -> UnitEnvelope:
-    """Run one unit with store accounting and (optional) span capture."""
+def execute_unit(unit: WorkUnit, ctx: SweepContext,
+                 trace: bool) -> UnitEnvelope:
+    """Run one unit with store accounting; with ``trace``, under its own
+    tracer, shipping its spans back."""
     runner = UNIT_RUNNERS.get(unit.kind)
     if runner is None:
         raise SweepError(f"unknown work-unit kind {unit.kind!r}; "
                          f"known: {sorted(UNIT_RUNNERS)}")
     before = STORE.view()
-    spans: list[dict] = []
-    if ctx.trace:
-        tracer = Tracer()
-        with tracing(tracer), tracer.span(
-                unit.label(), "harness.unit", bench=unit.bench,
-                model=unit.model, kind=unit.kind):
-            result = runner(unit, ctx)
-        spans = [sp.to_dict() for sp in tracer.spans]
-    else:
+    tracer = Tracer() if trace else None
+    with tracing(tracer), obs.span(unit.label(), "harness.unit",
+                                   bench=unit.bench, model=unit.model,
+                                   kind=unit.kind):
         result = runner(unit, ctx)
-    delta = STORE.delta_view(before, include_artifacts=ctx.ship_artifacts)
-    return UnitEnvelope(unit=unit, result=result, spans=spans, store=delta)
+    return UnitEnvelope(unit=unit, result=result,
+                        spans=[sp.to_dict() for sp in tracer.spans]
+                        if trace else [], store=STORE.delta_view(before))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +404,7 @@ class SweepResult:
 
 
 def _worker_main(worker_id: int, units: Sequence[WorkUnit],
-                 ctx: SweepContext, task_q, result_q) -> None:
+                 ctx: SweepContext, trace: bool, task_q, result_q) -> None:
     """Worker loop: steal unit indices until the sentinel arrives.
 
     Every result carries the worker's queue-wait and busy time for that
@@ -424,7 +419,7 @@ def _worker_main(worker_id: int, units: Sequence[WorkUnit],
             break
         try:
             t_busy = time.perf_counter()
-            envelope = execute_unit(units[idx], ctx)
+            envelope = execute_unit(units[idx], ctx, trace)
             busy_s = time.perf_counter() - t_busy
             result_q.put((worker_id, idx, "ok", envelope, busy_s, wait_s))
         except BaseException:
@@ -448,12 +443,17 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
     ``jobs <= 1`` (or a single pending unit) runs in-process through the
     exact same unit runners; ``jobs > 1`` shards across a process pool.
     With ``journal``, completed units from a previous run are reused and
-    fresh completions are appended as they arrive.
+    fresh completions are appended as they arrive.  Units capture spans
+    (:meth:`SweepResult.span_payloads`) only if a tracer is installed
+    here; a journaled unit without spans then re-runs.
     """
     t0 = time.perf_counter()
     ctx = context or SweepContext()
+    trace = obs.current_tracer() is not None
     ordered = sorted(units, key=unit_sort_key)
-    journaled = load_journal(journal, ordered)
+    journaled = {key: env for key, env in load_journal(journal,
+                                                       ordered).items()
+                 if env.spans or not trace}
     pending = [i for i, u in enumerate(ordered)
                if u.key() not in journaled]
     stats = SweepStats(jobs=max(1, jobs), units_total=len(ordered),
@@ -465,7 +465,7 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
         stats.jobs = 1
         for idx in pending:
             t_busy = time.perf_counter()
-            envelope = execute_unit(ordered[idx], ctx)
+            envelope = execute_unit(ordered[idx], ctx, trace)
             stats.per_worker_busy[0] = stats.per_worker_busy.get(0, 0.0) \
                 + (time.perf_counter() - t_busy)
             append_journal(journal, envelope)
@@ -482,7 +482,8 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
         for _ in range(n):
             task_q.put(None)
         procs = [mp.Process(target=_worker_main,
-                            args=(wid, ordered, ctx, task_q, result_q),
+                            args=(wid, ordered, ctx, trace, task_q,
+                                  result_q),
                             daemon=True)
                  for wid in range(n)]
         for p in procs:
@@ -533,20 +534,14 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
         outcomes: list[UnitOutcome] = []
         views: list[StoreView] = []
         for idx, unit in enumerate(ordered):
-            if idx in envelopes:
-                env = envelopes[idx]
-                outcome = UnitOutcome(unit=unit, result=env.result,
-                                      spans=env.spans, store=env.store,
-                                      worker=workers_of.get(idx, 0))
-            else:
-                env = journaled[unit.key()]
-                outcome = UnitOutcome(unit=unit, result=env.result,
-                                      spans=env.spans, store=env.store,
-                                      worker=-1, from_journal=True)
-            outcomes.append(outcome)
+            fresh = idx in envelopes
+            env = envelopes[idx] if fresh else journaled[unit.key()]
+            outcomes.append(UnitOutcome(
+                unit=unit, result=env.result, spans=env.spans,
+                store=env.store, worker=workers_of[idx] if fresh else -1,
+                from_journal=not fresh))
             views.append(env.store)
-            if ctx.ship_artifacts:
-                STORE.absorb(env.store)
+            STORE.absorb(env.store)
 
         stats.units_executed = len(envelopes)
         for idx, wid in workers_of.items():
@@ -593,7 +588,7 @@ def sweep_ports(kind: str, work: Sequence[tuple[str, ...]], jobs: int = 1,
     worker count.
     """
     units = pair_units(kind, work)
-    ctx = SweepContext(trace=False, **context)
+    ctx = SweepContext(**context)
     if jobs <= 1:
         return [UNIT_RUNNERS[kind](unit, ctx) for unit in units]
     return run_sweep(units, jobs=jobs, context=ctx).results()
@@ -768,15 +763,13 @@ def run_parallel_evaluation(scale: str = "paper", jobs: int = 2,
     ambient tracer is installed, the merged per-unit spans are replayed
     into it in unit order, so counter totals match a traced serial run.
     """
-    from repro.obs.tracer import current_tracer
-
     units = evaluation_units(coverage=True, speedups=True,
                              profiles=profiles)
     sweep = run_sweep(units, jobs=jobs, journal=journal,
                       context=SweepContext(scale=scale, device=device,
                                            timing=timing))
     results, run_profiles = merge_evaluation(sweep.outcomes)
-    tracer = current_tracer()
+    tracer = obs.current_tracer()
     if tracer is not None:
         for payload in sweep.span_payloads():
             tracer.absorb_spans(payload)

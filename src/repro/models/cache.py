@@ -100,7 +100,8 @@ class StoreView:
     fast: tuple[tuple[tuple[str, str, str], ArtifactKey], ...] = ()
     hits: int = 0
     misses: int = 0
-    #: present only when exported with ``include_artifacts=True``
+    #: always in a delta view; in a full view only with
+    #: ``include_artifacts=True``
     artifacts: tuple[Artifact, ...] = ()
 
     def stats(self) -> dict[str, int]:
@@ -210,10 +211,9 @@ class ArtifactStore:
                 artifacts=tuple(self._artifacts[k] for k in keys)
                 if include_artifacts else ())
 
-    def delta_view(self, since: StoreView,
-                   include_artifacts: bool = False) -> StoreView:
-        """What happened after ``since``: new keys (and optionally their
-        artifacts) plus the hit/miss increments."""
+    def delta_view(self, since: StoreView) -> StoreView:
+        """What happened after ``since``: new keys and their artifacts
+        plus the hit/miss increments."""
         with self._lock:
             before = set(since.keys)
             before_fast = set(since.fast)
@@ -224,8 +224,7 @@ class ArtifactStore:
                            if item not in before_fast),
                 hits=self.hits - since.hits,
                 misses=self.misses - since.misses,
-                artifacts=tuple(self._artifacts[k] for k in keys)
-                if include_artifacts else ())
+                artifacts=tuple(self._artifacts[k] for k in keys))
 
     def absorb(self, view: StoreView) -> int:
         """Install a view's shipped artifacts (idempotent; returns the

@@ -160,9 +160,9 @@ def profile_suite(models: Optional[Sequence[str]] = None,
                                  figure1_models=model_list,
                                  coverage=False, speedups=False,
                                  profiles=True)
-        sweep = run_sweep(units, jobs=jobs,
-                          context=SweepContext(scale=scale, device=device,
-                                               timing=timing))
+        with tracing(Tracer()):     # so every unit ships its spans
+            sweep = run_sweep(units, jobs=jobs, context=SweepContext(
+                scale=scale, device=device, timing=timing))
         _, profiles = merge_evaluation(sweep.outcomes)
         tracer = merge_span_payloads(sweep.span_payloads(),
                                      manifest=manifest,

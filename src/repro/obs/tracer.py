@@ -327,8 +327,8 @@ def read_jsonl(path: str) -> TraceDocument:
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def tracing(tracer: Tracer) -> Iterator[Tracer]:
-    """Install ``tracer`` as the ambient tracer for the enclosed block."""
+def tracing(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
+    """Install ``tracer`` (``None``: none) for the enclosed block."""
     token = _TRACER.set(tracer)
     try:
         yield tracer

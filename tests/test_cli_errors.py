@@ -237,3 +237,22 @@ class TestSelfprofInput:
         assert needle in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestAllInput:
+    @pytest.mark.parametrize("journal", [
+        pytest.param(os.path.join("{tmp}", "missing", "j.jsonl"),
+                     id="missing-directory"),
+        pytest.param("{tmp}", id="directory-as-path")])
+    def test_unwritable_journal_exits_2_before_the_sweep(
+            self, journal, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            pytest.fail("all ran its sweep on an unwritable journal")
+
+        monkeypatch.setattr("repro.harness.parallel.run_sweep", no_sweep)
+        path = journal.format(tmp=tmp_path)
+        assert cli_main(["all", "--jobs", "2", "--journal", path]) == 2
+        captured = capsys.readouterr()
+        assert "--journal" in captured.err and path in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -7,6 +7,8 @@ Four layers, tested bottom-up: the generic worklist solver
 pass wired through compilation, execution, lint, and tv.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,16 @@ class TestXferCfgBuilder:
         xcfg = build_xfer_cfg(jacobi_openacc)
         touched = {e.array for n in xcfg.nodes for e in n.events}
         assert touched <= xcfg.universe
+
+    def test_node_hash_agrees_with_equality(self, jacobi_openacc):
+        nodes = build_xfer_cfg(jacobi_openacc).nodes
+        again = build_xfer_cfg(jacobi_openacc).nodes
+        assert [hash(n) for n in nodes] == [hash(n) for n in again]
+        assert list(nodes) == list(again)
+        assert len({hash(n) for n in nodes}) == len(nodes)
+        # equality still compares every field: same uid, other events
+        node = next(n for n in nodes if n.events)
+        assert replace(node, events=()) != node
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.models.cache import clear_compile_cache
 from repro.obs.baseline import DEFAULT_BASELINE_PATH, check_baseline
 from repro.obs.merge import counter_totals
 from repro.obs.profile import profile_suite
+from repro.obs.tracer import Tracer, tracing
 
 #: cheap benchmarks for the engine-mechanics tests
 SUBSET = ["JACOBI", "HOTSPOT", "EP"]
@@ -94,13 +95,46 @@ class TestObsMergeIdentity:
         assert counter_totals(t4.spans) == totals
 
     def test_parallel_eval_replays_into_ambient_tracer(self):
-        from repro.obs.tracer import Tracer, tracing
-
         tracer = Tracer()
         with tracing(tracer):
             run_parallel_evaluation(scale="test", jobs=2)
         labels = {s.name for s in tracer.spans}
         assert any(label.startswith("eval:") for label in labels)
+
+
+class TestSpanCapture:
+    """Units record spans only when the caller has a tracer installed."""
+
+    @staticmethod
+    def _sweep(jobs):
+        clear_compile_cache()
+        return run_sweep(evaluation_units(benchmarks=SUBSET), jobs=jobs,
+                         context=SweepContext(scale="test"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_spans_ship_only_under_a_tracer(self, jobs):
+        untraced = self._sweep(jobs)
+        with tracing(Tracer()):
+            traced = self._sweep(jobs)
+        assert all(o.spans == [] for o in untraced.outcomes)
+        assert all(o.spans and o.spans[0]["cat"] == "harness.unit"
+                   for o in traced.outcomes)
+        assert _results_doc(merge_evaluation(untraced.outcomes)[0]) == \
+            _results_doc(merge_evaluation(traced.outcomes)[0])
+
+    def test_spanless_journal_entries_rerun_under_a_tracer(self, tmp_path):
+        journal = str(tmp_path / "sweep.jsonl")
+        run_sweep(_lint_units()[:2], jobs=1, journal=journal)
+        clear_compile_cache()
+        with tracing(Tracer()):
+            sweep = run_sweep(_lint_units(), jobs=2, journal=journal)
+        assert sweep.stats.units_from_journal == 0
+        assert all(o.spans for o in sweep.outcomes)
+        # ... and a traced journal resumes under a tracer as before
+        with tracing(Tracer()):
+            again = run_sweep(_lint_units(), jobs=2, journal=journal)
+        assert again.stats.units_executed == 0
+        assert all(o.spans for o in again.outcomes)
 
 
 class TestBaselineGateUnderJobs:

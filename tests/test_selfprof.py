@@ -153,7 +153,7 @@ class TestFlamegraph:
 def _run_units(units, jobs):
     clear_compile_cache()
     tracer = Tracer()
-    ctx = SweepContext(scale="test", trace=True)
+    ctx = SweepContext(scale="test")
     with tracing(tracer):
         sweep = run_sweep(units, jobs=jobs, context=ctx)
     absorb_payloads(tracer, sweep.span_payloads())
