@@ -260,11 +260,7 @@ class Benchmark(abc.ABC):
             # the analytical model needs sizes, not values
             arrays = self.layout(model, variant, wl.stand_ins())
         ex.bind_arrays(arrays)
-        schedule = self.schedule_for(model, variant, wl)
-        for step in schedule:
-            bindings = dict(wl.scalars)
-            bindings.update(step.scalars)
-            ex.run_region(step.region, bindings, times=step.times)
+        ex.run_schedule(self.schedule_for(model, variant, wl), wl.scalars)
         ex.close_data_regions()
 
         validated: Optional[bool] = None

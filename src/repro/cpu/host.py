@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 from repro.ir.analysis.access import (AccessPattern, AccessSummary,
                                       summarize_accesses)
 from repro.ir.analysis.metrics import BodyTerms, body_work
-from repro.ir.program import ParallelRegion, numpy_dtype
+from repro.ir.program import numpy_dtype
 from repro.ir.stmt import Stmt
 
 
@@ -101,20 +101,3 @@ def price_body_serial(body: Stmt, iterations: float,
     return price_serial(serial_stage(body, array_extents), iterations,
                         bindings, dtype, spec)
 
-
-def price_region_serial(region: ParallelRegion,
-                        array_extents: Mapping[str, Sequence[Optional[int]]],
-                        bindings: Mapping[str, float],
-                        dtype: str = "double",
-                        spec: HostSpec = KEENELAND_HOST) -> float:
-    """Serial time of one region across all its invocations.
-
-    Classification uses no thread variables, so access patterns reflect a
-    single sequential walker (most references come out 'uniform'/'
-    coalesced' relative to nothing); we therefore re-classify with the
-    region's own loop structure treated as the iteration space — the
-    weighting already multiplies trip counts, which is what matters for
-    byte volume.
-    """
-    return price_body_serial(region.body, float(region.invocations),
-                             array_extents, bindings, dtype, spec)

@@ -48,6 +48,53 @@ def _grid_vars(region: ParallelRegion) -> list[str]:
     return nest
 
 
+#: the kernels :func:`run_region_host` runs, per (region, array names,
+#: scalar names): built once, so their content hashes (the launch-memo
+#: key) are computed once too; None marks a work-sharing loop whose
+#: grid nest cannot be identified
+_HOST_KERNELS: dict[tuple, list[Optional[Kernel]]] = {}
+
+
+def _host_kernels(region: ParallelRegion, arrays: tuple[str, ...],
+                  scalars: tuple[str, ...]) -> list[Optional[Kernel]]:
+    key = (region, arrays, scalars)
+    kernels = _HOST_KERNELS.get(key)
+    if kernels is not None:
+        return kernels
+    body = region.body
+    # Split sibling work-sharing loops into successive "kernels".
+    if not isinstance(body, Block):
+        body = Block([body])
+    kernels = []
+    pending: list[Stmt] = []
+
+    def flush_serial() -> None:
+        if pending:
+            # serial (master) statements between work-sharing loops:
+            # run them as a 1-thread grid
+            wrapper = For("__serial", 0, 1, Block(list(pending)),
+                          parallel=True)
+            kernels.append(Kernel(f"{region.name}__serial", wrapper,
+                                  ["__serial"], arrays=arrays,
+                                  scalars=scalars))
+            pending.clear()
+
+    for stmt in body.stmts:
+        if isinstance(stmt, For) and stmt.parallel:
+            flush_serial()
+            sub_region = ParallelRegion(f"{region.name}__ws", stmt,
+                                        private=region.private)
+            nest = _grid_vars(sub_region)
+            kernels.append(Kernel(f"{region.name}__{stmt.var}", stmt, nest,
+                                  arrays=arrays, scalars=scalars)
+                           if nest else None)
+        else:
+            pending.append(stmt)
+    flush_serial()
+    _HOST_KERNELS[key] = kernels
+    return kernels
+
+
 def run_region_host(region: ParallelRegion,
                     arrays: MutableMapping[str, np.ndarray],
                     scalars: Mapping[str, Value],
@@ -57,38 +104,12 @@ def run_region_host(region: ParallelRegion,
 
     ``memo`` is handed to every launch (see :func:`execute_kernel`).
     """
-    body = region.body
-    # Split sibling work-sharing loops into successive "kernels".
-    if not isinstance(body, Block):
-        body = Block([body])
-    pending: list[Stmt] = []
-
-    def flush_serial(stmts: list[Stmt]) -> None:
-        if not stmts:
-            return
-        # serial (master) statements between work-sharing loops: run them
-        # as a 1-thread grid
-        wrapper = For("__serial", 0, 1, Block(stmts), parallel=True)
-        kern = Kernel(f"{region.name}__serial", wrapper, ["__serial"],
-                      arrays=sorted(arrays), scalars=sorted(scalars))
+    for kern in _host_kernels(region, tuple(sorted(arrays)),
+                              tuple(sorted(scalars))):
+        if kern is None:
+            raise IRError(
+                f"region {region.name!r}: cannot identify grid nest")
         execute_kernel(kern, arrays, dict(scalars), functions, memo)
-
-    for stmt in body.stmts:
-        if isinstance(stmt, For) and stmt.parallel:
-            flush_serial(pending)
-            pending = []
-            sub_region = ParallelRegion(f"{region.name}__ws", stmt,
-                                        private=region.private)
-            nest = _grid_vars(sub_region)
-            if not nest:
-                raise IRError(
-                    f"region {region.name!r}: cannot identify grid nest")
-            kern = Kernel(f"{region.name}__{stmt.var}", stmt, nest,
-                          arrays=sorted(arrays), scalars=sorted(scalars))
-            execute_kernel(kern, arrays, dict(scalars), functions, memo)
-        else:
-            pending.append(stmt)
-    flush_serial(pending)
 
 
 def run_program_host(program: Program,

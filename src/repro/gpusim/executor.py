@@ -320,7 +320,13 @@ class KernelExecutor:
                 f"kernel {self.kernel.name!r}: {ref.name!r} has {arr.ndim} "
                 f"dims, subscripted with {len(ref.indices)}")
         idx = self._indices(ref, arr.shape)
+        self._global_access(ref, arr, idx, False)
         return arr[idx]
+
+    def _global_access(self, ref: ArrayRef, arr: np.ndarray, idx: tuple,
+                       is_store: bool) -> None:
+        """Called once per access of a global array, with the index
+        tuple :meth:`_indices` evaluated for it (a tracer records it)."""
 
     def _store(self, ref: ArrayRef, value: Value, op: Optional[str]) -> None:
         mask = self.mask
@@ -352,6 +358,7 @@ class KernelExecutor:
                 f"kernel {self.kernel.name!r}: {ref.name!r} has {arr.ndim} "
                 f"dims, subscripted with {len(ref.indices)}")
         idx = self._indices(ref, arr.shape)
+        self._global_access(ref, arr, idx, True)
         vector_idx = any(_is_vector(i) for i in idx)
         if op is not None and not _is_vector(value) and not vector_idx:
             # reduction of a lane-invariant value onto one shared slot:

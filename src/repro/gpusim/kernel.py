@@ -20,7 +20,8 @@ from repro.errors import IRError, LaunchError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import MemorySpace
 from repro.ir.analysis.access import (AccessPattern, AccessSummary,
-                                      _const_value, summarize_accesses)
+                                      _const_value, summarize_accesses,
+                                      trip_column)
 from repro.ir.analysis.metrics import BodyTerms, body_work
 from repro.ir.program import Function, numpy_dtype
 from repro.ir.serialize import stmt_to_dict
@@ -249,19 +250,16 @@ class Kernel:
                 json.dumps(doc, sort_keys=True).encode()).hexdigest()
         return key
 
-    def describe(self, bindings: Mapping[str, float],
-                 array_extents: Mapping[str, Sequence[Optional[int]]],
-                 ) -> KernelDescriptor:
-        """The static descriptor the timing model prices, memoized.
+    def stage(self, array_extents: Mapping[str, Sequence[Optional[int]]],
+              ) -> BodyTerms:
+        """The symbolic stage of a launch over ``array_extents``."""
+        return self._staged_entry(array_extents)[0]
 
-        Two stages.  The symbolic one (:func:`_symbolic_stage`) runs once per
-        (content key, array extents) and is shared by every kernel of
-        that content.  The numeric one evaluates the sequential loops'
-        trip counts under ``bindings``; it reads them only through loop
-        bounds, so its descriptor is memoized on the kernel by the
-        bindings of the loop-bound scalars (as floats) and the extents.
-        A launch whose key was seen before gets the same descriptor.
-        """
+    def _staged_entry(self, array_extents: Mapping[str, Sequence[Optional[int]]],
+                      ) -> tuple[BodyTerms, dict]:
+        """``(symbolic stage, descriptors by loop-bound key)`` of
+        ``array_extents``: the stage runs once per (content key, array
+        extents) and is shared by every kernel of that content."""
         extents = tuple(sorted((name, tuple(ext))
                                for name, ext in array_extents.items()))
         staged = self.__dict__.setdefault("_staged", {})
@@ -273,12 +271,54 @@ class Kernel:
                 stage = _STAGES[shared] = _symbolic_stage(self,
                                                           array_extents)
             entry = staged[extents] = (stage, {})
-        stage, descriptors = entry
+        return entry
+
+    def describe(self, bindings: Mapping[str, float],
+                 array_extents: Mapping[str, Sequence[Optional[int]]],
+                 ) -> KernelDescriptor:
+        """The static descriptor the timing model prices, memoized.
+
+        Two stages.  The symbolic one (:meth:`stage`) runs once per
+        (content key, array extents).  The numeric one evaluates the
+        sequential loops' trip counts under ``bindings``; it reads them
+        only through loop bounds, so its descriptor is memoized on the
+        kernel by the bindings of the loop-bound scalars (as floats) and
+        the extents.  A launch whose key was seen before gets the same
+        descriptor.
+        """
+        stage, descriptors = self._staged_entry(array_extents)
         key = stage.bound_key(bindings)
         desc = descriptors.get(key)
         if desc is None:
             desc = descriptors[key] = self._descriptor(stage, bindings)
         return desc
+
+    def describe_columns(self, stage: BodyTerms,
+                         columns: Mapping[str, np.ndarray],
+                         ) -> Optional[tuple]:
+        """The numeric stage of many launches at once.
+
+        ``columns`` holds each of ``stage``'s bound names, one value
+        per launch.  Returns ``(total_threads, flops_per_thread,
+        divergence, counts)``: the descriptor fields that vary between
+        launches, each element computed by the same IEEE operations as
+        :meth:`_descriptor`, with one count per reference of
+        ``stage.access``.  None unless every loop count is exact under
+        the columns; those launches keep the scalar stage.
+        """
+        trips = stage.access.nest.trip_columns(columns)
+        if trips is None:
+            return None
+        total = 1
+        for loop in self.grid_loops():
+            extent = trip_column(loop, columns)
+            if extent is None:
+                return None
+            total = total * extent.astype(np.int64)
+        work = stage.work.evaluate(trips, [True] * len(trips))
+        access = stage.access.evaluate(trips)
+        return (np.maximum(1, total), work.flops, work.divergence,
+                [count for _, count in access.refs])
 
     def _describe(self, bindings: Mapping[str, float],
                   array_extents: Mapping[str, Sequence[Optional[int]]],

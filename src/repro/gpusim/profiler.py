@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 from repro.gpusim.timing import KernelTiming
 
@@ -39,8 +39,14 @@ class LaunchRecord:
     kernel: str
     timing: KernelTiming
     start_s: float
-    #: simulated hardware counters (attached by the runtime)
-    counters: Optional["KernelCounters"] = None
+    #: where the simulated hardware counters come from (anything with a
+    #: ``counters`` attribute, attached by the runtime): they are
+    #: derived only when :attr:`counters` is read
+    source: Any = field(default=None, repr=False, compare=False)
+
+    @property
+    def counters(self) -> Optional["KernelCounters"]:
+        return None if self.source is None else self.source.counters
 
     @property
     def time_s(self) -> float:
@@ -65,19 +71,50 @@ class Profiler:
                  device_name: Optional[str] = None) -> None:
         self.device = device
         self.device_name = device_name or f"GPU {device}"
-        self.launches: list[LaunchRecord] = []
         self.transfers: list[TransferRecord] = []
+        # launches are kept as columns, in launch order: the kernel
+        # name, the simulated time, the start, and the record's source
+        # of timing and counters (anything with ``timing`` and
+        # ``counters`` attributes, read only when the records are)
+        self._kernels: list[str] = []
+        self._times: list[float] = []
+        self._starts: list[float] = []
+        self._sources: list = []
+        self._records: list[LaunchRecord] = []
 
     def record_launch(self, record: LaunchRecord) -> None:
-        self.launches.append(record)
+        self.add_launches([record.kernel], [record.time_s], [record.start_s],
+                          [record])
+
+    def add_launches(self, kernels: Sequence[str], times: Sequence[float],
+                     starts: Sequence[float], sources: Sequence) -> None:
+        """Append launches, one per element of the four columns, in
+        launch order; each ``sources[i].timing`` takes ``times[i]``."""
+        self._kernels.extend(kernels)
+        self._times.extend(times)
+        self._starts.extend(starts)
+        self._sources.extend(sources)
 
     def record_transfer(self, record: TransferRecord) -> None:
         self.transfers.append(record)
 
+    @property
+    def launches(self) -> list[LaunchRecord]:
+        """The launch records, each built from the columns when first
+        read."""
+        records = self._records
+        for i in range(len(records), len(self._kernels)):
+            source = self._sources[i]
+            records.append(
+                source if type(source) is LaunchRecord
+                else LaunchRecord(self._kernels[i], source.timing,
+                                  self._starts[i], source))
+        return records
+
     # -- aggregation ----------------------------------------------------
     @property
     def kernel_time_s(self) -> float:
-        return sum(r.time_s for r in self.launches)
+        return sum(self._times)
 
     @property
     def transfer_time_s(self) -> float:
@@ -100,13 +137,14 @@ class Profiler:
 
     def per_kernel_time(self) -> dict[str, float]:
         times: dict[str, float] = {}
-        for r in self.launches:
-            times[r.kernel] = times.get(r.kernel, 0.0) + r.time_s
+        for kernel, time_s in zip(self._kernels, self._times):
+            times[kernel] = times.get(kernel, 0.0) + time_s
         return times
 
     def reset(self) -> None:
-        self.launches.clear()
-        self.transfers.clear()
+        for column in (self._kernels, self._times, self._starts,
+                       self._sources, self._records, self.transfers):
+            column.clear()
 
     def to_chrome_trace(self) -> list[dict]:
         """The timeline as Chrome-trace duration events.
@@ -160,7 +198,7 @@ class Profiler:
     def report(self) -> str:
         """Human-readable trace summary."""
         lines = [
-            f"kernels: {len(self.launches)} launches, "
+            f"kernels: {len(self._kernels)} launches, "
             f"{self.kernel_time_s * 1e3:.3f} ms",
             f"transfers: {len(self.transfers)} copies, "
             f"{self.transfer_time_s * 1e3:.3f} ms "

@@ -10,34 +10,58 @@
 
 Functional execution can be disabled (``execute=False``) for timing-only
 sweeps at paper-scale problem sizes: the analytical model needs sizes,
-not values, so Figure 1's large inputs cost nothing to "run".
+not values, so Figure 1's large inputs cost nothing to "run".  A
+timing-only run can also price a whole schedule in one
+:meth:`CudaRuntime.pricing_pass`, which describes and prices each
+distinct launch once and evaluates a kernel's other launches as numpy
+columns.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+import contextlib
+import inspect
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.errors import GpuSimError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.executor import execute_kernel
-from repro.gpusim.kernel import Kernel
+from repro.gpusim.kernel import Kernel, KernelDescriptor
 from repro.gpusim.memo import LaunchMemo
 from repro.gpusim.memory import DeviceBuffer, MemoryManager, MemorySpace
-from repro.gpusim.profiler import LaunchRecord, Profiler, TransferRecord
-from repro.gpusim.timing import (KernelTiming, TimingConfig, price_kernel,
-                                 price_transfer)
+from repro.gpusim.profiler import Profiler, TransferRecord
+from repro.gpusim.timing import (KernelTiming, TimingConfig, price_columns,
+                                 price_kernel, price_transfer)
 from repro.ir.program import Function
 from repro.obs import tracer as obs
 
-# NOTE: repro.obs.counters is imported lazily inside launch()/
+# NOTE: repro.obs.counters is imported lazily inside _counters()/
 # _record_transfer() — counters itself imports gpusim analysis modules,
 # so a module-level import here would be circular when repro.obs is
 # imported before repro.gpusim.  repro.obs.tracer is dependency-free
 # and always safe.
 
 Value = Union[int, float]
+
+#: the numeric stage and price :meth:`Kernel.describe_columns` and
+#: :func:`price_columns` reproduce; while either name is bound to
+#: something else (not a ``functools.wraps`` wrapper of it), a pricing
+#: pass calls it for every distinct launch instead
+_DESCRIBE = Kernel.describe
+_PRICE = price_kernel
+
+
+def _counters(desc: KernelDescriptor, spec: DeviceSpec):
+    """``derive_counters(desc, spec)``, once per descriptor, device and
+    counter function."""
+    from repro.obs.counters import derive_counters
+    key = (derive_counters, spec)
+    counters = desc.priced.get(key)
+    if counters is None:
+        counters = desc.priced[key] = derive_counters(desc, spec)
+    return counters
 
 
 class CudaRuntime:
@@ -58,6 +82,8 @@ class CudaRuntime:
         self.clock_s = 0.0
         self.host_arrays: dict[str, np.ndarray] = {}
         self.buffers: dict[str, DeviceBuffer] = {}
+        #: the open pricing pass, which takes the records until it ends
+        self._pass: Optional[_PricingPass] = None
 
     # -- host bindings ---------------------------------------------------
     def bind_host(self, name: str, array: np.ndarray) -> None:
@@ -123,6 +149,9 @@ class CudaRuntime:
     def _record_transfer(self, name: str, nbytes: int,
                          direction: str) -> float:
         t = price_transfer(nbytes, self.spec)
+        if self._pass is not None:
+            self._pass.events.append((name, nbytes, direction, t))
+            return t
         self.profiler.record_transfer(TransferRecord(
             array=name, nbytes=nbytes, direction=direction,
             time_s=t, start_s=self.clock_s))
@@ -150,9 +179,30 @@ class CudaRuntime:
             extents[name] = list(buf.data.shape)
         bindings = {k: float(v) for k, v in scalars.items()}
         desc = kernel.describe(bindings, extents)
-        # expanded private arrays are a real device allocation: one slot
-        # per thread; too many threads overflow global memory (the EP
-        # porting story, Section V-A of the paper)
+        self._check_private(kernel, desc)
+        timing = self._price(desc)
+        if self.execute:
+            execute_kernel(kernel, device_views, dict(scalars), functions,
+                           self.memo)
+            # pointer swaps may have replaced entries: write back
+            for name in kernel.arrays:
+                if device_views[name] is not self.buffers[name].data:
+                    self.buffers[name].data = device_views[name]
+        source = _Price(kernel.name, self.spec, desc, timing)
+        self.profiler.add_launches([kernel.name], [timing.time_s],
+                                   [self.clock_s], [source])
+        if obs.current_tracer() is not None:
+            with obs.span(kernel.name, "gpu.launch", kernel=kernel.name,
+                          sim_start_s=self.clock_s,
+                          sim_time_s=timing.time_s, bound=timing.bound):
+                obs.add_counters(source.counters.to_dict())
+        self.clock_s += timing.time_s
+        return timing
+
+    def _check_private(self, kernel: Kernel, desc: KernelDescriptor) -> None:
+        """Expanded private arrays are a real device allocation: one slot
+        per thread; too many threads overflow global memory (the EP
+        porting story, Section V-A of the paper)."""
         private_bytes = (kernel.private_global_bytes_per_thread()
                          * desc.total_threads)
         if private_bytes:
@@ -164,35 +214,39 @@ class CudaRuntime:
                     f"{private_bytes} B for {desc.total_threads} threads; "
                     f"{free} B free on device — strip-mine the parallel "
                     f"loop to reduce the iteration space")
-        from repro.obs.counters import derive_counters
-        # a price is a pure function of (descriptor, spec, config), so
-        # each memoized descriptor is priced once per pair; the key
-        # holds the pricing functions too, so a replaced one is never
-        # answered from another's results
-        key = (price_kernel, derive_counters, self.spec, self.timing)
-        priced = desc.priced.get(key)
-        if priced is None:
-            priced = desc.priced[key] = (
-                price_kernel(desc, self.spec, self.timing),
-                derive_counters(desc, self.spec))
-        timing, counters = priced
-        if self.execute:
-            execute_kernel(kernel, device_views, dict(scalars), functions,
-                           self.memo)
-            # pointer swaps may have replaced entries: write back
-            for name in kernel.arrays:
-                if device_views[name] is not self.buffers[name].data:
-                    self.buffers[name].data = device_views[name]
-        self.profiler.record_launch(LaunchRecord(
-            kernel=kernel.name, timing=timing, start_s=self.clock_s,
-            counters=counters))
-        if obs.current_tracer() is not None:
-            with obs.span(kernel.name, "gpu.launch", kernel=kernel.name,
-                          sim_start_s=self.clock_s,
-                          sim_time_s=timing.time_s, bound=timing.bound):
-                obs.add_counters(counters.to_dict())
-        self.clock_s += timing.time_s
+
+    def _price(self, desc: KernelDescriptor) -> KernelTiming:
+        """``price_kernel(desc)``: a price is a pure function of
+        (descriptor, spec, config), so each memoized descriptor is priced
+        once per pair; the key holds the pricing function too, so a
+        replaced one is never answered from another's results."""
+        key = (price_kernel, self.spec, self.timing)
+        timing = desc.priced.get(key)
+        if timing is None:
+            timing = desc.priced[key] = price_kernel(desc, self.spec,
+                                                     self.timing)
         return timing
+
+    @contextlib.contextmanager
+    def pricing_pass(self) -> Iterator["_PricingPass"]:
+        """Price timing-only launches together, in one pass.
+
+        Inside the ``with`` block, :meth:`_PricingPass.launch` stands in
+        for :meth:`launch` and transfers are queued.  On a normal exit
+        every queued launch is priced and the profiler and clock get the
+        records :meth:`launch` and the transfers would have left, in the
+        same order, with the clock advanced by the same additions.  Ends
+        without records when the block raises.
+        """
+        if self.execute or self._pass is not None:
+            raise GpuSimError("a pricing pass needs a timing-only runtime "
+                              "with no pass open")
+        batch = self._pass = _PricingPass(self)
+        try:
+            yield batch
+        finally:
+            self._pass = None
+        batch.close()
 
     # -- lifecycle ----------------------------------------------------------
     def reset(self) -> None:
@@ -205,3 +259,172 @@ class CudaRuntime:
     @property
     def elapsed_s(self) -> float:
         return self.clock_s
+
+
+class _Price:
+    """One distinct launch: its :class:`KernelTiming` (None until a
+    pricing pass prices its group's columns) and, derived on first read,
+    its counters."""
+
+    __slots__ = ("kernel", "spec", "desc", "timing", "group", "key")
+
+    def __init__(self, kernel: str, spec: DeviceSpec,
+                 desc: Optional[KernelDescriptor] = None,
+                 timing: Optional[KernelTiming] = None,
+                 group: Optional["_Group"] = None, key: tuple = ()) -> None:
+        self.kernel = kernel
+        self.spec = spec
+        self.desc = desc
+        self.timing = timing
+        self.group = group
+        self.key = key
+
+    @property
+    def counters(self):
+        if self.desc is None:
+            self.desc = self.group.describe(self.key)
+        return _counters(self.desc, self.spec)
+
+
+class _Group:
+    """The launches of one kernel in a pricing pass."""
+
+    def __init__(self, rt: CudaRuntime, kernel: Kernel,
+                 columnar: bool) -> None:
+        self.rt = rt
+        self.kernel = kernel
+        self.extents: dict[str, list[int]] = {}
+        for name in kernel.arrays:
+            buf = rt.device(name)
+            buf.check_alive()
+            self.extents[name] = list(buf.data.shape)
+        self.stage = kernel.stage(self.extents)
+        #: the scalars a launch's key binds (:meth:`BodyTerms.bound_key`)
+        self.names = self.stage.access.nest.bound_names
+        self.private = kernel.private_global_bytes_per_thread()
+        #: the distinct launches, by loop-bound key
+        self.prices: dict[tuple, _Price] = {}
+        #: the first launch's key and descriptor
+        self.anchor: Optional[tuple] = None
+        #: whether later keys are priced as columns (None: not known
+        #: before a second distinct launch); expanded private arrays
+        #: are checked against free memory launch by launch
+        self.columnar: Optional[bool] = (None if columnar and not self.private
+                                         else False)
+        #: the launches priced as columns when the pass ends
+        self.deferred: list[_Price] = []
+
+    def key_columns(self, keys: Sequence[tuple]) -> dict[str, np.ndarray]:
+        return {name: np.array(values, dtype=np.float64)
+                for name, values in zip(self.names, zip(*keys))}
+
+    def takes_columns(self, key: tuple) -> bool:
+        """Whether ``key`` can wait for the columns: not the first key,
+        and the kernel's numeric stage evaluates as columns."""
+        if self.anchor is None:
+            return False
+        if self.columnar is None:
+            probe = self.kernel.describe_columns(
+                self.stage, self.key_columns([self.anchor[0]]))
+            self.columnar = probe is not None
+        return self.columnar and None not in key
+
+    def describe(self, key: tuple) -> KernelDescriptor:
+        """The descriptor of the launch with loop-bound key ``key``."""
+        bindings = dict(zip(self.names, key))
+        return self.kernel.describe(bindings, self.extents)
+
+    def resolve(self) -> None:
+        """Price the deferred launches as columns."""
+        rt = self.rt
+        got = self.kernel.describe_columns(
+            self.stage, self.key_columns([p.key for p in self.deferred]))
+        if got is None:
+            # a count overflowed: the scalar path decides, as it would
+            # have at the launch
+            for price in self.deferred:
+                price.desc = self.describe(price.key)
+                price.timing = rt._price(price.desc)
+            return
+        total, flops, divergence, counts = got
+        total = np.broadcast_to(total, (len(self.deferred),))
+        timings = price_columns(self.anchor[1], total, flops, divergence,
+                                counts, rt.spec, rt.timing)
+        for price, timing in zip(self.deferred, timings):
+            price.timing = timing
+
+
+class _PricingPass:
+    """The launches and transfers of one :meth:`CudaRuntime.pricing_pass`.
+
+    Launches are grouped by kernel (the extents are fixed: a pass never
+    frees or reallocates a buffer).  The first launch of each distinct
+    loop-bound key is described and priced by the scalar path at once,
+    in launch order, so every error fires where :meth:`CudaRuntime
+    .launch` would raise it; when a kernel's numeric stage evaluates as
+    columns, its later keys wait for one numpy evaluation at the end.
+    """
+
+    def __init__(self, rt: CudaRuntime) -> None:
+        self.rt = rt
+        #: per launch its :class:`_Price`, per transfer ``(array,
+        #: nbytes, direction, seconds)``, in order
+        self.events: list = []
+        self.groups: dict[Kernel, _Group] = {}
+        self.columnar = (inspect.unwrap(Kernel.describe) is _DESCRIBE
+                         and inspect.unwrap(price_kernel) is _PRICE
+                         and not rt.timing.model_cache_hierarchy)
+
+    def launch(self, kernel: Kernel, scalars: Mapping[str, Value]) -> None:
+        """Queue one timing-only launch of ``kernel``."""
+        group = self.groups.get(kernel)
+        if group is None:
+            group = self.groups[kernel] = _Group(self.rt, kernel,
+                                                 self.columnar)
+        key = tuple([float(scalars[n]) if n in scalars else None
+                     for n in group.names])
+        price = group.prices.get(key)
+        if price is None:
+            price = group.prices[key] = self._price(group, key, scalars)
+        elif group.private:
+            self.rt._check_private(kernel, price.desc)
+        self.events.append(price)
+
+    def _price(self, group: _Group, key: tuple,
+               scalars: Mapping[str, Value]) -> _Price:
+        if group.takes_columns(key):
+            price = _Price(group.kernel.name, self.rt.spec, group=group,
+                           key=key)
+            group.deferred.append(price)
+            return price
+        bindings = {k: float(v) for k, v in scalars.items()}
+        desc = group.kernel.describe(bindings, group.extents)
+        self.rt._check_private(group.kernel, desc)
+        if group.anchor is None:
+            group.anchor = (key, desc)
+        return _Price(group.kernel.name, self.rt.spec, desc,
+                      self.rt._price(desc))
+
+    def close(self) -> None:
+        """Price the deferred launches and write every record."""
+        for group in self.groups.values():
+            if group.deferred:
+                group.resolve()
+        rt, clock = self.rt, self.rt.clock_s
+        kernels, times, starts, prices = [], [], [], []
+        for event in self.events:
+            if type(event) is tuple:
+                name, nbytes, direction, t = event
+                rt.profiler.record_transfer(TransferRecord(
+                    array=name, nbytes=nbytes, direction=direction,
+                    time_s=t, start_s=clock))
+                clock += t
+            else:
+                t = event.timing.time_s
+                kernels.append(event.kernel)
+                times.append(t)
+                starts.append(clock)
+                prices.append(event)
+                clock += t
+        rt.profiler.add_launches(kernels, times, starts, prices)
+        rt.clock_s = clock

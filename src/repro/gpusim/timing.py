@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import numpy as np
+
 from repro.gpusim.coalescing import transactions_per_warp
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import KernelDescriptor
@@ -107,27 +109,32 @@ def _static_l2_hit_rate(desc: KernelDescriptor, spec: DeviceSpec,
     return min(1.0, max(0.0, hit_bytes / total))
 
 
-def price_kernel(desc: KernelDescriptor, spec: DeviceSpec,
-                 config: Optional[TimingConfig] = None) -> KernelTiming:
-    """Simulated execution time of one kernel launch."""
-    config = config or TimingConfig()
-    occ = compute_occupancy(spec, desc.block_threads, desc.grid_blocks,
+def _occupancy_terms(desc: KernelDescriptor, grid_blocks: int,
+                     spec: DeviceSpec, config: TimingConfig,
+                     ) -> tuple[float, float, float]:
+    """``(occupancy, bandwidth, peak flops)`` of a launch of ``desc``
+    over ``grid_blocks`` blocks, before the divergence derating."""
+    occ = compute_occupancy(spec, desc.block_threads, grid_blocks,
                             smem_per_block=desc.smem_per_block,
                             regs_per_thread=desc.regs_per_thread)
     hide = latency_hiding_factor(occ) if config.model_occupancy else 1.0
+    peak = spec.peak_flops(desc.dtype)
+    if config.model_occupancy:
+        peak *= max(0.05, min(1.0, occ.occupancy / 0.25)) * occ.sm_utilization
+    return occ.occupancy, spec.peak_bytes_per_s * hide, peak
 
-    warps = max(1, -(-desc.total_threads // spec.warp_size))
-    elem = numpy_dtype(desc.dtype).itemsize
 
+def _warp_bytes(desc: KernelDescriptor, spec: DeviceSpec,
+                config: TimingConfig, elem: int) -> list[float]:
+    """DRAM bytes one warp moves per execution of each reference."""
     tiled_arrays: dict[str, float] = {}
     if config.model_tiling_reuse:
         for t in desc.tiling:
             for name in t.arrays:
                 tiled_arrays[name] = max(tiled_arrays.get(name, 1.0),
                                          t.reuse_factor)
-
-    dram_bytes = 0.0
-    for ref, count in desc.access.refs:
+    out = []
+    for ref, _ in desc.access.refs:
         if config.model_coalescing:
             txns = transactions_per_warp(ref, elem, spec)
         else:
@@ -143,9 +150,24 @@ def price_kernel(desc: KernelDescriptor, spec: DeviceSpec,
         reuse = tiled_arrays.get(ref.array, 1.0)
         if reuse > 1.0 and ref.pattern is not AccessPattern.UNIFORM:
             bytes_per_warp /= reuse
+        out.append(bytes_per_warp)
+    return out
+
+
+def price_kernel(desc: KernelDescriptor, spec: DeviceSpec,
+                 config: Optional[TimingConfig] = None) -> KernelTiming:
+    """Simulated execution time of one kernel launch."""
+    config = config or TimingConfig()
+    occupancy, bw, peak = _occupancy_terms(desc, desc.grid_blocks, spec,
+                                           config)
+    warps = max(1, -(-desc.total_threads // spec.warp_size))
+    elem = numpy_dtype(desc.dtype).itemsize
+
+    dram_bytes = 0.0
+    for (_, count), bytes_per_warp in zip(
+            desc.access.refs, _warp_bytes(desc, spec, config, elem)):
         dram_bytes += bytes_per_warp * count * warps
 
-    bw = spec.peak_bytes_per_s * hide
     if config.model_divergence:
         # divergent warps issue fewer concurrent memory requests
         bw *= max(0.3, 1.0 - 0.4 * desc.divergence)
@@ -158,9 +180,6 @@ def price_kernel(desc: KernelDescriptor, spec: DeviceSpec,
     t_memory = dram_bytes / bw if bw > 0 else float("inf")
 
     flops = desc.flops_per_thread * desc.total_threads
-    peak = spec.peak_flops(desc.dtype)
-    if config.model_occupancy:
-        peak *= max(0.05, min(1.0, occ.occupancy / 0.25)) * occ.sm_utilization
     if config.model_divergence:
         peak *= max(0.1, 1.0 - 0.8 * desc.divergence)
     t_compute = flops / peak if peak > 0 else float("inf")
@@ -169,10 +188,57 @@ def price_kernel(desc: KernelDescriptor, spec: DeviceSpec,
     total = launch + max(t_compute, t_memory)
     return KernelTiming(
         name=desc.name, time_s=total, compute_s=t_compute,
-        memory_s=t_memory, launch_s=launch, occupancy=occ.occupancy,
+        memory_s=t_memory, launch_s=launch, occupancy=occupancy,
         dram_bytes=dram_bytes, flops=flops,
         bound="memory" if t_memory >= t_compute else "compute",
         l2_hit_rate=l2_hit)
+
+
+def price_columns(desc: KernelDescriptor, total_threads: np.ndarray,
+                  flops_per_thread, divergence: float, counts: list,
+                  spec: DeviceSpec, config: TimingConfig,
+                  ) -> list[KernelTiming]:
+    """:func:`price_kernel` of many launches of one kernel at once.
+
+    ``desc`` is any descriptor of the kernel: it supplies what every
+    launch shares (block shape, placements, tiling, the references).
+    ``total_threads``, ``flops_per_thread`` and ``counts`` (one entry
+    per reference) vary per launch, from
+    :meth:`~repro.gpusim.kernel.Kernel.describe_columns`.  Every element
+    goes through the same IEEE operations as the scalar price; the
+    occupancy terms are computed once per distinct grid size.  Without
+    the opt-in ``model_cache_hierarchy`` term only.
+    """
+    if config.model_cache_hierarchy:
+        raise ValueError("price_columns does not model the L2 hierarchy")
+    grid_blocks = np.maximum(1, np.ceil(total_threads / desc.block_threads))
+    sizes, which = np.unique(grid_blocks, return_inverse=True)
+    terms = np.array([_occupancy_terms(desc, int(g), spec, config)
+                      for g in sizes])[which]
+    occupancy, bw, peak = terms[:, 0], terms[:, 1], terms[:, 2]
+    warps = np.maximum(1, -(-total_threads // spec.warp_size))
+    elem = numpy_dtype(desc.dtype).itemsize
+
+    dram_bytes = np.zeros(len(total_threads))
+    for count, bytes_per_warp in zip(counts,
+                                     _warp_bytes(desc, spec, config, elem)):
+        dram_bytes += bytes_per_warp * count * warps
+
+    if config.model_divergence:
+        bw = bw * max(0.3, 1.0 - 0.4 * divergence)
+        peak = peak * max(0.1, 1.0 - 0.8 * divergence)
+    flops = flops_per_thread * total_threads
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_memory = np.where(bw > 0, dram_bytes / bw, np.inf)
+        t_compute = np.where(peak > 0, flops / peak, np.inf)
+    launch = spec.kernel_launch_us * 1e-6
+    time_s = launch + np.maximum(t_compute, t_memory)
+    return [KernelTiming(name=desc.name, time_s=t, compute_s=c, memory_s=m,
+                         launch_s=launch, occupancy=o, dram_bytes=d, flops=f,
+                         bound="memory" if m >= c else "compute")
+            for t, c, m, o, d, f in zip(
+                time_s.tolist(), t_compute.tolist(), t_memory.tolist(),
+                occupancy.tolist(), dram_bytes.tolist(), flops.tolist())]
 
 
 def price_transfer(nbytes: int, spec: DeviceSpec) -> float:

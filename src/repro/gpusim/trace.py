@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.gpusim.coalescing import transactions_per_warp
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
-from repro.gpusim.executor import KernelExecutor, _is_vector
+from repro.gpusim.executor import KernelExecutor
 from repro.gpusim.kernel import Kernel
 from repro.ir.expr import ArrayRef
 from repro.ir.program import Function
@@ -125,6 +125,8 @@ class TracingExecutor(KernelExecutor):
                  trace: Optional[MemoryTrace] = None) -> None:
         super().__init__(kernel, arrays, scalars, functions)
         self.trace = trace if trace is not None else MemoryTrace()
+        #: per access being evaluated, where its subscripts' events start
+        self._starts: list[int] = []
 
     def _divergent_steps(self, lo_v: np.ndarray, hi_v: np.ndarray,
                          step: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -157,31 +159,42 @@ class TracingExecutor(KernelExecutor):
         return lane_ids
 
     def _load(self, ref: ArrayRef):
-        value = super()._load(ref)
-        if ref.name in self.arrays and ref.name not in self.local_arrays:
-            arr = self.arrays[ref.name]
-            idx = self._indices(ref, arr.shape)
-            lane_ids = self._active_lane_ids()
-            flat = self._flatten(arr, idx)
-            if self.mask is not None:
-                flat = flat[self.mask]
-            self.trace.record(ref.name, False, flat, lane_ids)
-            if self.data_dependent:
-                self.trace.exact = False
-        return value
+        self._starts.append(len(self.trace.events))
+        try:
+            return super()._load(ref)
+        finally:
+            self._starts.pop()
 
     def _store(self, ref: ArrayRef, value, op) -> None:
-        if ref.name in self.arrays and ref.name not in self.local_arrays:
-            arr = self.arrays[ref.name]
-            idx = self._indices(ref, arr.shape)
-            lane_ids = self._active_lane_ids()
-            flat = self._flatten(arr, idx)
-            if self.mask is not None:
-                flat = flat[self.mask]
-            self.trace.record(ref.name, True, flat, lane_ids)
-            if self.data_dependent:
-                self.trace.exact = False
-        super()._store(ref, value, op)
+        self._starts.append(len(self.trace.events))
+        try:
+            super()._store(ref, value, op)
+        finally:
+            self._starts.pop()
+
+    def _global_access(self, ref: ArrayRef, arr: np.ndarray, idx: tuple,
+                       is_store: bool) -> None:
+        """Record one access from the index tuple the executor evaluated.
+
+        The events its subscripts recorded (indirect loads such as the
+        ``col[j]`` of ``x[col[j]]``) are recorded a second time: before a
+        load, after a store.  The traces the locality records were built
+        on evaluated each traced subscript twice, so replaying those
+        events keeps every record stable without indexing again.
+        """
+        events = self.trace.events
+        nested = events[self._starts[-1]:]
+        flat = self._flatten(arr, idx)
+        if self.mask is not None:
+            flat = flat[self.mask]
+        if not is_store:
+            events.extend(nested)
+        self.trace.record(ref.name, is_store, flat,
+                          self._active_lane_ids())
+        if is_store:
+            events.extend(nested)
+        if self.data_dependent:
+            self.trace.exact = False
 
 
 @dataclass

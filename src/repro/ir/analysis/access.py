@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.ir.analysis.affine import affine_form
 from repro.ir.analysis.ranges import (SymRange, bindings_env, estimate_trips,
                                       loop_range)
@@ -378,6 +380,55 @@ evaluation inputs."""
 Factor = Union[float, int]
 
 
+#: the operators :func:`_column_value` evaluates, as numpy ufuncs doing
+#: the same IEEE operation :func:`_const_value` does on one launch
+_COLUMN_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply,
+               "min": np.minimum, "max": np.maximum}
+
+
+def _column_value(expr: Expr, columns: Mapping[str, np.ndarray]):
+    """:func:`_const_value` of many launches at once.
+
+    ``columns`` maps each bound scalar to its values, one per launch.
+    None when ``expr`` reads a name that is not a column or uses an
+    operator outside :data:`_COLUMN_OPS` (whose scalar twin may give
+    up per launch).
+    """
+    if isinstance(expr, Const):
+        return float(expr.value)
+    if isinstance(expr, Var):
+        return columns.get(expr.name)
+    if isinstance(expr, Cast):
+        return _column_value(expr.operand, columns)
+    if isinstance(expr, UnOp) and expr.op == "-":
+        inner = _column_value(expr.operand, columns)
+        return -inner if inner is not None else None
+    if isinstance(expr, BinOp) and expr.op in _COLUMN_OPS:
+        left = _column_value(expr.left, columns)
+        right = _column_value(expr.right, columns)
+        if left is None or right is None:
+            return None
+        return _COLUMN_OPS[expr.op](left, right)
+    return None
+
+
+def trip_column(loop: For, columns: Mapping[str, np.ndarray]):
+    """``max(0, ceil((upper - lower) / step))`` of ``loop`` for many
+    launches at once, as floats; None when a bound is not a
+    :func:`_column_value` or a count is not finite."""
+    lo = _column_value(loop.lower, columns)
+    hi = _column_value(loop.upper, columns)
+    step = _column_value(loop.step, columns)
+    if lo is None or hi is None or step is None:
+        return None
+    step = np.where(step == 0.0, 1.0, step)
+    quotient = (hi - lo) / step
+    if not np.all(np.isfinite(quotient)):
+        return None
+    # ``+ 0.0`` turns a ceiling of -0.0 into the 0.0 ``max(0, ...)`` gives
+    return np.maximum(0.0, np.ceil(quotient)) + 0.0
+
+
 @dataclass(frozen=True)
 class LoopNest:
     """Every ``For`` of a body in scan order: the numeric stage's input.
@@ -442,6 +493,19 @@ class LoopNest:
                 trips[i] = est if est is not None else DEFAULT_SEQ_TRIPS
                 exact[i] = False
         return trips, exact
+
+    def trip_columns(self, columns: Mapping[str, np.ndarray],
+                     ) -> Optional[list]:
+        """:meth:`trip_factors` of many launches at once, when every
+        sequential loop's count is exact (a :func:`trip_column`);
+        None otherwise."""
+        trips: list = [None] * len(self.loops)
+        for i, loop in enumerate(self.loops):
+            if self.sequential[i]:
+                trips[i] = trip_column(loop, columns)
+                if trips[i] is None:
+                    return None
+        return trips
 
 
 class _NestBuilder:

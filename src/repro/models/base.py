@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cpu.host import KEENELAND_HOST, HostSpec, price_region_serial
+from repro.cpu.host import KEENELAND_HOST, HostSpec, price_serial, serial_stage
 from repro.cpu.openmp import run_region_host
 from repro.errors import CompileError, UnsupportedFeatureError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
@@ -35,6 +35,7 @@ from repro.gpusim.kernel import DEFAULT_BLOCK, Kernel
 from repro.gpusim.memory import MemorySpace
 from repro.gpusim.runtime import CudaRuntime
 from repro.ir.analysis.features import RegionFeatures, scan_region
+from repro.ir.analysis.metrics import BodyTerms
 from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, For, LocalDecl, Stmt
 from repro.ir.transforms.tiling import TilingDecision
@@ -421,6 +422,24 @@ class ScheduleStep:
     scalars: Mapping[str, Value] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class _RegionPlan:
+    """What every invocation of one region reads of the program.
+
+    Arrays its data region covers are resident from the moment the
+    region is entered, so only the others move per invocation.
+    """
+
+    region: ParallelRegion
+    result: RegionResult
+    dr: Optional[DataRegionSpec]
+    #: uncovered arrays the kernels touch, sorted: allocated and, when
+    #: read, copied in before each invocation
+    staged: tuple[str, ...]
+    #: uncovered arrays the kernels write, sorted: copied out after it
+    copied_out: tuple[str, ...]
+
+
 class ExecutableProgram:
     """Runs a compiled program on a simulated device.
 
@@ -443,7 +462,6 @@ class ExecutableProgram:
                 self._data_region_of[rname] = dr
         self._entered_dr: set[str] = set()
         self._resident: set[str] = set()
-        self._dirty: set[str] = set()
         # -- transfer elision (opt-in; the default path must stay
         #    byte-identical to the shipped Figure-1 baseline) ------------
         plan = compiled.elisions if compiled.port.elide_transfers else None
@@ -456,6 +474,10 @@ class ExecutableProgram:
         self._deferred: set[str] = set()
         self.elided_transfers = 0
         self.elided_bytes = 0
+        self._plans: dict[str, _RegionPlan] = {}
+        #: host-fallback prices: per region its serial stage and the
+        #: price of each loop-bound key
+        self._host_prices: dict[str, tuple[BodyTerms, dict]] = {}
 
     # -- setup -------------------------------------------------------------
     def bind_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
@@ -518,30 +540,69 @@ class ExecutableProgram:
     # -- region invocation ---------------------------------------------------
     def run_region(self, name: str, scalars: Mapping[str, Value],
                    times: int = 1) -> None:
-        result = self.compiled.result(name)
-        region = self.compiled.program.region(name)
-        if not result.translated:
-            self._run_on_host(region, scalars, times)
-            return
-        dr = self._data_region_of.get(name)
-        if dr is not None:
-            self._enter_data_region(dr, scalars)
-        for _ in range(times):
-            self._transfers_in(result, dr)
-            for kernel in result.kernels:
-                self.rt.launch(kernel, scalars,
-                               functions=self.compiled.program.functions)
-            self._transfers_out(result, dr)
+        self._invoke(self._plan(name), scalars, times, self._launch)
 
-    def _transfers_in(self, result: RegionResult,
-                      dr: Optional[DataRegionSpec]) -> None:
-        covered = set(dr.copyin) | set(dr.copyout) | set(dr.create) \
-            if dr is not None else set()
-        for name in sorted(result.reads | result.writes):
-            self._ensure_alloc(name)
-            if name in covered and name in self._resident:
-                continue
-            if name in result.reads:
+    def run_schedule(self, schedule: Sequence[ScheduleStep],
+                     scalars: Mapping[str, Value]) -> None:
+        """Run each step of a host-driver schedule under ``scalars``
+        overridden by the step's own.
+
+        A timing-only run with no tracer installed prices the whole
+        schedule in one :meth:`CudaRuntime.pricing_pass`, which leaves
+        the records and clock :meth:`run_region` would have.
+        Executing and traced runs launch one kernel at a time.
+        """
+        if self.rt.execute or obs.current_tracer() is not None:
+            for step in schedule:
+                self.run_region(step.region, {**scalars, **step.scalars},
+                                times=step.times)
+            return
+        with self.rt.pricing_pass() as batch:
+            for step in schedule:
+                self._invoke(self._plan(step.region),
+                             {**scalars, **step.scalars}, step.times,
+                             batch.launch)
+
+    def _plan(self, name: str) -> _RegionPlan:
+        plan = self._plans.get(name)
+        if plan is None:
+            result = self.compiled.result(name)
+            dr = self._data_region_of.get(name)
+            covered = (set(dr.copyin + dr.copyout + dr.create)
+                       if dr is not None else set())
+            plan = self._plans[name] = _RegionPlan(
+                region=self.compiled.program.region(name), result=result,
+                dr=dr,
+                staged=tuple(sorted((result.reads | result.writes)
+                                    - covered)),
+                copied_out=tuple(sorted(result.writes - covered)))
+        return plan
+
+    def _invoke(self, plan: _RegionPlan, scalars: Mapping[str, Value],
+                times: int,
+                launch: Callable[[Kernel, Mapping[str, Value]], object],
+                ) -> None:
+        if not plan.result.translated:
+            self._run_on_host(plan.region, scalars, times)
+            return
+        if plan.dr is not None and plan.dr.name not in self._entered_dr:
+            self._enter_data_region(plan.dr, scalars)
+        for _ in range(times):
+            self._transfers_in(plan)
+            for kernel in plan.result.kernels:
+                launch(kernel, scalars)
+            self._transfers_out(plan)
+
+    def _launch(self, kernel: Kernel, scalars: Mapping[str, Value]) -> None:
+        self.rt.launch(kernel, scalars,
+                       functions=self.compiled.program.functions)
+
+    def _transfers_in(self, plan: _RegionPlan) -> None:
+        reads, buffers = plan.result.reads, self.rt.buffers
+        for name in plan.staged:
+            if name not in buffers:
+                self.rt.malloc(name)
+            if name in reads:
                 if (self._elide and name in self._skip_htod
                         and name in self._dev_valid):
                     # the device copy already holds the latest values;
@@ -553,17 +614,11 @@ class ExecutableProgram:
                 if self._elide:
                     self._dev_valid.add(name)
 
-    def _transfers_out(self, result: RegionResult,
-                       dr: Optional[DataRegionSpec]) -> None:
-        covered = set(dr.copyin) | set(dr.copyout) | set(dr.create) \
-            if dr is not None else set()
-        for name in sorted(result.writes):
-            if self._elide:
-                # the kernels just produced the latest values on device
-                self._dev_valid.add(name)
-            if name in covered:
-                self._dirty.add(name)
-                continue
+    def _transfers_out(self, plan: _RegionPlan) -> None:
+        if self._elide:
+            # the kernels just produced the latest values on device
+            self._dev_valid |= plan.result.writes
+        for name in plan.copied_out:
             if self._elide and name in self._defer_dtoh:
                 if name in self._deferred:
                     # a pending copy is superseded before ever flushing:
@@ -577,13 +632,10 @@ class ExecutableProgram:
     def _run_on_host(self, region: ParallelRegion,
                      scalars: Mapping[str, Value], times: int) -> None:
         """A region the model failed to translate runs serially on host."""
-        extents = {name: list(arr.shape)
-                   for name, arr in self.rt.host_arrays.items()}
-        bindings = {k: float(v) for k, v in scalars.items()}
-        t = price_region_serial(region, extents, bindings, spec=self.host)
-        # price_region_serial multiplies by region.invocations; here the
-        # driver controls repetition explicitly.
-        t = t / max(1, region.invocations) * times
+        # the price covers region.invocations; here the driver controls
+        # repetition explicitly
+        t = self._host_price(region, scalars) / max(1, region.invocations) \
+            * times
         self.host_time_s += t
         reads: frozenset[str] = frozenset()
         writes: frozenset[str] = frozenset()
@@ -612,6 +664,26 @@ class ExecutableProgram:
                       and name in self._resident}
             self._dev_valid |= staged
             self._dev_valid -= set(writes) - staged
+
+    def _host_price(self, region: ParallelRegion,
+                    scalars: Mapping[str, Value]) -> float:
+        """Serial time of ``region`` across its invocations: its stage
+        is built once, and priced once per binding of the scalars its
+        loop bounds read."""
+        entry = self._host_prices.get(region.name)
+        if entry is None:
+            extents = {name: list(arr.shape)
+                       for name, arr in self.rt.host_arrays.items()}
+            entry = self._host_prices[region.name] = (
+                serial_stage(region.body, extents), {})
+        stage, prices = entry
+        key = stage.bound_key(scalars)
+        t = prices.get(key)
+        if t is None:
+            bindings = {k: float(v) for k, v in scalars.items()}
+            t = prices[key] = price_serial(stage, float(region.invocations),
+                                           bindings, spec=self.host)
+        return t
 
     # -- results ---------------------------------------------------------
     @property

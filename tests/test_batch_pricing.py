@@ -1,0 +1,213 @@
+"""One-pass timing-only pricing against the launch-at-a-time path.
+
+:meth:`ExecutableProgram.run_schedule` prices a timing-only schedule in
+one :meth:`CudaRuntime.pricing_pass`: each distinct launch is described
+and priced once, and a kernel's later loop-bound keys (LUD's pivot,
+NW's anti-diagonal) are evaluated as numpy columns.  ``run_region``
+launches one kernel at a time through :meth:`CudaRuntime.launch`, the
+oracle.  Every clock, time and record the two leave must be equal bit
+for bit, and lazily derived counters must equal eager ones.
+"""
+
+import copy
+import dataclasses
+import functools
+
+import pytest
+
+import repro.gpusim.runtime as runtime_mod
+import repro.obs.counters as counters_mod
+from repro.benchmarks import base
+from repro.benchmarks.registry import get_benchmark, iter_suite
+from repro.errors import DeviceMemoryError
+from repro.gpusim.device import TESLA_M2090
+from repro.gpusim.kernel import Kernel
+from repro.gpusim.runtime import CudaRuntime
+from repro.gpusim.timing import TimingConfig
+from repro.harness.runner import FIGURE1_MODELS, run_speedups
+from repro.models.base import ExecutableProgram
+from repro.models.cache import compile_bench
+
+#: every (benchmark, model, variant) of Figure 1
+FIGURE1 = [(bench.name, model, variant) for bench in iter_suite()
+           for model in FIGURE1_MODELS for variant in bench.variants(model)]
+
+#: every timing config the ablation benches price under
+ABLATION_CONFIGS = (TimingConfig(model_coalescing=False),
+                    TimingConfig(model_occupancy=False),
+                    TimingConfig(model_tiling_reuse=False,
+                                 model_divergence=False),
+                    TimingConfig(model_cache_hierarchy=True))
+
+
+def _compiled(name, model, variant, elide=False):
+    bench = get_benchmark(name)
+    if elide:
+        return bench, bench.compile(model, variant, elide_transfers=True)
+    return bench, compile_bench(bench, model, variant)[1]
+
+
+def _timeline(bench, model, variant, compiled, scale, one_pass,
+              spec=TESLA_M2090, timing=None):
+    """Price one port timing-only, in one pass or a launch at a time;
+    the launch-at-a-time run also returns each launch's descriptor."""
+    wl = bench.workload(scale)
+    ex = ExecutableProgram(compiled, runtime=CudaRuntime(
+        spec=spec, timing=timing, execute=False))
+    ex.bind_arrays(bench.layout(model, variant, wl.stand_ins()))
+    schedule = bench.schedule_for(model, variant, wl)
+    described = []
+    if one_pass:
+        ex.run_schedule(schedule, wl.scalars)
+    else:
+        describe = Kernel.describe
+
+        def recording(kernel, bindings, extents):
+            described.append(describe(kernel, bindings, extents))
+            return described[-1]
+
+        Kernel.describe = recording
+        try:
+            for step in schedule:
+                ex.run_region(step.region, {**wl.scalars, **step.scalars},
+                              times=step.times)
+        finally:
+            Kernel.describe = describe
+    ex.close_data_regions()
+    return ex, described
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def assert_same_timeline(name, model, variant, scale="test", elide=False,
+                         spec=TESLA_M2090, timing=None):
+    bench, compiled = _compiled(name, model, variant, elide)
+    # the oracle runs on a copy, which starts with no descriptor memos
+    fresh = copy.deepcopy(compiled)
+    got, _ = _timeline(bench, model, variant, compiled, scale, True,
+                       spec, timing)
+    want, descs = _timeline(bench, model, variant, fresh, scale, False,
+                            spec, timing)
+    case = f"{name}/{model}/{variant}"
+    assert _bits(got.rt.clock_s) == _bits(want.rt.clock_s), case
+    for attr in ("kernel_time_s", "transfer_time_s"):
+        assert _bits(getattr(got.rt.profiler, attr)) \
+            == _bits(getattr(want.rt.profiler, attr)), (case, attr)
+    assert _bits(got.host_time_s) == _bits(want.host_time_s), case
+    assert _bits(got.gpu_time_s) == _bits(want.gpu_time_s), case
+    assert got.rt.profiler.transfers == want.rt.profiler.transfers, case
+    assert (got.elided_transfers, got.elided_bytes) \
+        == (want.elided_transfers, want.elided_bytes), case
+    launches, oracle = got.rt.profiler.launches, want.rt.profiler.launches
+    assert len(launches) == len(oracle) == len(descs), case
+    for i, (rec, ref, desc) in enumerate(zip(launches, oracle, descs)):
+        assert (rec.kernel, rec.timing, _bits(rec.start_s)) \
+            == (ref.kernel, ref.timing, _bits(ref.start_s)), (case, i)
+        assert [_bits(v) for v in dataclasses.astuple(rec.timing)
+                if isinstance(v, float)] \
+            == [_bits(v) for v in dataclasses.astuple(ref.timing)
+                if isinstance(v, float)], (case, i)
+    # counters are derived lazily; once per distinct descriptor is
+    # enough to check them against eager derivations
+    seen = set()
+    for rec, ref, desc in zip(launches, oracle, descs):
+        if id(desc) not in seen:
+            seen.add(id(desc))
+            eager = counters_mod.derive_counters(desc, spec)
+            assert rec.counters == eager == ref.counters, case
+    return len(launches)
+
+
+@pytest.mark.parametrize("name,model,variant", FIGURE1,
+                         ids=["/".join(c) for c in FIGURE1])
+def test_figure1_ports_match_at_test_scale(name, model, variant):
+    assert_same_timeline(name, model, variant)
+
+
+@pytest.mark.parametrize("config", ABLATION_CONFIGS, ids=str)
+@pytest.mark.parametrize("name", ["LUD", "NW", "SRAD", "HOTSPOT"])
+def test_ablation_configs_match(name, config):
+    for model in ("OpenACC", "Hand-Written CUDA"):
+        assert_same_timeline(name, model, "best", timing=config)
+
+
+@pytest.mark.parametrize("name,model,variant", FIGURE1,
+                         ids=["/".join(c) for c in FIGURE1])
+def test_elide_transfers_match(name, model, variant):
+    # the naive SPMUL and CG ports skip and defer transfers
+    assert_same_timeline(name, model, variant, elide=True)
+
+
+def test_device_memory_overflow_raises_the_same_error():
+    # EP's transposed port expands its private array in global memory;
+    # a device with room for the arrays but not the expansion overflows
+    spec = dataclasses.replace(TESLA_M2090, global_mem_bytes=4096)
+    bench, compiled = _compiled("EP", "OpenACC", "transposed")
+    errors = []
+    for one_pass in (True, False):
+        with pytest.raises(DeviceMemoryError) as info:
+            _timeline(bench, "OpenACC", "transposed",
+                      copy.deepcopy(compiled), "test", one_pass, spec)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert "expanded private arrays" in errors[0]
+
+
+def _counting(calls, key, fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_columns_price_the_later_keys(monkeypatch):
+    """LUD's per-pivot launches reach the numpy columns: one scalar
+    describe and price per kernel, whatever the pivot."""
+    calls = {"describe": 0, "price": 0}
+    monkeypatch.setattr(Kernel, "describe",
+                        _counting(calls, "describe", Kernel.describe))
+    monkeypatch.setattr(runtime_mod, "price_kernel",
+                        _counting(calls, "price", runtime_mod.price_kernel))
+    bench, compiled = _compiled("LUD", "OpenACC", "best")
+    ex, _ = _timeline(bench, "OpenACC", "best", compiled, "test", True)
+    assert len(ex.rt.profiler.launches) == 2 + 2 * 47
+    assert calls == {"describe": 4, "price": 4}
+
+
+def test_figure1_slice_work_counts(monkeypatch):
+    """Paper-scale EP/SRAD/KMEANS: 3,222 launches, 74 distinct ones.
+
+    The wrappers keep ``__wrapped__``, as an outside tracer does, so
+    the pass still takes its columns; counters are never derived unless
+    read.
+    """
+    calls = {"describe": 0, "price": 0, "counters": 0}
+    monkeypatch.setattr(Kernel, "describe",
+                        _counting(calls, "describe", Kernel.describe))
+    monkeypatch.setattr(runtime_mod, "price_kernel",
+                        _counting(calls, "price", runtime_mod.price_kernel))
+    monkeypatch.setattr(counters_mod, "derive_counters",
+                        _counting(calls, "counters",
+                                  counters_mod.derive_counters))
+    monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None,) * 4)
+    benches = [get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")]
+    run_speedups(benches, scale="paper")
+    assert calls == {"describe": 74, "price": 74, "counters": 0}
+    outcome = benches[1].run("OpenACC", scale="paper", execute=False)
+    launches = outcome.executable.rt.profiler.launches
+    assert calls["counters"] == 0
+    assert launches[0].counters is not None
+    assert calls["counters"] == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,model,variant",
+                         [c for c in FIGURE1
+                          if c[0] in ("LUD", "NW", "SRAD")],
+                         ids=["/".join(c) for c in FIGURE1
+                              if c[0] in ("LUD", "NW", "SRAD")])
+def test_paper_scale_lud_nw_srad_match(name, model, variant):
+    assert assert_same_timeline(name, model, variant, scale="paper") > 0

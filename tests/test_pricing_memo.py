@@ -33,6 +33,7 @@ from repro.ir.expr import ArrayRef, Var
 from repro.ir.stmt import Assign, Block, For
 from repro.models.cache import STORE, compile_port
 from repro.obs.counters import derive_counters
+from repro.obs.tracer import Tracer, tracing
 from tests.legacy_pricing import legacy_describe, legacy_price_region_serial
 
 #: every timing config the ablation benches price under
@@ -74,7 +75,11 @@ def _check_every_launch(monkeypatch, sweep) -> list[int]:
         return got
 
     monkeypatch.setattr(Kernel, "describe", checking)
-    sweep()
+    # under a tracer a timing-only run launches one kernel at a time,
+    # asking the memo at every launch (a pricing pass asks it once per
+    # distinct launch; tests/test_batch_pricing.py checks that pass)
+    with tracing(Tracer()):
+        sweep()
     return seen
 
 
@@ -234,8 +239,9 @@ class TestPriceCache:
                    for n in ("JACOBI", "HOTSPOT", "SRAD", "NW", "LUD")]
         # the default config both first and last: later configs must
         # not overwrite (or answer for) the first one's prices
-        for config in ABLATION_CONFIGS + ABLATION_CONFIGS[:1]:
-            run_speedups(benches, scale="test", timing=config)
+        with tracing(Tracer()):   # a launch at a time
+            for config in ABLATION_CONFIGS + ABLATION_CONFIGS[:1]:
+                run_speedups(benches, scale="test", timing=config)
         assert len(launched) > 1000
         held = {len(desc.priced) for desc in launched}
         assert max(held) >= len(ABLATION_CONFIGS)
