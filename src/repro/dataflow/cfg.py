@@ -35,6 +35,8 @@ from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 from repro.ir.analysis.dataflow import Cfg, DataflowError
 from repro.ir.analysis.liveness import array_upward_exposed_reads
+from repro.ir.analysis.regionmemo import (block_digest, memoized,
+                                          program_digests)
 
 if TYPE_CHECKING:
     from repro.models.base import (CompiledProgram, DataRegionSpec,
@@ -252,10 +254,14 @@ class _Builder:
         return f"{name}#{n}"
 
     def _exposed(self, region, augmented: bool) -> frozenset[str]:
-        return frozenset(array_upward_exposed_reads(
-            region.body, self.program.functions,
-            include_augmented_targets=augmented,
-            arrays=self.program.arrays))
+        digests = program_digests(self.program)
+        key = (digests.arrays, digests.functions, block_digest(region.body),
+               augmented)
+        return memoized("exposed", key, lambda: frozenset(
+            array_upward_exposed_reads(
+                region.body, self.program.functions,
+                include_augmented_targets=augmented,
+                arrays=self.program.arrays)))
 
     # -- node makers -------------------------------------------------------
     def _scope_enter(self, dr: "DataRegionSpec", trips: int,

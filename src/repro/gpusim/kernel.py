@@ -214,9 +214,9 @@ class Kernel:
     def body_digest(self) -> str:
         """sha256 of the serialized body and thread vars, memoized.
 
-        The one serialization of the body both :attr:`content_key` and
-        :func:`kernel_ir_hash` build on; kernels are not mutated after
-        construction.
+        The one serialization of the body that :attr:`content_key`,
+        :func:`kernel_ir_hash` and tv's store-fact memo build on; kernels
+        are not mutated after construction.
         """
         digest = self.__dict__.get("_body_digest")
         if digest is None:

@@ -34,7 +34,6 @@ from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.kernel import DEFAULT_BLOCK, Kernel
 from repro.gpusim.memory import MemorySpace
 from repro.gpusim.runtime import CudaRuntime
-from repro.ir.analysis.features import RegionFeatures, scan_region
 from repro.ir.analysis.metrics import BodyTerms
 from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, For, LocalDecl, Stmt

@@ -29,6 +29,7 @@ import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.ir.analysis.regionmemo import clear_region_memo
 from repro.models import get_compiler, resolve_model
 
 if TYPE_CHECKING:
@@ -318,5 +319,6 @@ def cache_stats() -> dict[str, int]:
 
 
 def clear_compile_cache() -> None:
-    """Drop every memoized compilation (for tests)."""
+    """Drop every memoized compilation and region analysis (for tests)."""
     STORE.clear()
+    clear_region_memo()

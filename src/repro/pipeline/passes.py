@@ -16,7 +16,9 @@ from typing import Callable, Optional
 
 from repro.errors import TransformError
 from repro.gpusim.kernel import DEFAULT_BLOCK, Kernel
-from repro.ir.analysis.features import scan_region
+from repro.ir.analysis.features import RegionFeatures, scan_region
+from repro.ir.analysis.regionmemo import (block_digest, memoized,
+                                          program_digests)
 from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, For, LocalDecl
 from repro.ir.transforms.collapse import promote_inner_parallel
@@ -117,7 +119,16 @@ class FeatureScan(RegionPass):
     stage = "scan"
 
     def run(self, ctx: PassContext) -> None:
-        ctx.feats = scan_region(ctx.region, ctx.program)
+        ctx.feats = region_features(ctx.region, ctx.program)
+
+
+def region_features(region: ParallelRegion,
+                    program: Program) -> RegionFeatures:
+    """:func:`scan_region`, memoized by everything it reads: the body,
+    the region's name and privates, and the program's functions."""
+    key = (program_digests(program).functions, region.name, region.private,
+           block_digest(region.body))
+    return memoized("features", key, lambda: scan_region(region, program))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from repro.ir.analysis.regionmemo import (block_digest, memoized,
+                                          program_digests)
 from repro.ir.program import Program
-from repro.ir.stmt import Block
+from repro.ir.stmt import Block, Stmt
 from repro.models.base import CompiledProgram, RegionResult
 from repro.tv.summary import (CanonFact, canonicalize, summarize_stores)
 from repro.tv.witness import Witness, find_divergence
@@ -83,6 +85,20 @@ def _group(facts: list[CanonFact]) -> dict[str, list[CanonFact]]:
     return groups
 
 
+def _store_facts(program: Program, body: Stmt, body_key,
+                 ) -> tuple[tuple[CanonFact, ...], tuple[str, ...]]:
+    """``(canonical store facts, blocking constructs)`` of ``body``,
+    memoized by ``body_key`` (the digest of ``body``), the program's
+    visible names and its functions (the inliner reads them)."""
+    def compute() -> tuple[tuple[CanonFact, ...], tuple[str, ...]]:
+        summary = summarize_stores(body, program)
+        return (tuple(canonicalize(summary, program)),
+                tuple(summary.blocking))
+    digests = program_digests(program)
+    return memoized("stores", (digests.names, digests.functions, body_key),
+                    compute)
+
+
 def _first_diverging_pass(program: Program,
                           result: RegionResult) -> Optional[tuple[str, str]]:
     """Localize a divergence within the pipeline: the first pass whose
@@ -98,9 +114,8 @@ def _first_diverging_pass(program: Program,
         if rec.ir is None:
             continue
         try:
-            summary = summarize_stores(rec.ir, program)
-            keys = sorted(f.match_key()
-                          for f in canonicalize(summary, program))
+            facts, _ = _store_facts(program, rec.ir, block_digest(rec.ir))
+            keys = sorted(f.match_key() for f in facts)
         except Exception:
             continue  # a snapshot the summarizer cannot model
         if base is None:
@@ -137,13 +152,12 @@ def validate_region(program: Program, model: str,
         cert.detail = f"region rejected by model: {reasons or 'untranslated'}"
         return cert
 
-    src_sum = summarize_stores(region.body, program)
-    ker_body = Block(tuple(k.body for k in result.kernels))
-    ker_sum = summarize_stores(ker_body, program)
-    blocking = src_sum.blocking + ker_sum.blocking
-
-    src_facts = canonicalize(src_sum, program)
-    ker_facts = canonicalize(ker_sum, program)
+    src_facts, src_blocking = _store_facts(program, region.body,
+                                           block_digest(region.body))
+    ker_facts, ker_blocking = _store_facts(
+        program, Block(tuple(k.body for k in result.kernels)),
+        tuple(k.body_digest for k in result.kernels))
+    blocking = src_blocking + ker_blocking
     cert.stores_source = len(src_facts)
     cert.stores_kernel = len(ker_facts)
 

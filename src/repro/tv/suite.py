@@ -3,7 +3,7 @@
 :func:`validate_port` certifies every region of one (benchmark, model,
 variant) port; :func:`validate_suite` sweeps 13 benchmarks × all six
 models (the five directive models plus the hand-written CUDA baseline),
-reusing the memoized compilations from :mod:`repro.lint.suite`.
+reusing the memoized compilations from :mod:`repro.models.cache`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def validate_port(benchmark: str, model: str,
     set (and its PROVED count) must match the default compile exactly.
     """
     from repro.benchmarks import get_benchmark
-    from repro.lint.suite import compile_port
+    from repro.models.cache import compile_port
 
     port, compiled, chosen = compile_port(benchmark, model, variant,
                                           elide=elide)
