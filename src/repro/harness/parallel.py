@@ -29,12 +29,14 @@ exactly what the serial sweep produces:
   pickled envelope per line); re-running an interrupted sweep with the
   same journal executes only the missing shards.
 
-The evaluation sweeps' ``jobs=1`` callers never reach this module —
-the CLI and :func:`repro.harness.runner.run_full_evaluation` keep the
-serial path byte-for-byte.  The analysis suites (lint, tv, xfer,
-locality, translate) and the baseline sweep go through
-:func:`sweep_ports` at any ``jobs``: ``jobs=1`` calls the same unit
-runners in-process, in order.
+The evaluation sweeps (Table II, Figure 1, profiles) choose between
+the serial runner path and this module in one place,
+:func:`repro.harness.runner.run_evaluation`: ``jobs=1`` never reaches
+this module, ``jobs>1`` builds :func:`evaluation_units`, runs
+:func:`run_sweep` and folds with :func:`merge_evaluation`.  The
+analysis suites (lint, tv, xfer, locality, translate) and the baseline
+sweep go through :func:`sweep_ports` at any ``jobs``: ``jobs=1`` calls
+the same unit runners in-process, in order.
 """
 
 from __future__ import annotations
@@ -751,26 +753,3 @@ def merge_evaluation(outcomes: Sequence[UnitOutcome]):
             profiles.append(o.result.profile)
     return results, profiles
 
-
-def run_parallel_evaluation(scale: str = "paper", jobs: int = 2,
-                            *, profiles: bool = False,
-                            journal: Optional[str] = None,
-                            device: DeviceSpec = TESLA_M2090,
-                            timing: Optional[TimingConfig] = None):
-    """The parallel twin of :func:`~repro.harness.runner.run_full_evaluation`.
-
-    Returns ``(EvaluationResults, run_profiles, SweepResult)``.  If an
-    ambient tracer is installed, the merged per-unit spans are replayed
-    into it in unit order, so counter totals match a traced serial run.
-    """
-    units = evaluation_units(coverage=True, speedups=True,
-                             profiles=profiles)
-    sweep = run_sweep(units, jobs=jobs, journal=journal,
-                      context=SweepContext(scale=scale, device=device,
-                                           timing=timing))
-    results, run_profiles = merge_evaluation(sweep.outcomes)
-    tracer = obs.current_tracer()
-    if tracer is not None:
-        for payload in sweep.span_payloads():
-            tracer.absorb_spans(payload)
-    return results, run_profiles, sweep

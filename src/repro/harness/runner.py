@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.benchmarks.base import Benchmark
-from repro.benchmarks.registry import iter_suite
+from repro.benchmarks.registry import get_benchmark, iter_suite
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.timing import TimingConfig
 from repro.metrics.codesize import CodeSizeReport
@@ -91,25 +91,70 @@ def run_speedups(benchmarks: Optional[Sequence[Benchmark]] = None,
     return out
 
 
-def run_full_evaluation(scale: str = "paper",
-                        jobs: int = 1) -> EvaluationResults:
-    """Coverage + code size + speedups over the whole suite.
+def run_evaluation(*, coverage: bool = False, speedups: bool = False,
+                   profiles: bool = False, scale: str = "paper",
+                   jobs: int = 1, journal: Optional[str] = None,
+                   benchmarks: Optional[Sequence[str]] = None,
+                   models: Sequence[str] = FIGURE1_MODELS,
+                   device: DeviceSpec = TESLA_M2090,
+                   timing: Optional[TimingConfig] = None):
+    """Table II (``coverage``), Figure 1 (``speedups``) and per-run
+    ``profiles`` over ``benchmarks`` (names; default the suite) and the
+    Figure-1 ``models``: the one place that picks serial or sharded.
 
-    ``jobs=1`` is the serial path; ``jobs>1`` shards the (benchmark,
-    model) work-unit graph across a process pool
-    (:mod:`repro.harness.parallel`) and merges deterministically — the
-    results are structurally identical for any ``jobs`` value.
+    ``jobs=1`` runs the serial sweeps in-process over one materialized
+    suite, so every sweep sees the same benchmark instances (and the
+    same artifact-store fast keys).  ``jobs>1`` shards the (benchmark,
+    model) work-unit graph across worker processes
+    (:mod:`repro.harness.parallel`; ``journal`` checkpoints it) and
+    merges in registry order, so the results are identical for any
+    ``jobs``; if the caller has a tracer installed, the units' spans are
+    absorbed into it under the open span, one lane per worker.
 
-    The suite is materialized once and shared by both sweeps, so the
-    coverage/code-size pass and the speedup pass see the *same*
-    benchmark instances (and therefore the same artifact-store fast
-    keys).
+    Returns ``(EvaluationResults, run_profiles, SweepResult or None)``.
     """
     if jobs > 1:
-        from repro.harness.parallel import run_parallel_evaluation
-        results, _, _ = run_parallel_evaluation(scale=scale, jobs=jobs)
-        return results
-    benches = list(iter_suite())
-    results = run_coverage_and_codesize(benches)
-    results.speedups = run_speedups(benches, scale=scale)
-    return results
+        from repro.harness.parallel import (SweepContext, evaluation_units,
+                                            merge_evaluation, run_sweep)
+        from repro.obs.merge import absorb_payloads
+
+        units = evaluation_units(benchmarks, figure1_models=models,
+                                 coverage=coverage, speedups=speedups,
+                                 profiles=profiles)
+        sweep = run_sweep(units, jobs=jobs, journal=journal,
+                          context=SweepContext(scale=scale, device=device,
+                                               timing=timing))
+        tracer = obs.current_tracer()
+        if tracer is not None:
+            parent = tracer.current
+            absorb_payloads(tracer, sweep.span_payloads(),
+                            parent_id=parent.span_id if parent else None,
+                            lanes=[o.worker for o in sweep.outcomes])
+        results, run_profiles = merge_evaluation(sweep.outcomes)
+        return results, run_profiles, sweep
+    benches = [get_benchmark(name) for name in benchmarks] \
+        if benchmarks is not None else list(iter_suite())
+    results = run_coverage_and_codesize(benches) if coverage \
+        else EvaluationResults()
+    if speedups:
+        results.speedups = run_speedups(benches, models, scale=scale,
+                                        device=device, timing=timing)
+    run_profiles = []
+    if profiles:
+        from repro.obs.profile import profile_run
+
+        for bench in benches:
+            with obs.span(bench.name, "harness.bench"):
+                run_profiles.extend(
+                    profile_run(bench.name, model, scale=scale,
+                                device=device, timing=timing)
+                    for model in models)
+    return results, run_profiles, None
+
+
+def run_full_evaluation(scale: str = "paper",
+                        jobs: int = 1) -> EvaluationResults:
+    """Coverage + code size + speedups over the whole suite, at any
+    ``jobs`` (see :func:`run_evaluation`)."""
+    return run_evaluation(coverage=True, speedups=True, scale=scale,
+                          jobs=jobs)[0]

@@ -138,49 +138,25 @@ def profile_suite(models: Optional[Sequence[str]] = None,
     """Profile every benchmark x model pair under one tracer.
 
     Returns the per-run profiles and the tracer whose JSONL/Chrome
-    sinks hold the full span tree (harness → run → launches/transfers).
-    ``jobs>1`` shards the pairs across worker processes and merges the
-    per-worker spans back — in registry order, never completion order —
-    under one ``profile.suite`` root with the same manifest.
+    sinks hold the full span tree (harness → run → launches/transfers)
+    under one ``profile.suite`` root.  ``jobs`` goes to
+    :func:`~repro.harness.runner.run_evaluation`, which merges sharded
+    profiles and spans in registry order, never completion order.
     """
     from repro.benchmarks import BENCHMARK_ORDER
-    from repro.harness.runner import FIGURE1_MODELS
+    from repro.harness.runner import FIGURE1_MODELS, run_evaluation
 
     model_list = list(models) if models is not None else list(FIGURE1_MODELS)
     bench_list = list(benchmarks) if benchmarks is not None \
         else list(BENCHMARK_ORDER)
-    manifest = make_manifest(device, timing or TimingConfig(), scale,
-                             models=model_list, benchmarks=bench_list)
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, evaluation_units,
-                                            merge_evaluation, run_sweep)
-        from repro.obs.merge import merge_span_payloads
-
-        units = evaluation_units(benchmarks=bench_list,
-                                 figure1_models=model_list,
-                                 coverage=False, speedups=False,
-                                 profiles=True)
-        with tracing(Tracer()):     # so every unit ships its spans
-            sweep = run_sweep(units, jobs=jobs, context=SweepContext(
-                scale=scale, device=device, timing=timing))
-        _, profiles = merge_evaluation(sweep.outcomes)
-        tracer = merge_span_payloads(sweep.span_payloads(),
-                                     manifest=manifest,
-                                     root_name="profile.suite",
-                                     lanes=[o.worker for o in sweep.outcomes],
-                                     wall_s=sweep.stats.elapsed_s,
-                                     scale=scale)
-        return profiles, tracer
-    tracer = Tracer(manifest=manifest)
-    profiles = []
-    with tracing(tracer):
-        with tracer.span("profile.suite", "harness", scale=scale):
-            for bench_name in bench_list:
-                with tracer.span(bench_name, "harness.bench"):
-                    for model in model_list:
-                        profiles.append(profile_run(
-                            bench_name, model, scale=scale, device=device,
-                            timing=timing))
+    tracer = Tracer(manifest=make_manifest(
+        device, timing or TimingConfig(), scale, models=model_list,
+        benchmarks=bench_list))
+    with tracing(tracer), tracer.span("profile.suite", "harness",
+                                      scale=scale):
+        _, profiles, _ = run_evaluation(
+            profiles=True, scale=scale, jobs=jobs, benchmarks=bench_list,
+            models=model_list, device=device, timing=timing)
     return profiles, tracer
 
 

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import repro
-from repro.harness.cli import ANALYSES
+from repro.harness.cli import ANALYSES, COMMANDS
 from repro.harness.cli import main as cli_main
 from repro.lint.sarif import SARIF_SCHEMA, SARIF_VERSION
 from repro.lint.suite import clear_compile_cache, compile_port
@@ -160,18 +160,21 @@ class TestCompileMemoization:
 #: one port per row: BENCH MODEL, or BENCH SRC DST for translate
 _PORT_ARGS = ("jacobi", "openacc", "omp-target")
 
+#: the rows that take one port or --all
+PORT_ROWS = [row for row in COMMANDS if row.all_help]
+
 
 def _usage_cases():
-    for row in ANALYSES:
+    for row in PORT_ROWS:
         port = list(_PORT_ARGS[:len(row.positionals)])
-        yield pytest.param([row.name, *port, "--jobs", "0"], "--jobs",
-                           id=f"{row.name}-jobs-0")
+        if row.jobs:
+            yield pytest.param([row.name, *port, "--jobs", "0"], "--jobs",
+                               id=f"{row.name}-jobs-0")
         yield pytest.param([row.name, "--all", port[0]], "--all",
                            id=f"{row.name}-all-with-positional")
-        yield pytest.param([row.name, *port, "--variant", "bogus"], "bogus",
-                           id=f"{row.name}-unknown-variant")
-    yield pytest.param(["profile", "jacobi", "openacc", "--jobs", "0"],
-                       "--jobs", id="profile-jobs-0")
+        if row.variant:
+            yield pytest.param([row.name, *port, "--variant", "bogus"],
+                               "bogus", id=f"{row.name}-unknown-variant")
     yield pytest.param(["validate", "nonesuch"], "nonesuch",
                        id="validate-unknown-benchmark")
     yield pytest.param(["compare", "JACOBI", "OpenACC", "HMPP",
@@ -206,53 +209,66 @@ class TestAnalysisTable:
         assert out.stdout.strip() == "[]"
 
 
-def _selfprof_cases():
+#: the commands whose bad input must exit 2 before any work: each
+#: command's leading arguments, keyed by command
+_BEFORE_WORK = {
+    "profile": ["profile", "jacobi", "openacc", "--scale", "test"],
+    "selfprof": ["selfprof", "JACOBI", "OpenACC"],
+    "all": ["all", "--jobs", "2"],
+    "baseline": ["baseline", "check"],
+}
+
+
+def _bad_input_cases():
     missing = os.path.join("{tmp}", "missing", "out")
-    for flag in ("--metrics", "--openmetrics", "--flamegraph"):
-        yield pytest.param([flag, missing], flag, id=f"unwritable{flag}")
-    yield pytest.param(["--flamegraph", "{tmp}"], "--flamegraph",
-                       id="directory-as-path")
-    yield pytest.param(["--deterministic"], "--deterministic",
+    for cmd, flag in (("profile", "--jsonl"), ("profile", "--chrome"),
+                      ("selfprof", "--metrics"), ("selfprof", "--openmetrics"),
+                      ("selfprof", "--flamegraph"), ("all", "--journal")):
+        yield pytest.param(cmd, [flag, missing], f"{flag} path '{missing}'",
+                           id=f"unwritable{flag}")
+        yield pytest.param(cmd, [flag, "{tmp}"], f"{flag} path '{{tmp}}'",
+                           id=f"{flag[2:]}-directory")
+    yield pytest.param("selfprof", ["--deterministic"], "--deterministic",
                        id="deterministic-without-metrics")
-    yield pytest.param(["--top", "-3"], "--top", id="negative-top")
-    yield pytest.param(["--min-coverage", "1.01"], "--min-coverage",
-                       id="min-coverage-above-1")
-    yield pytest.param(["--min-coverage", "-0.5"], "--min-coverage",
-                       id="min-coverage-below-0")
+    yield pytest.param("selfprof", ["--top", "-3"], "--top",
+                       id="negative-top")
+    yield pytest.param("selfprof", ["--min-coverage", "1.01"],
+                       "--min-coverage", id="min-coverage-above-1")
+    yield pytest.param("selfprof", ["--min-coverage", "-0.5"],
+                       "--min-coverage", id="min-coverage-below-0")
+    for value in ("nan", "-1", "inf"):
+        yield pytest.param("baseline", ["--tolerance", value], "--tolerance",
+                           id=f"tolerance-{value}")
+    yield pytest.param("baseline", ["--baseline", "{tmp}"], "{tmp}",
+                       id="baseline-directory")
+    yield pytest.param("baseline", ["--baseline", "{tmp}/bad.json"],
+                       "{tmp}/bad.json", id="baseline-bad-json")
+    yield pytest.param("baseline", ["--benchmarks", "JACOBI"],
+                       "--benchmarks", id="check-benchmarks")
 
 
 class TestSelfprofInput:
-    @pytest.mark.parametrize("extra,needle", _selfprof_cases())
-    def test_bad_input_exits_2_before_the_sweep(self, extra, needle,
+    """Bad input to selfprof and the other port/report commands (a bad
+    value, an output path that cannot be written, a baseline that
+    cannot be read) exits 2 with a message before any work runs."""
+
+    @pytest.mark.parametrize("cmd,extra,needle", _bad_input_cases())
+    def test_bad_input_exits_2_before_the_sweep(self, cmd, extra, needle,
                                                 tmp_path, monkeypatch,
                                                 capsys):
-        def no_sweep(*args, **kwargs):
-            pytest.fail("selfprof ran its sweep on bad input")
+        def no_work(*args, **kwargs):
+            pytest.fail(f"{cmd} started its work on bad input")
 
-        monkeypatch.setattr("repro.harness.parallel.run_sweep", no_sweep)
-        argv = ["selfprof", "JACOBI", "OpenACC",
+        for site in ("repro.harness.parallel.run_sweep",
+                     "repro.harness.cli.run_evaluation",
+                     "repro.obs.profile.profile_run",
+                     "repro.obs.baseline.collect_entries"):
+            monkeypatch.setattr(site, no_work)
+        (tmp_path / "bad.json").write_text("{not json")
+        argv = [*_BEFORE_WORK[cmd],
                 *(arg.format(tmp=tmp_path) for arg in extra)]
         assert cli_main(argv) == 2
         captured = capsys.readouterr()
-        assert needle in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
-
-
-class TestAllInput:
-    @pytest.mark.parametrize("journal", [
-        pytest.param(os.path.join("{tmp}", "missing", "j.jsonl"),
-                     id="missing-directory"),
-        pytest.param("{tmp}", id="directory-as-path")])
-    def test_unwritable_journal_exits_2_before_the_sweep(
-            self, journal, tmp_path, monkeypatch, capsys):
-        def no_sweep(*args, **kwargs):
-            pytest.fail("all ran its sweep on an unwritable journal")
-
-        monkeypatch.setattr("repro.harness.parallel.run_sweep", no_sweep)
-        path = journal.format(tmp=tmp_path)
-        assert cli_main(["all", "--jobs", "2", "--journal", path]) == 2
-        captured = capsys.readouterr()
-        assert "--journal" in captured.err and path in captured.err
+        assert needle.format(tmp=tmp_path) in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""

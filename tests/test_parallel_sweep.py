@@ -19,11 +19,10 @@ import pytest
 from repro.harness.cli import main
 from repro.harness.parallel import (SweepContext, SweepError, WorkUnit,
                                     evaluation_units, merge_evaluation,
-                                    pair_units, run_parallel_evaluation,
-                                    run_sweep)
+                                    pair_units, run_sweep)
 from repro.harness.rollup import build_rollup, render_rollup
 from repro.harness.runner import (FIGURE1_MODELS, TABLE2_MODELS,
-                                  run_full_evaluation)
+                                  run_evaluation, run_full_evaluation)
 from repro.models.cache import clear_compile_cache
 from repro.obs.baseline import DEFAULT_BASELINE_PATH, check_baseline
 from repro.obs.merge import counter_totals
@@ -97,7 +96,8 @@ class TestObsMergeIdentity:
     def test_parallel_eval_replays_into_ambient_tracer(self):
         tracer = Tracer()
         with tracing(tracer):
-            run_parallel_evaluation(scale="test", jobs=2)
+            run_evaluation(coverage=True, speedups=True, scale="test",
+                           jobs=2)
         labels = {s.name for s in tracer.spans}
         assert any(label.startswith("eval:") for label in labels)
 
