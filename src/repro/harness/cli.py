@@ -24,11 +24,10 @@ handler resolves its port through :func:`_port`, the one check of
 ``--all`` against the positionals.  The analyses share one handler
 (:func:`_cmd_analysis`); every other row is a report with its own.
 
-``--jobs N`` (default 1 = the serial path) shards a sweep's (benchmark,
-model) work units across worker processes
-(:mod:`repro.harness.parallel`) and merges in registry order, so output
-is independent of the worker count; the evaluation sweeps make that
-choice in :func:`repro.harness.runner.run_evaluation`.
+``--jobs N`` (default 1, in-process) shards a sweep's (benchmark, model)
+work units across worker processes; every sweep runs its units through
+:func:`repro.harness.parallel.run_sweep` and merges in registry order,
+so output is independent of the worker count.
 
 Exit-code contract (pinned by ``tests/test_cli_errors.py``): 0 clean,
 1 on gated findings, 2 on usage errors.  Usage errors — unknown
@@ -489,7 +488,7 @@ def _cmd_baseline(_row: Command, args: argparse.Namespace) -> int:
             for name in args.benchmarks or ():
                 get_benchmark(name)
             doc = record_baseline(path, benchmarks=args.benchmarks or None,
-                                  scale=args.scale,
+                                  scale=args.scale or "paper",
                                   tolerance=DEFAULT_TOLERANCE
                                   if args.tolerance is None
                                   else args.tolerance,
@@ -501,6 +500,10 @@ def _cmd_baseline(_row: Command, args: argparse.Namespace) -> int:
         if args.benchmarks is not None:
             raise UsageError("baseline: --benchmarks applies to 'record' "
                              "only")
+        if args.scale is not None:
+            raise UsageError("baseline: --scale applies to 'record' only; "
+                             "'check' takes the scale from the baseline's "
+                             "manifest")
         try:
             with open(path, encoding="utf-8") as handle:
                 json.load(handle)
@@ -546,13 +549,14 @@ def _cmd_all(_row: Command, args: argparse.Namespace) -> int:
 
     from repro.harness.report import render_bottleneck_section
     from repro.harness.rollup import build_rollup, render_rollup, timing_meta
-    from repro.models.cache import cache_stats
     from repro.obs.selfprof import attribute_spans
     from repro.obs.tracer import Tracer, tracing
 
     if args.journal and args.jobs == 1:
-        raise UsageError("all: --journal requires --jobs > 1 "
-                         "(the serial path does not checkpoint)")
+        raise UsageError("all: --journal requires --jobs > 1 (units run "
+                         "in-process record their spans into all's trace "
+                         "and journal none, so a --jobs 1 journal could "
+                         "never resume)")
     tracer = Tracer()
     t_wall = time.perf_counter()
     with tracing(tracer):   # also captures the parent-side sweep.merge span
@@ -565,13 +569,8 @@ def _cmd_all(_row: Command, args: argparse.Namespace) -> int:
     if args.json:
         meta = {"jobs": args.jobs, "scale": args.scale,
                 "generated_unix": time.time(),
-                "timing": timing_meta(
-                    attribution,
-                    sweep.stats if sweep is not None else None)}
-        if sweep is not None:
-            meta["sweep"] = sweep.stats.to_dict()
-        else:
-            meta["store"] = cache_stats()
+                "timing": timing_meta(attribution, sweep.stats),
+                "sweep": sweep.stats.to_dict()}
         print(render_rollup(build_rollup(results, profiles, meta)))
         return 0
 
@@ -584,14 +583,8 @@ def _cmd_all(_row: Command, args: argparse.Namespace) -> int:
     print()
     print(render_bottleneck_section(profiles))
     print()
-    if sweep is not None:
-        print(sweep.stats.store_summary())
-        print(sweep.stats.shard_summary())
-    else:
-        stats = cache_stats()
-        print(f"artifact store: {stats['entries']} compilations for "
-              f"{stats['hits'] + stats['misses']} requests "
-              f"({stats['hits']} hits, {stats['misses']} misses)")
+    print(sweep.stats.store_summary())
+    print(sweep.stats.shard_summary())
     phases = attribution.phase_seconds()
     breakdown = ", ".join(f"{name} {seconds * 1e3:.0f} ms"
                           for name, seconds in sorted(
@@ -607,7 +600,6 @@ def _cmd_selfprof(row: Command, args: argparse.Namespace) -> int:
                                         selfprof_pair_units, selfprof_units)
     from repro.models import resolve_model
     from repro.obs.flamegraph import write_collapsed
-    from repro.obs.merge import absorb_payloads
     from repro.obs.metrics import metrics_from_spans, render_metrics_json
     from repro.obs.selfprof import attribute_spans, render_attribution
     from repro.obs.tracer import Tracer, tracing
@@ -637,9 +629,6 @@ def _cmd_selfprof(row: Command, args: argparse.Namespace) -> int:
                          jobs=jobs):
             sweep = run_sweep(units, jobs=jobs,
                               context=SweepContext(scale=args.scale))
-            absorb_payloads(tracer, sweep.span_payloads(),
-                            parent_id=tracer.spans[0].span_id,
-                            lanes=[o.worker for o in sweep.outcomes])
 
     attribution = attribute_spans(tracer.spans)
     stats = sweep.stats
@@ -742,9 +731,12 @@ COMMANDS: tuple[Command, ...] = (
             all_help="one summary line per region for every benchmark x "
                      "model pair", variant=True),
     Command("baseline", "record or check the perf-regression baseline",
-            _cmd_baseline, scale="paper",
-            scale_help="workload scale for 'record'", jobs=True,
+            _cmd_baseline, jobs=True,
             options=(_arg("action", choices=("record", "check")),
+                     _arg("--scale", default=None, choices=("test", "paper"),
+                          help="workload scale for 'record' (default: "
+                               "paper); 'check' reads it from the "
+                               "baseline's manifest"),
                      _arg("--baseline", default=None, metavar="PATH",
                           help="baseline file (default: "
                                "benchmarks/baselines/figure1-paper.json)"),
@@ -759,7 +751,9 @@ COMMANDS: tuple[Command, ...] = (
                       "section is byte-identical for any --jobs value)",
             jobs=True,
             outputs=(("journal", "checkpoint/resume journal for the "
-                                 "sharded sweep (requires --jobs > 1); an "
+                                 "sharded sweep (requires --jobs > 1: units "
+                                 "run in-process journal no spans, so a "
+                                 "--jobs 1 journal could never resume); an "
                                  "interrupted sweep restarts only the "
                                  "missing work units"),)),
 )
@@ -788,8 +782,8 @@ def _add_command(sub, row: Command) -> None:
     if row.jobs:
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for the sweep (default 1 = "
-                            "the serial path; results are identical for "
-                            "any value)")
+                            "in-process; results are identical for any "
+                            "value)")
     p.set_defaults(func=functools.partial(_run_command, row))
 
 

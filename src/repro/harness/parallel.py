@@ -4,8 +4,8 @@ The full evaluation — Table II coverage/code-size, Figure 1 speedups,
 and the profile/baseline sweeps — is a graph of independent **work
 units**, one per (benchmark, model) pair (a unit owns every variant of
 its pair, so the unit set partitions the port set).  This module shards
-that graph across ``N`` worker processes and merges the results into
-exactly what the serial sweep produces:
+that graph across ``N`` worker processes (or runs it in-process at
+``jobs=1``) and merges the results in one fixed order:
 
 * **self-scheduling shards** — workers steal unit indices from one
   shared task queue, so a slow unit (CFD at paper scale) never idles
@@ -21,22 +21,22 @@ exactly what the serial sweep produces:
   (benchmark × model build order), *never* completion order, so any
   ``jobs`` value yields structurally identical results and
   byte-identical JSON rollups;
-* **obs merge** — if the caller has a tracer installed, every unit runs
-  under its own tracer; span payloads are merged in unit order
-  (:mod:`repro.obs.merge`), keeping counter totals independent of the
-  worker count;
+* **obs merge** — if the caller has a tracer installed, a unit run
+  in-process records straight into it; a worker runs each unit under
+  its own tracer and ships the spans back, and :func:`run_sweep`
+  absorbs them (and a journaled unit's) in unit order under the
+  caller's open span, one lane per worker (:mod:`repro.obs.merge`),
+  keeping counter totals independent of the worker count;
 * **checkpoint/resume** — each completed unit is journaled (JSONL, one
   pickled envelope per line); re-running an interrupted sweep with the
   same journal executes only the missing shards.
 
-The evaluation sweeps (Table II, Figure 1, profiles) choose between
-the serial runner path and this module in one place,
-:func:`repro.harness.runner.run_evaluation`: ``jobs=1`` never reaches
-this module, ``jobs>1`` builds :func:`evaluation_units`, runs
-:func:`run_sweep` and folds with :func:`merge_evaluation`.  The
+:func:`run_sweep` is the one path from work units to results at any
+``jobs``.  The evaluation sweeps (Table II, Figure 1, profiles) reach it
+through :func:`repro.harness.runner.run_evaluation`, which builds
+:func:`evaluation_units` and folds with :func:`merge_evaluation`; the
 analysis suites (lint, tv, xfer, locality, translate) and the baseline
-sweep go through :func:`sweep_ports` at any ``jobs``: ``jobs=1`` calls
-the same unit runners in-process, in order.
+sweep through :func:`sweep_ports`.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.timing import TimingConfig
 from repro.models.cache import STORE, StoreView, merge_view_stats
 from repro.obs import tracer as obs
+from repro.obs.merge import absorb_payloads
 from repro.obs.tracer import Tracer, tracing
 
 JOURNAL_SCHEMA = 1
@@ -161,9 +162,9 @@ class EvalUnitResult:
 @_unit_runner("eval")
 def _run_eval_unit(unit: WorkUnit, ctx: SweepContext) -> EvalUnitResult:
     from repro.benchmarks.registry import get_benchmark
+    from repro.harness.runner import price_pair
     from repro.metrics.codesize import CodeSizeReport
     from repro.metrics.coverage import CoverageReport
-    from repro.metrics.speedup import BenchmarkSpeedups
     from repro.models.cache import compile_bench
     from repro.obs.profile import profile_run
 
@@ -178,15 +179,8 @@ def _run_eval_unit(unit: WorkUnit, ctx: SweepContext) -> EvalUnitResult:
         size.add_port(bench.program, port)
         out.coverage, out.codesize = cov, size
     if "speedups" in flags:
-        record = BenchmarkSpeedups(benchmark=bench.name, model=unit.model)
-        for variant in bench.variants(unit.model):
-            _, compiled = compile_bench(bench, unit.model, variant)
-            outcome = bench.run(unit.model, variant, scale=ctx.scale,
-                                execute=False, validate=False,
-                                device=ctx.device, timing=ctx.timing,
-                                compiled=compiled)
-            record.variants.append(outcome.speedup)
-        out.speedups = record
+        out.speedups = price_pair(bench, unit.model, ctx.scale, ctx.device,
+                                  ctx.timing)
     if "profile" in flags:
         out.profile = profile_run(unit.bench, unit.model, scale=ctx.scale,
                                   device=ctx.device, timing=ctx.timing)
@@ -252,22 +246,23 @@ def _run_exec_unit(unit: WorkUnit, ctx: SweepContext) -> dict:
 
 
 def execute_unit(unit: WorkUnit, ctx: SweepContext,
-                 trace: bool) -> UnitEnvelope:
-    """Run one unit with store accounting; with ``trace``, under its own
-    tracer, shipping its spans back."""
+                 ship_spans: bool) -> UnitEnvelope:
+    """Run one unit with store accounting.  With ``ship_spans`` (a
+    worker of a traced sweep) it runs under its own tracer and ships its
+    spans back; otherwise it records into the ambient tracer, if any."""
     runner = UNIT_RUNNERS.get(unit.kind)
     if runner is None:
         raise SweepError(f"unknown work-unit kind {unit.kind!r}; "
                          f"known: {sorted(UNIT_RUNNERS)}")
     before = STORE.view()
-    tracer = Tracer() if trace else None
+    tracer = Tracer() if ship_spans else obs.current_tracer()
     with tracing(tracer), obs.span(unit.label(), "harness.unit",
                                    bench=unit.bench, model=unit.model,
                                    kind=unit.kind):
         result = runner(unit, ctx)
     return UnitEnvelope(unit=unit, result=result,
                         spans=[sp.to_dict() for sp in tracer.spans]
-                        if trace else [], store=STORE.delta_view(before))
+                        if ship_spans else [], store=STORE.delta_view(before))
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +396,6 @@ class SweepResult:
     def results(self) -> list[Any]:
         return [o.result for o in self.outcomes]
 
-    def span_payloads(self) -> list[list[dict]]:
-        return [o.spans for o in self.outcomes]
-
 
 def _worker_main(worker_id: int, units: Sequence[WorkUnit],
                  ctx: SweepContext, trace: bool, task_q, result_q) -> None:
@@ -445,13 +437,17 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
     ``jobs <= 1`` (or a single pending unit) runs in-process through the
     exact same unit runners; ``jobs > 1`` shards across a process pool.
     With ``journal``, completed units from a previous run are reused and
-    fresh completions are appended as they arrive.  Units capture spans
-    (:meth:`SweepResult.span_payloads`) only if a tracer is installed
-    here; a journaled unit without spans then re-runs.
+    fresh completions are appended as they arrive.  If a tracer is
+    installed here, every unit's spans end up in it under the open span:
+    in-process units record into it directly, and the spans workers and
+    journal entries ship are absorbed in unit order, one lane per worker.
+    In-process units journal no spans, so under a tracer a journaled
+    unit without spans re-runs.
     """
     t0 = time.perf_counter()
     ctx = context or SweepContext()
-    trace = obs.current_tracer() is not None
+    tracer = obs.current_tracer()
+    trace = tracer is not None
     ordered = sorted(units, key=unit_sort_key)
     journaled = {key: env for key, env in load_journal(journal,
                                                        ordered).items()
@@ -467,7 +463,7 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
         stats.jobs = 1
         for idx in pending:
             t_busy = time.perf_counter()
-            envelope = execute_unit(ordered[idx], ctx, trace)
+            envelope = execute_unit(ordered[idx], ctx, ship_spans=False)
             stats.per_worker_busy[0] = stats.per_worker_busy.get(0, 0.0) \
                 + (time.perf_counter() - t_busy)
             append_journal(journal, envelope)
@@ -549,6 +545,11 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
         for idx, wid in workers_of.items():
             stats.per_worker[wid] = stats.per_worker.get(wid, 0) + 1
         stats.store = merge_view_stats(views)
+    if trace:
+        parent = tracer.current
+        absorb_payloads(tracer, [o.spans for o in outcomes],
+                        parent_id=parent.span_id if parent else None,
+                        lanes=[o.worker for o in outcomes])
     stats.elapsed_s = time.perf_counter() - t0
     return SweepResult(outcomes=outcomes, stats=stats)
 
@@ -584,16 +585,12 @@ def sweep_ports(kind: str, work: Sequence[tuple[str, ...]], jobs: int = 1,
 
     An item is ``(bench, model)``, or ``(bench, src, dst)`` for
     translation — a unit's ``(bench, model, variant)``.  ``context``
-    sets :class:`SweepContext` fields.  ``jobs=1`` runs the units'
-    :data:`UNIT_RUNNERS` entry in-process; ``jobs>1`` shards the same
-    units across worker processes, so the records are identical for any
-    worker count.
+    sets :class:`SweepContext` fields.  The units go through
+    :func:`run_sweep`, so the records are identical for any worker
+    count.
     """
-    units = pair_units(kind, work)
-    ctx = SweepContext(**context)
-    if jobs <= 1:
-        return [UNIT_RUNNERS[kind](unit, ctx) for unit in units]
-    return run_sweep(units, jobs=jobs, context=ctx).results()
+    return run_sweep(pair_units(kind, work), jobs=jobs,
+                     context=SweepContext(**context)).results()
 
 
 def evaluation_units(benchmarks: Optional[Sequence[str]] = None,
@@ -603,7 +600,7 @@ def evaluation_units(benchmarks: Optional[Sequence[str]] = None,
                      profiles: bool = False) -> list[WorkUnit]:
     """The (bench, model) work-unit graph of the full evaluation.
 
-    Unit order is the registry order the serial sweeps iterate in:
+    Unit order is registry order:
     benchmarks in Figure 1 x-axis order, models in Table II column
     order with the hand-written baseline appended.
     """
@@ -718,8 +715,8 @@ def merge_evaluation(outcomes: Sequence[UnitOutcome]):
     """Fold eval-unit outcomes into ``(EvaluationResults, profiles)``.
 
     Outcomes must already be in registry order (``run_sweep`` guarantees
-    it); the fold then reproduces the serial sweep's aggregation order
-    exactly — model-major for Table II, benchmark-major for Figure 1.
+    it); the fold is then model-major for Table II and benchmark-major
+    for Figure 1, whatever the worker count.
     """
     from repro.harness.runner import EvaluationResults
     from repro.metrics.codesize import CodeSizeReport

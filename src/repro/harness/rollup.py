@@ -84,23 +84,22 @@ def build_rollup(results: EvaluationResults,
     }
 
 
-def timing_meta(attribution, sweep_stats=None) -> dict:
+def timing_meta(attribution, sweep_stats) -> dict:
     """The ``meta.timing`` block: selfprof per-phase wall-clock.
 
     Timing legitimately varies run to run, so this lives in ``meta`` —
     never in ``results`` — keeping the jobs-invariance diff clean.
     ``attribution`` is an :class:`repro.obs.selfprof.Attribution`;
-    ``sweep_stats`` (parallel runs) adds pool utilization.
+    ``sweep_stats`` (the sweep's :class:`~repro.harness.parallel.SweepStats`)
+    adds pool utilization.
     """
-    out = {"wall_s": round(attribution.wall_s, 6),
-           "work_s": round(attribution.work_s, 6),
-           "coverage": round(attribution.coverage, 6),
-           "phases": attribution.phase_seconds()}
-    if sweep_stats is not None:
-        out["utilization"] = round(sweep_stats.utilization(), 4)
-        out["worker_busy_s"] = round(sweep_stats.busy_s, 6)
-        out["worker_wait_s"] = round(sweep_stats.wait_s, 6)
-    return out
+    return {"wall_s": round(attribution.wall_s, 6),
+            "work_s": round(attribution.work_s, 6),
+            "coverage": round(attribution.coverage, 6),
+            "phases": attribution.phase_seconds(),
+            "utilization": round(sweep_stats.utilization(), 4),
+            "worker_busy_s": round(sweep_stats.busy_s, 6),
+            "worker_wait_s": round(sweep_stats.wait_s, 6)}
 
 
 def render_rollup(doc: Mapping[str, Any]) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.benchmarks.base import Benchmark
-from repro.benchmarks.registry import get_benchmark, iter_suite
+from repro.benchmarks.registry import iter_suite
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.timing import TimingConfig
 from repro.metrics.codesize import CodeSizeReport
@@ -47,22 +47,18 @@ class EvaluationResults:
         default_factory=dict)
 
 
-def run_coverage_and_codesize(
-        benchmarks: Optional[Sequence[Benchmark]] = None,
-) -> EvaluationResults:
-    """Compile every port; aggregate Table II."""
-    results = EvaluationResults()
-    benches = list(benchmarks) if benchmarks is not None else list(iter_suite())
-    for model in TABLE2_MODELS:
-        cov = CoverageReport(model=model)
-        size = CodeSizeReport(model=model)
-        for bench in benches:
-            port, compiled = compile_bench(bench, model, "best")
-            cov.add(compiled)
-            size.add_port(bench.program, port)
-        results.coverage[model] = cov
-        results.codesize[model] = size
-    return results
+def price_pair(bench: Benchmark, model: str, scale: str = "paper",
+               device: DeviceSpec = TESLA_M2090,
+               timing: Optional[TimingConfig] = None) -> BenchmarkSpeedups:
+    """Price every variant of one (benchmark, model) pair, timing-only."""
+    record = BenchmarkSpeedups(benchmark=bench.name, model=model)
+    for variant in bench.variants(model):
+        _, compiled = compile_bench(bench, model, variant)
+        outcome = bench.run(model, variant, scale=scale, execute=False,
+                            validate=False, device=device, timing=timing,
+                            compiled=compiled)
+        record.variants.append(outcome.speedup)
+    return record
 
 
 def run_speedups(benchmarks: Optional[Sequence[Benchmark]] = None,
@@ -76,18 +72,9 @@ def run_speedups(benchmarks: Optional[Sequence[Benchmark]] = None,
     benches = list(benchmarks) if benchmarks is not None else list(iter_suite())
     for bench in benches:
         with obs.span(bench.name, "harness.bench"):
-            per_model: dict[str, BenchmarkSpeedups] = {}
-            for model in models:
-                record = BenchmarkSpeedups(benchmark=bench.name, model=model)
-                for variant in bench.variants(model):
-                    _, compiled = compile_bench(bench, model, variant)
-                    outcome = bench.run(model, variant, scale=scale,
-                                        execute=False, validate=False,
-                                        device=device, timing=timing,
-                                        compiled=compiled)
-                    record.variants.append(outcome.speedup)
-                per_model[model] = record
-            out[bench.name] = per_model
+            out[bench.name] = {model: price_pair(bench, model, scale,
+                                                 device, timing)
+                               for model in models}
     return out
 
 
@@ -100,56 +87,26 @@ def run_evaluation(*, coverage: bool = False, speedups: bool = False,
                    timing: Optional[TimingConfig] = None):
     """Table II (``coverage``), Figure 1 (``speedups``) and per-run
     ``profiles`` over ``benchmarks`` (names; default the suite) and the
-    Figure-1 ``models``: the one place that picks serial or sharded.
+    Figure-1 ``models``.
 
-    ``jobs=1`` runs the serial sweeps in-process over one materialized
-    suite, so every sweep sees the same benchmark instances (and the
-    same artifact-store fast keys).  ``jobs>1`` shards the (benchmark,
-    model) work-unit graph across worker processes
-    (:mod:`repro.harness.parallel`; ``journal`` checkpoints it) and
-    merges in registry order, so the results are identical for any
-    ``jobs``; if the caller has a tracer installed, the units' spans are
-    absorbed into it under the open span, one lane per worker.
-
-    Returns ``(EvaluationResults, run_profiles, SweepResult or None)``.
+    Builds the (benchmark, model) work-unit graph, runs it through
+    :func:`~repro.harness.parallel.run_sweep` (in-process at ``jobs=1``,
+    across worker processes otherwise; ``journal`` checkpoints it) and
+    folds the outcomes in registry order, so the results are identical
+    for any ``jobs``.  Returns ``(EvaluationResults, run_profiles,
+    SweepResult)``.
     """
-    if jobs > 1:
-        from repro.harness.parallel import (SweepContext, evaluation_units,
-                                            merge_evaluation, run_sweep)
-        from repro.obs.merge import absorb_payloads
+    from repro.harness.parallel import (SweepContext, evaluation_units,
+                                        merge_evaluation, run_sweep)
 
-        units = evaluation_units(benchmarks, figure1_models=models,
-                                 coverage=coverage, speedups=speedups,
-                                 profiles=profiles)
-        sweep = run_sweep(units, jobs=jobs, journal=journal,
-                          context=SweepContext(scale=scale, device=device,
-                                               timing=timing))
-        tracer = obs.current_tracer()
-        if tracer is not None:
-            parent = tracer.current
-            absorb_payloads(tracer, sweep.span_payloads(),
-                            parent_id=parent.span_id if parent else None,
-                            lanes=[o.worker for o in sweep.outcomes])
-        results, run_profiles = merge_evaluation(sweep.outcomes)
-        return results, run_profiles, sweep
-    benches = [get_benchmark(name) for name in benchmarks] \
-        if benchmarks is not None else list(iter_suite())
-    results = run_coverage_and_codesize(benches) if coverage \
-        else EvaluationResults()
-    if speedups:
-        results.speedups = run_speedups(benches, models, scale=scale,
-                                        device=device, timing=timing)
-    run_profiles = []
-    if profiles:
-        from repro.obs.profile import profile_run
-
-        for bench in benches:
-            with obs.span(bench.name, "harness.bench"):
-                run_profiles.extend(
-                    profile_run(bench.name, model, scale=scale,
-                                device=device, timing=timing)
-                    for model in models)
-    return results, run_profiles, None
+    units = evaluation_units(benchmarks, figure1_models=models,
+                             coverage=coverage, speedups=speedups,
+                             profiles=profiles)
+    sweep = run_sweep(units, jobs=jobs, journal=journal,
+                      context=SweepContext(scale=scale, device=device,
+                                           timing=timing))
+    results, run_profiles = merge_evaluation(sweep.outcomes)
+    return results, run_profiles, sweep
 
 
 def run_full_evaluation(scale: str = "paper",

@@ -2,10 +2,10 @@
 
 A parallel sweep (:mod:`repro.harness.parallel`) runs every work unit
 under its own :class:`~repro.obs.tracer.Tracer` inside a worker process
-and ships the spans back as plain dicts.  This module folds those
-payloads into a single tracer — one manifest, one id space — in **work
-unit order**, never completion order, so a merged JSONL document is
-reproducible for any worker count.
+and ships the spans back as plain dicts.  :func:`absorb_payloads` folds
+those payloads into the caller's tracer — one manifest, one id space —
+in **work unit order**, never completion order, so a merged JSONL
+document is reproducible for any worker count.
 
 Span wall-clock fields (``t0_us``/``dur_us``) are worker-local and thus
 timing metadata; everything the determinism suite compares —
@@ -17,56 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.obs.tracer import RunManifest, Span, Tracer
-
-
-def merge_span_payloads(payloads: Sequence[Sequence[Mapping[str, Any]]],
-                        manifest: Optional[RunManifest] = None,
-                        root_name: Optional[str] = None,
-                        root_category: str = "harness",
-                        lanes: Optional[Sequence[int]] = None,
-                        wall_s: Optional[float] = None,
-                        **root_attrs: Any) -> Tracer:
-    """Fold ordered per-unit span payloads into one fresh tracer.
-
-    ``payloads`` must already be in deterministic unit order (the sweep
-    engine sorts outcomes by registry key before handing them over).
-    When ``root_name`` is given, a synthetic root span is opened and all
-    payload roots are re-parented under it — mirroring the enclosing
-    ``profile.suite`` span the serial sweep produces.
-
-    ``lanes`` (one worker id per payload, ``-1`` for journal-resumed
-    units) assigns each payload a timeline lane: spans get
-    ``tid = worker + 1`` and each unit's worker-local clock is shifted
-    to start where the lane's previous unit ended, so a Chrome export
-    shows per-worker flames laid end to end instead of every unit
-    overlapping at ``t=0`` in one lane.
-
-    The synthetic root records **both** time totals: ``dur_s`` is the
-    true wall-clock of the sweep (``wall_s`` when the caller measured
-    it, else the longest lane), and ``attrs["total_work_s"]`` is the
-    sum of per-unit durations across workers.  The two only coincide
-    for a serial sweep — reporting summed worker time as the root
-    duration overstates elapsed time for any ``--jobs > 1``.
-    """
-    tracer = Tracer(manifest=manifest)
-    parent_id: Optional[int] = None
-    root: Optional[Span] = None
-    if root_name is not None:
-        root = Span(span_id=tracer._next_id, parent_id=None,
-                    name=root_name, category=root_category,
-                    t0_s=0.0, dur_s=None, attrs=dict(root_attrs))
-        tracer._next_id += 1
-        tracer.spans.append(root)
-        parent_id = root.span_id
-    total, longest = absorb_payloads(tracer, payloads, parent_id=parent_id,
-                                     lanes=lanes)
-    if root is not None:
-        elapsed = wall_s if wall_s is not None else longest
-        root.dur_s = elapsed
-        root.attrs["total_work_s"] = round(total, 6)
-        root.attrs["wall_s"] = round(elapsed, 6)
-    return tracer
+from repro.obs.tracer import Span, Tracer
 
 
 def absorb_payloads(tracer: Tracer,
@@ -76,11 +27,19 @@ def absorb_payloads(tracer: Tracer,
                     ) -> tuple[float, float]:
     """Absorb ordered payloads into a live tracer, laid out per lane.
 
+    ``lanes`` (one worker id per payload, ``-1`` for journal-resumed
+    units) assigns each payload a timeline lane: spans get
+    ``tid = worker + 1`` and each unit's worker-local clock is shifted
+    to start where the lane's previous unit ended, so a Chrome export
+    shows per-worker flames laid end to end instead of every unit
+    overlapping at ``t=0`` in one lane.
+
     Returns ``(total_work_s, longest_lane_s)`` — the summed duration of
     absorbed payload roots, and the end time of the busiest lane (a
-    lower bound on elapsed wall clock when the caller didn't measure
-    it).  The CLI uses this to pull sweep payloads into the *ambient*
-    tracer so they land next to parent-side spans (``sweep.merge``).
+    lower bound on the sweep's elapsed wall clock).
+    :func:`~repro.harness.parallel.run_sweep` uses this to pull shipped
+    payloads into the *ambient* tracer, next to parent-side spans
+    (``sweep.merge``).
     """
     total = 0.0
     cursor: dict[int, float] = {}   # lane → end of its last unit

@@ -140,7 +140,7 @@ def profile_suite(models: Optional[Sequence[str]] = None,
     Returns the per-run profiles and the tracer whose JSONL/Chrome
     sinks hold the full span tree (harness → run → launches/transfers)
     under one ``profile.suite`` root.  ``jobs`` goes to
-    :func:`~repro.harness.runner.run_evaluation`, which merges sharded
+    :func:`~repro.harness.runner.run_evaluation`, whose sweep merges
     profiles and spans in registry order, never completion order.
     """
     from repro.benchmarks import BENCHMARK_ORDER

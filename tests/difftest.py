@@ -24,18 +24,30 @@ over padded arrays, gathers, scatters with collisions, guarded
 branches, sequential inner reductions), and
 :func:`divergent_programs` draws CSR-style loops whose bounds differ
 per lane.
+
+:func:`serial_evaluation` is the sweep-level oracle: the full
+evaluation aggregated by plain serial loops (model-major Table II
+fold, benchmark-major Figure 1, one ``profile_run`` per pair), against
+which the work-unit sweep is checked at any ``jobs``.
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.benchmarks.registry import get_benchmark, iter_suite
 from repro.gpusim.executor import KernelExecutor, execute_kernel
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.reference import execute_kernel_scalar
 from repro.gpusim.trace import TracingExecutor
+from repro.harness.runner import (FIGURE1_MODELS, TABLE2_MODELS,
+                                  EvaluationResults, run_speedups)
 from repro.ir.builder import (accum, aref, assign, block, iff, local, pfor,
                               sfor, ternary, v)
 from repro.ir.expr import BinOp, Const
+from repro.metrics.codesize import CodeSizeReport
+from repro.metrics.coverage import CoverageReport
+from repro.models.cache import compile_bench
+from repro.obs.profile import profile_run
 
 #: engines whose outputs must agree bitwise with each other
 BITWISE_ENGINES = frozenset({"interpreter", "tracer"})
@@ -345,3 +357,24 @@ def divergent_programs(draw):
         "z": np.zeros(n),
     }
     return body, ["i"], arrays
+
+
+def serial_evaluation(scale, benchmarks=None, models=FIGURE1_MODELS):
+    """Table II, Figure 1 and the per-run profiles by serial loops:
+    ``(EvaluationResults, profiles)`` in the order the sweep merges."""
+    benches = [get_benchmark(name) for name in benchmarks] \
+        if benchmarks is not None else list(iter_suite())
+    results = EvaluationResults()
+    for model in TABLE2_MODELS:
+        cov = CoverageReport(model=model)
+        size = CodeSizeReport(model=model)
+        for bench in benches:
+            port, compiled = compile_bench(bench, model, "best")
+            cov.add(compiled)
+            size.add_port(bench.program, port)
+        results.coverage[model] = cov
+        results.codesize[model] = size
+    results.speedups = run_speedups(benches, models, scale=scale)
+    profiles = [profile_run(bench.name, model, scale=scale)
+                for bench in benches for model in models]
+    return results, profiles

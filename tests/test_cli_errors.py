@@ -245,6 +245,8 @@ def _bad_input_cases():
                        "{tmp}/bad.json", id="baseline-bad-json")
     yield pytest.param("baseline", ["--benchmarks", "JACOBI"],
                        "--benchmarks", id="check-benchmarks")
+    yield pytest.param("baseline", ["--scale", "test"],
+                       "--scale applies to 'record' only", id="check-scale")
 
 
 class TestSelfprofInput:

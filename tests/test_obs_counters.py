@@ -172,7 +172,7 @@ class TestInstrumentation:
                                          scale="test")
         assert len(profiles) == 1
         cats = {s.category for s in tracer.spans}
-        assert {"harness", "harness.bench", "compile", "gpu.launch",
+        assert {"harness", "harness.unit", "compile", "gpu.launch",
                 "gpu.transfer"} <= cats
         launches = tracer.find(category="gpu.launch")
         assert launches and all("gld_transactions" in s.counters

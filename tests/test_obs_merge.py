@@ -1,18 +1,15 @@
-"""Deterministic span-payload merge: lanes, wall-clock, counter totals.
+"""Deterministic span-payload merge: lanes, work totals, counter totals.
 
-PR 8's satellite fix is pinned here: merged Chrome traces get one
-timeline lane per worker (``tid``), units laid end to end per lane,
-and the synthetic root reports **true wall-clock** as its duration
-with summed worker time demoted to ``attrs["total_work_s"]`` — before
-the fix ``root.dur_s`` silently reported summed worker time.
+Absorbed payloads get one timeline lane per worker (``tid``), units
+laid end to end per lane, and :func:`absorb_payloads` reports the
+summed work of the absorbed units apart from the busiest lane's end.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.merge import (absorb_payloads, counter_totals,
-                             merge_span_payloads)
+from repro.obs.merge import absorb_payloads, counter_totals
 from repro.obs.tracer import Span, Tracer
 
 
@@ -23,6 +20,15 @@ def _payload(dur_s: float, name: str = "unit", counters=None) -> list[dict]:
     child = Span(span_id=1, parent_id=0, name=f"{name}.inner",
                  category="compile", t0_s=0.0, dur_s=dur_s / 2)
     return [root.to_dict(), child.to_dict()]
+
+
+def _absorbed(payloads, lanes=None) -> Tracer:
+    """A tracer whose ``sweep`` root span holds ``payloads``."""
+    tracer = Tracer()
+    with tracer.span("sweep", "harness") as root:
+        absorb_payloads(tracer, payloads, parent_id=root.span_id,
+                        lanes=lanes)
+    return tracer
 
 
 class TestCounterTotals:
@@ -59,28 +65,18 @@ class TestCounterTotals:
 
 
 class TestMergeLanes:
-    def test_root_records_wall_and_total_work(self):
-        payloads = [_payload(2.0), _payload(3.0)]
-        tracer = merge_span_payloads(payloads, root_name="sweep",
-                                     lanes=[0, 1], wall_s=3.25)
-        root = tracer.spans[0]
-        assert root.dur_s == 3.25            # true wall, not 5.0
-        assert root.attrs["total_work_s"] == pytest.approx(5.0)
-        assert root.attrs["wall_s"] == 3.25
-
-    def test_wall_defaults_to_longest_lane(self):
+    def test_longest_lane_and_total_work(self):
         # two units on worker 0 (2s + 3s laid end to end), one on worker 1
-        tracer = merge_span_payloads(
-            [_payload(2.0), _payload(3.0), _payload(4.0)],
-            root_name="sweep", lanes=[0, 0, 1])
-        root = tracer.spans[0]
-        assert root.dur_s == pytest.approx(5.0)   # lane 0: 2+3 > lane 1: 4
-        assert root.attrs["total_work_s"] == pytest.approx(9.0)
+        total, longest = absorb_payloads(
+            Tracer(), [_payload(2.0), _payload(3.0), _payload(4.0)],
+            lanes=[0, 0, 1])
+        assert longest == pytest.approx(5.0)   # lane 0: 2+3 > lane 1: 4
+        assert total == pytest.approx(9.0)
 
     def test_units_laid_end_to_end_per_lane(self):
-        tracer = merge_span_payloads(
+        tracer = _absorbed(
             [_payload(2.0, "u0"), _payload(3.0, "u1"), _payload(4.0, "u2")],
-            root_name="sweep", lanes=[0, 0, 1])
+            lanes=[0, 0, 1])
         by_name = {sp.name: sp for sp in tracer.spans}
         assert by_name["u0"].t0_s == pytest.approx(0.0)
         assert by_name["u1"].t0_s == pytest.approx(2.0)   # after u0
@@ -89,8 +85,7 @@ class TestMergeLanes:
         assert by_name["u1.inner"].t0_s == pytest.approx(2.0)
 
     def test_tids_are_worker_plus_one(self):
-        tracer = merge_span_payloads([_payload(1.0), _payload(1.0)],
-                                     root_name="sweep", lanes=[0, 1])
+        tracer = _absorbed([_payload(1.0), _payload(1.0)], lanes=[0, 1])
         tids = {sp.name: sp.tid for sp in tracer.spans}
         assert tids["sweep"] == 0
         assert tids["unit"] in (1, 2)
@@ -98,17 +93,15 @@ class TestMergeLanes:
                       if sp.name == "unit") == [1, 2]
 
     def test_journal_resumed_units_land_in_lane_zero(self):
-        tracer = merge_span_payloads([_payload(1.0)], root_name="sweep",
-                                     lanes=[-1])
+        tracer = _absorbed([_payload(1.0)], lanes=[-1])
         unit = next(sp for sp in tracer.spans if sp.name == "unit")
         assert unit.tid == 0
 
     def test_counters_and_structure_survive_lanes(self):
         payloads = [_payload(1.0, counters={"launches": 3}),
                     _payload(1.0, counters={"launches": 4})]
-        merged_serial = merge_span_payloads(payloads, root_name="s")
-        merged_lanes = merge_span_payloads(payloads, root_name="s",
-                                           lanes=[0, 1])
+        merged_serial = _absorbed(payloads)
+        merged_lanes = _absorbed(payloads, lanes=[0, 1])
         assert counter_totals(merged_serial.spans) == \
             counter_totals(merged_lanes.spans) == {"launches": 7.0}
         assert [sp.name for sp in merged_serial.spans] == \
@@ -129,8 +122,7 @@ class TestMergeLanes:
 
 class TestChromeLanes:
     def test_thread_metadata_per_lane(self):
-        tracer = merge_span_payloads([_payload(1.0), _payload(1.0)],
-                                     root_name="sweep", lanes=[0, 1])
+        tracer = _absorbed([_payload(1.0), _payload(1.0)], lanes=[0, 1])
         events = tracer.chrome_events()
         names = {(e["tid"], e["args"]["name"])
                  for e in events if e.get("name") == "thread_name"}

@@ -1,9 +1,10 @@
 """Determinism of the parallel sharded sweep engine.
 
 The contract under test (:mod:`repro.harness.parallel`): any ``jobs``
-value produces results *structurally identical* to the serial path —
-same dict shapes, same iteration order, same numbers — because the
-merge folds outcomes in registry order, never completion order.  On
+value produces results *structurally identical* to plain serial loops
+(the :func:`tests.difftest.serial_evaluation` oracle) — same dict
+shapes, same iteration order, same numbers — because the merge folds
+outcomes in registry order, never completion order.  On
 top of that: units partition the port set (no port is lowered twice
 anywhere, proven by the shipped store deltas), merged obs counter
 totals are worker-count-independent, the checkpoint journal resumes
@@ -28,6 +29,7 @@ from repro.obs.baseline import DEFAULT_BASELINE_PATH, check_baseline
 from repro.obs.merge import counter_totals
 from repro.obs.profile import profile_suite
 from repro.obs.tracer import Tracer, tracing
+from tests.difftest import serial_evaluation
 
 #: cheap benchmarks for the engine-mechanics tests
 SUBSET = ["JACOBI", "HOTSPOT", "EP"]
@@ -84,6 +86,26 @@ class TestFullEvaluationIdentity:
                 assert tuple(per_model) == FIGURE1_MODELS
 
 
+class TestSerialOracle:
+    """The work-unit sweep equals plain serial loops at every ``jobs``."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        clear_compile_cache()
+        return serial_evaluation("test")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_evaluation_equals_serial_loops(self, oracle, jobs):
+        results, profiles, _ = run_evaluation(
+            coverage=True, speedups=True, profiles=True, scale="test",
+            jobs=jobs)
+        want_results, want_profiles = oracle
+        assert results == want_results
+        assert profiles == want_profiles
+        assert _results_doc(results, profiles) == \
+            _results_doc(want_results, want_profiles)
+
+
 class TestObsMergeIdentity:
     def test_counter_totals_match_serial(self):
         p1, t1 = profile_suite(benchmarks=SUBSET, scale="test")
@@ -114,11 +136,16 @@ class TestSpanCapture:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_spans_ship_only_under_a_tracer(self, jobs):
         untraced = self._sweep(jobs)
-        with tracing(Tracer()):
+        tracer = Tracer()
+        with tracing(tracer):
             traced = self._sweep(jobs)
         assert all(o.spans == [] for o in untraced.outcomes)
-        assert all(o.spans and o.spans[0]["cat"] == "harness.unit"
-                   for o in traced.outcomes)
+        # in-process units record straight into the caller's tracer and
+        # workers' spans are absorbed into it: one unit span per unit
+        units = tracer.find(category="harness.unit")
+        assert [sp.name for sp in units] == \
+            [o.unit.label() for o in traced.outcomes]
+        assert all(sp.parent_id is None for sp in units)
         assert _results_doc(merge_evaluation(untraced.outcomes)[0]) == \
             _results_doc(merge_evaluation(traced.outcomes)[0])
 

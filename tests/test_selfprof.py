@@ -19,7 +19,6 @@ from repro.harness.parallel import (SweepContext, WorkUnit, run_sweep,
 from repro.models.cache import clear_compile_cache
 from repro.obs.flamegraph import (collapsed_stacks, render_collapsed,
                                   write_collapsed)
-from repro.obs.merge import absorb_payloads
 from repro.obs.metrics import metrics_from_spans, render_metrics_json
 from repro.obs.selfprof import (NAMED_PHASES, attribute_spans, classify_span,
                                 self_times)
@@ -156,7 +155,6 @@ def _run_units(units, jobs):
     ctx = SweepContext(scale="test")
     with tracing(tracer):
         sweep = run_sweep(units, jobs=jobs, context=ctx)
-    absorb_payloads(tracer, sweep.span_payloads())
     registry = metrics_from_spans(tracer.spans, sweep.stats)
     return render_metrics_json(registry.to_dict(deterministic_only=True))
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import run_coverage_and_codesize
+from repro.harness.runner import run_evaluation
 
 #: the paper's Table II
 PAPER_COVERAGE = {
@@ -24,7 +24,7 @@ PAPER_CODESIZE = {
 
 @pytest.fixture(scope="module")
 def results():
-    return run_coverage_and_codesize()
+    return run_evaluation(coverage=True)[0]
 
 
 class TestCoverage:
