@@ -10,11 +10,11 @@
 
 Functional execution can be disabled (``execute=False``) for timing-only
 sweeps at paper-scale problem sizes: the analytical model needs sizes,
-not values, so Figure 1's large inputs cost nothing to "run".  A
-timing-only run can also price a whole schedule in one
-:meth:`CudaRuntime.pricing_pass`, which describes and prices each
-distinct launch once and evaluates a kernel's other launches as numpy
-columns.
+not values, so Figure 1's large inputs cost nothing to "run".  Every
+launch and transfer goes through a :meth:`CudaRuntime.pricing_pass`,
+which describes and prices each distinct launch once (a kernel's other
+launches as numpy columns), executes kernels as they come, and writes
+the records, the clock and the ``gpu.*`` spans when it closes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.ir.program import Function
 from repro.obs import tracer as obs
 
 # NOTE: repro.obs.counters is imported lazily inside _counters()/
-# _record_transfer() — counters itself imports gpusim analysis modules,
+# _PricingPass.close() — counters itself imports gpusim analysis modules,
 # so a module-level import here would be circular when repro.obs is
 # imported before repro.gpusim.  repro.obs.tracer is dependency-free
 # and always safe.
@@ -62,6 +62,13 @@ def _counters(desc: KernelDescriptor, spec: DeviceSpec):
     if counters is None:
         counters = desc.priced[key] = derive_counters(desc, spec)
     return counters
+
+
+def _marker(name: str, category: str, counters: Mapping[str, float],
+            **attrs) -> None:
+    """A ``gpu.*`` span: simulated-time attributes and counters."""
+    with obs.span(name, category, **attrs):
+        obs.add_counters(counters)
 
 
 class CudaRuntime:
@@ -149,55 +156,22 @@ class CudaRuntime:
     def _record_transfer(self, name: str, nbytes: int,
                          direction: str) -> float:
         t = price_transfer(nbytes, self.spec)
-        if self._pass is not None:
-            self._pass.events.append((name, nbytes, direction, t))
-            return t
-        self.profiler.record_transfer(TransferRecord(
-            array=name, nbytes=nbytes, direction=direction,
-            time_s=t, start_s=self.clock_s))
-        if obs.current_tracer() is not None:
-            from repro.obs.counters import transfer_counters
-            with obs.span(f"{direction} {name}", "gpu.transfer",
-                          array=name, sim_start_s=self.clock_s,
-                          sim_time_s=t):
-                obs.add_counters(transfer_counters(
-                    nbytes, direction, t, self.spec).to_dict())
-        self.clock_s += t
+        with self.pricing_pass() as batch:
+            batch.events.append((name, nbytes, direction, t))
         return t
 
     # -- kernel launch ---------------------------------------------------
     def launch(self, kernel: Kernel, scalars: Mapping[str, Value],
                functions: Optional[Mapping[str, Function]] = None,
                ) -> KernelTiming:
-        """Execute a kernel against the device buffers and price it."""
-        device_views: dict[str, np.ndarray] = {}
-        extents: dict[str, Sequence[Optional[int]]] = {}
-        for name in kernel.arrays:
-            buf = self.device(name)
-            buf.check_alive()
-            device_views[name] = buf.data
-            extents[name] = list(buf.data.shape)
-        bindings = {k: float(v) for k, v in scalars.items()}
-        desc = kernel.describe(bindings, extents)
-        self._check_private(kernel, desc)
-        timing = self._price(desc)
-        if self.execute:
-            execute_kernel(kernel, device_views, dict(scalars), functions,
-                           self.memo)
-            # pointer swaps may have replaced entries: write back
-            for name in kernel.arrays:
-                if device_views[name] is not self.buffers[name].data:
-                    self.buffers[name].data = device_views[name]
-        source = _Price(kernel.name, self.spec, desc, timing)
-        self.profiler.add_launches([kernel.name], [timing.time_s],
-                                   [self.clock_s], [source])
-        if obs.current_tracer() is not None:
-            with obs.span(kernel.name, "gpu.launch", kernel=kernel.name,
-                          sim_start_s=self.clock_s,
-                          sim_time_s=timing.time_s, bound=timing.bound):
-                obs.add_counters(source.counters.to_dict())
-        self.clock_s += timing.time_s
-        return timing
+        """Price a kernel, execute it when the runtime executes, and
+        record it: a one-launch :meth:`pricing_pass`."""
+        if self._pass is not None:
+            raise GpuSimError(f"launch {kernel.name!r} through the open "
+                              f"pricing pass")
+        with self.pricing_pass() as batch:
+            price = batch.launch(kernel, scalars, functions)
+        return price.timing
 
     def _check_private(self, kernel: Kernel, desc: KernelDescriptor) -> None:
         """Expanded private arrays are a real device allocation: one slot
@@ -229,18 +203,18 @@ class CudaRuntime:
 
     @contextlib.contextmanager
     def pricing_pass(self) -> Iterator["_PricingPass"]:
-        """Price timing-only launches together, in one pass.
+        """Price and record launches and transfers in one pass.
 
-        Inside the ``with`` block, :meth:`_PricingPass.launch` stands in
-        for :meth:`launch` and transfers are queued.  On a normal exit
-        every queued launch is priced and the profiler and clock get the
-        records :meth:`launch` and the transfers would have left, in the
-        same order, with the clock advanced by the same additions.  Ends
-        without records when the block raises.
+        Inside the ``with`` block, :meth:`_PricingPass.launch` launches,
+        and transfers and elisions are queued; a nested ``with`` joins
+        the open pass.  On a normal exit the
+        profiler, the clock and, under a tracer, the ``gpu.*`` spans get
+        every event, in order, the clock advanced by one addition per
+        event.  Ends without records when the block raises.
         """
-        if self.execute or self._pass is not None:
-            raise GpuSimError("a pricing pass needs a timing-only runtime "
-                              "with no pass open")
+        if self._pass is not None:
+            yield self._pass
+            return
         batch = self._pass = _PricingPass(self)
         try:
             yield batch
@@ -355,40 +329,56 @@ class _Group:
 
 
 class _PricingPass:
-    """The launches and transfers of one :meth:`CudaRuntime.pricing_pass`.
+    """The events of one :meth:`CudaRuntime.pricing_pass`.
 
     Launches are grouped by kernel (the extents are fixed: a pass never
-    frees or reallocates a buffer).  The first launch of each distinct
-    loop-bound key is described and priced by the scalar path at once,
-    in launch order, so every error fires where :meth:`CudaRuntime
-    .launch` would raise it; when a kernel's numeric stage evaluates as
-    columns, its later keys wait for one numpy evaluation at the end.
+    frees or reallocates a buffer, and a pointer swap exchanges buffers
+    of one shape).  The first launch of each distinct loop-bound key is
+    described and priced by the scalar path at once, in launch order,
+    so every error fires at its launch; when a kernel's numeric stage
+    evaluates as columns, its later keys wait for one numpy evaluation
+    at the end.
     """
 
     def __init__(self, rt: CudaRuntime) -> None:
         self.rt = rt
         #: per launch its :class:`_Price`, per transfer ``(array,
-        #: nbytes, direction, seconds)``, in order
+        #: nbytes, direction, seconds)``, with ``None`` seconds for an
+        #: elided one, in order
         self.events: list = []
         self.groups: dict[Kernel, _Group] = {}
         self.columnar = (inspect.unwrap(Kernel.describe) is _DESCRIBE
                          and inspect.unwrap(price_kernel) is _PRICE
                          and not rt.timing.model_cache_hierarchy)
 
-    def launch(self, kernel: Kernel, scalars: Mapping[str, Value]) -> None:
-        """Queue one timing-only launch of ``kernel``."""
+    def launch(self, kernel: Kernel, scalars: Mapping[str, Value],
+               functions: Optional[Mapping[str, Function]] = None,
+               ) -> _Price:
+        """Price one launch of ``kernel`` and queue it; an executing
+        runtime then runs it against the device buffers."""
+        rt = self.rt
         group = self.groups.get(kernel)
         if group is None:
-            group = self.groups[kernel] = _Group(self.rt, kernel,
-                                                 self.columnar)
+            group = self.groups[kernel] = _Group(rt, kernel, self.columnar)
         key = tuple([float(scalars[n]) if n in scalars else None
                      for n in group.names])
         price = group.prices.get(key)
         if price is None:
             price = group.prices[key] = self._price(group, key, scalars)
         elif group.private:
-            self.rt._check_private(kernel, price.desc)
+            rt._check_private(kernel, price.desc)
         self.events.append(price)
+        if rt.execute:
+            # the group checked the buffers when the pass first saw them
+            views = {name: rt.buffers[name].data for name in kernel.arrays}
+            execute_kernel(kernel, views, dict(scalars), functions, rt.memo)
+            for name, data in views.items():   # pointer swaps write back
+                rt.buffers[name].data = data
+        return price
+
+    def elide(self, name: str, direction: str, nbytes: int) -> None:
+        """Queue a transfer the program skipped: a span, no record."""
+        self.events.append((name, nbytes, direction, None))
 
     def _price(self, group: _Group, key: tuple,
                scalars: Mapping[str, Value]) -> _Price:
@@ -406,25 +396,46 @@ class _PricingPass:
                       self.rt._price(desc))
 
     def close(self) -> None:
-        """Price the deferred launches and write every record."""
+        """Price the deferred launches and write every record and, under
+        a tracer, every span."""
+        from repro.obs.counters import transfer_counters
+
         for group in self.groups.values():
             if group.deferred:
                 group.resolve()
         rt, clock = self.rt, self.rt.clock_s
+        traced = obs.current_tracer() is not None
         kernels, times, starts, prices = [], [], [], []
         for event in self.events:
             if type(event) is tuple:
                 name, nbytes, direction, t = event
+                if t is None:
+                    if traced:
+                        _marker(f"elide {direction} {name}", "gpu.elide",
+                                {"transfers_elided": 1.0,
+                                 "pcie_bytes_saved": float(nbytes)},
+                                array=name, direction=direction,
+                                sim_start_s=clock)
+                    continue
                 rt.profiler.record_transfer(TransferRecord(
                     array=name, nbytes=nbytes, direction=direction,
                     time_s=t, start_s=clock))
-                clock += t
+                if traced:
+                    _marker(f"{direction} {name}", "gpu.transfer",
+                            transfer_counters(nbytes, direction, t,
+                                              rt.spec).to_dict(),
+                            array=name, sim_start_s=clock, sim_time_s=t)
             else:
                 t = event.timing.time_s
                 kernels.append(event.kernel)
                 times.append(t)
                 starts.append(clock)
                 prices.append(event)
-                clock += t
+                if traced:
+                    _marker(event.kernel, "gpu.launch",
+                            event.counters.to_dict(), kernel=event.kernel,
+                            sim_start_s=clock, sim_time_s=t,
+                            bound=event.timing.bound)
+            clock += t
         rt.profiler.add_launches(kernels, times, starts, prices)
         rt.clock_s = clock

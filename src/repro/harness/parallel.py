@@ -459,7 +459,8 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
     envelopes: dict[int, UnitEnvelope] = {}
     workers_of: dict[int, int] = {}
 
-    if jobs <= 1 or len(pending) <= 1:
+    in_process = jobs <= 1 or len(pending) <= 1
+    if in_process:
         stats.jobs = 1
         for idx in pending:
             t_busy = time.perf_counter()
@@ -539,7 +540,8 @@ def run_sweep(units: Sequence[WorkUnit], jobs: int = 1,
                 store=env.store, worker=workers_of[idx] if fresh else -1,
                 from_journal=not fresh))
             views.append(env.store)
-            STORE.absorb(env.store)
+            if not (fresh and in_process):   # else in STORE already
+                STORE.absorb(env.store)
 
         stats.units_executed = len(envelopes)
         for idx, wid in workers_of.items():

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.errors import CompileError, UnsupportedFeatureError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.kernel import DEFAULT_BLOCK, Kernel
 from repro.gpusim.memory import MemorySpace
-from repro.gpusim.runtime import CudaRuntime
+from repro.gpusim.runtime import CudaRuntime, _PricingPass
 from repro.ir.analysis.metrics import BodyTerms
 from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, For, LocalDecl, Stmt
@@ -446,6 +446,8 @@ class ExecutableProgram:
     covered by a data region move only at its boundaries; everything else
     moves per region invocation (copy-in reads, copy-out writes) — the
     naive pattern the paper's untuned ports exhibit.
+    A schedule runs in one :meth:`CudaRuntime.pricing_pass`, which
+    prices and records every launch, transfer and elision.
     """
 
     def __init__(self, compiled: CompiledProgram,
@@ -504,17 +506,13 @@ class ExecutableProgram:
             self.rt.malloc(name)
 
     # -- transfer elision --------------------------------------------------
-    def _note_elided(self, name: str, direction: str) -> None:
+    def _note_elided(self, name: str, direction: str,
+                     batch: _PricingPass) -> None:
         arr = self.rt.host_arrays.get(name)
         nbytes = int(arr.nbytes) if arr is not None else 0
         self.elided_transfers += 1
         self.elided_bytes += nbytes
-        if obs.current_tracer() is not None:
-            with obs.span(f"elide {direction} {name}", "gpu.elide",
-                          array=name, direction=direction,
-                          sim_start_s=self.rt.clock_s):
-                obs.add_counters({"transfers_elided": 1.0,
-                                  "pcie_bytes_saved": float(nbytes)})
+        batch.elide(name, direction, nbytes)
 
     def _flush_deferred(self, names: Optional[set[str]] = None) -> None:
         """Perform pending deferred copyouts (all, or just ``names``)."""
@@ -539,28 +537,23 @@ class ExecutableProgram:
     # -- region invocation ---------------------------------------------------
     def run_region(self, name: str, scalars: Mapping[str, Value],
                    times: int = 1) -> None:
-        self._invoke(self._plan(name), scalars, times, self._launch)
+        """A one-step :meth:`run_schedule`."""
+        self.run_schedule([ScheduleStep(name, times)], scalars)
 
     def run_schedule(self, schedule: Sequence[ScheduleStep],
                      scalars: Mapping[str, Value]) -> None:
         """Run each step of a host-driver schedule under ``scalars``
         overridden by the step's own.
 
-        A timing-only run with no tracer installed prices the whole
-        schedule in one :meth:`CudaRuntime.pricing_pass`, which leaves
-        the records and clock :meth:`run_region` would have.
-        Executing and traced runs launch one kernel at a time.
+        The schedule is one :meth:`CudaRuntime.pricing_pass`: kernels
+        execute and data moves as the steps go; the records, the clock
+        and the ``gpu.*`` spans are written when the pass closes.
         """
-        if self.rt.execute or obs.current_tracer() is not None:
-            for step in schedule:
-                self.run_region(step.region, {**scalars, **step.scalars},
-                                times=step.times)
-            return
         with self.rt.pricing_pass() as batch:
             for step in schedule:
                 self._invoke(self._plan(step.region),
                              {**scalars, **step.scalars}, step.times,
-                             batch.launch)
+                             batch)
 
     def _plan(self, name: str) -> _RegionPlan:
         plan = self._plans.get(name)
@@ -578,25 +571,20 @@ class ExecutableProgram:
         return plan
 
     def _invoke(self, plan: _RegionPlan, scalars: Mapping[str, Value],
-                times: int,
-                launch: Callable[[Kernel, Mapping[str, Value]], object],
-                ) -> None:
+                times: int, batch: _PricingPass) -> None:
         if not plan.result.translated:
             self._run_on_host(plan.region, scalars, times)
             return
         if plan.dr is not None and plan.dr.name not in self._entered_dr:
             self._enter_data_region(plan.dr, scalars)
+        functions = self.compiled.program.functions
         for _ in range(times):
-            self._transfers_in(plan)
+            self._transfers_in(plan, batch)
             for kernel in plan.result.kernels:
-                launch(kernel, scalars)
-            self._transfers_out(plan)
+                batch.launch(kernel, scalars, functions)
+            self._transfers_out(plan, batch)
 
-    def _launch(self, kernel: Kernel, scalars: Mapping[str, Value]) -> None:
-        self.rt.launch(kernel, scalars,
-                       functions=self.compiled.program.functions)
-
-    def _transfers_in(self, plan: _RegionPlan) -> None:
+    def _transfers_in(self, plan: _RegionPlan, batch: _PricingPass) -> None:
         reads, buffers = plan.result.reads, self.rt.buffers
         for name in plan.staged:
             if name not in buffers:
@@ -607,13 +595,13 @@ class ExecutableProgram:
                     # the device copy already holds the latest values;
                     # shipping the host copy would be a no-op (or, with
                     # a copyout deferred, an outright clobber)
-                    self._note_elided(name, "htod")
+                    self._note_elided(name, "htod", batch)
                     continue
                 self.rt.htod(name)
                 if self._elide:
                     self._dev_valid.add(name)
 
-    def _transfers_out(self, plan: _RegionPlan) -> None:
+    def _transfers_out(self, plan: _RegionPlan, batch: _PricingPass) -> None:
         if self._elide:
             # the kernels just produced the latest values on device
             self._dev_valid |= plan.result.writes
@@ -622,7 +610,7 @@ class ExecutableProgram:
                 if name in self._deferred:
                     # a pending copy is superseded before ever flushing:
                     # that transfer is genuinely saved
-                    self._note_elided(name, "dtoh")
+                    self._note_elided(name, "dtoh", batch)
                 else:
                     self._deferred.add(name)
                 continue

@@ -90,8 +90,8 @@ class StoreView:
     """A picklable snapshot (or delta) of an :class:`ArtifactStore`.
 
     The parallel sweep engine ships these across process boundaries:
-    each worker exports the keys it compiled — optionally with the
-    artifacts themselves — and the parent absorbs them, so a port
+    each worker exports the keys it compiled with the artifacts
+    themselves, and the parent absorbs them, so a port
     lowered in one worker is never lowered again anywhere else, and the
     merged hit/miss accounting still sums to the request count.
     """
@@ -101,8 +101,7 @@ class StoreView:
     fast: tuple[tuple[tuple[str, str, str], ArtifactKey], ...] = ()
     hits: int = 0
     misses: int = 0
-    #: always in a delta view; in a full view only with
-    #: ``include_artifacts=True``
+    #: the artifacts of ``keys`` in a delta view; none in a full view
     artifacts: tuple[Artifact, ...] = ()
 
     def stats(self) -> dict[str, int]:
@@ -201,16 +200,13 @@ class ArtifactStore:
             return self._compile(key, port, compiler)
 
     # -- cross-process views ---------------------------------------------
-    def view(self, include_artifacts: bool = False) -> StoreView:
-        """Snapshot the whole store as a picklable :class:`StoreView`."""
+    def view(self) -> StoreView:
+        """Snapshot the whole store, without its artifacts, as a
+        picklable :class:`StoreView`."""
         with self._lock:
-            keys = tuple(self._artifacts)
-            return StoreView(
-                keys=keys,
-                fast=tuple(self._fast.items()),
-                hits=self.hits, misses=self.misses,
-                artifacts=tuple(self._artifacts[k] for k in keys)
-                if include_artifacts else ())
+            return StoreView(keys=tuple(self._artifacts),
+                             fast=tuple(self._fast.items()),
+                             hits=self.hits, misses=self.misses)
 
     def delta_view(self, since: StoreView) -> StoreView:
         """What happened after ``since``: new keys and their artifacts

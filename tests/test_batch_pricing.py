@@ -1,12 +1,15 @@
-"""One-pass timing-only pricing against the launch-at-a-time path.
+"""The pricing pass against the launch-at-a-time oracle.
 
-:meth:`ExecutableProgram.run_schedule` prices a timing-only schedule in
-one :meth:`CudaRuntime.pricing_pass`: each distinct launch is described
-and priced once, and a kernel's later loop-bound keys (LUD's pivot,
-NW's anti-diagonal) are evaluated as numpy columns.  ``run_region``
-launches one kernel at a time through :meth:`CudaRuntime.launch`, the
-oracle.  Every clock, time and record the two leave must be equal bit
-for bit, and lazily derived counters must equal eager ones.
+:meth:`ExecutableProgram.run_schedule` runs a schedule in one
+:meth:`CudaRuntime.pricing_pass`: each distinct launch is described and
+priced once, a kernel's later loop-bound keys (LUD's pivot, NW's
+anti-diagonal) are evaluated as numpy columns, and the records, clock
+and ``gpu.*`` spans are written when the pass closes.
+:mod:`tests.launch_oracle` launches one kernel at a time, recording as
+it goes.  For untraced and traced timing-only runs and for executing
+runs, every clock, time and record the two leave must be equal bit for
+bit, traced runs must leave the same spans in the same order, executing
+runs the same arrays, and lazily derived counters must equal eager ones.
 """
 
 import copy
@@ -19,14 +22,17 @@ import repro.gpusim.runtime as runtime_mod
 import repro.obs.counters as counters_mod
 from repro.benchmarks import base
 from repro.benchmarks.registry import get_benchmark, iter_suite
-from repro.errors import DeviceMemoryError
+from repro.errors import DeviceMemoryError, GpuSimError
 from repro.gpusim.device import TESLA_M2090
 from repro.gpusim.kernel import Kernel
+from repro.gpusim.memo import LaunchMemo
 from repro.gpusim.runtime import CudaRuntime
 from repro.gpusim.timing import TimingConfig
 from repro.harness.runner import FIGURE1_MODELS, run_speedups
 from repro.models.base import ExecutableProgram
 from repro.models.cache import compile_bench
+from repro.obs.tracer import Tracer, tracing
+from tests import launch_oracle
 
 #: every (benchmark, model, variant) of Figure 1
 FIGURE1 = [(bench.name, model, variant) for bench in iter_suite()
@@ -39,6 +45,14 @@ ABLATION_CONFIGS = (TimingConfig(model_coalescing=False),
                                  model_divergence=False),
                     TimingConfig(model_cache_hierarchy=True))
 
+#: untraced and traced timing-only runs, and executing runs
+KINDS = ("untraced", "traced", "executing")
+
+#: one content-keyed launch memo for every executing run here, as a
+#: benchmark's runs share one: a launch already run on the same inputs
+#: is replayed, so each side still ends in the state it computes
+_MEMO = LaunchMemo()
+
 
 def _compiled(name, model, variant, elide=False):
     bench = get_benchmark(name)
@@ -48,33 +62,32 @@ def _compiled(name, model, variant, elide=False):
 
 
 def _timeline(bench, model, variant, compiled, scale, one_pass,
-              spec=TESLA_M2090, timing=None):
-    """Price one port timing-only, in one pass or a launch at a time;
-    the launch-at-a-time run also returns each launch's descriptor."""
+              spec=TESLA_M2090, timing=None, kind="untraced"):
+    """Run one port in one pass or a launch at a time; returns the
+    program, the launch-at-a-time run's descriptors, the bound arrays
+    and the spans."""
+    execute = kind == "executing"
     wl = bench.workload(scale)
-    ex = ExecutableProgram(compiled, runtime=CudaRuntime(
-        spec=spec, timing=timing, execute=False))
-    ex.bind_arrays(bench.layout(model, variant, wl.stand_ins()))
+    runtime = CudaRuntime if one_pass else launch_oracle.OracleRuntime
+    ex = ExecutableProgram(compiled, runtime=runtime(
+        spec=spec, timing=timing, execute=execute,
+        memo=_MEMO if execute else None))
+    arrays = (bench.arrays_for(model, variant, wl) if execute
+              else bench.layout(model, variant, wl.stand_ins()))
+    ex.bind_arrays(arrays)
     schedule = bench.schedule_for(model, variant, wl)
+    tracer = Tracer() if kind == "traced" else None
     described = []
-    if one_pass:
-        ex.run_schedule(schedule, wl.scalars)
-    else:
-        describe = Kernel.describe
-
-        def recording(kernel, bindings, extents):
-            described.append(describe(kernel, bindings, extents))
-            return described[-1]
-
-        Kernel.describe = recording
-        try:
-            for step in schedule:
-                ex.run_region(step.region, {**wl.scalars, **step.scalars},
-                              times=step.times)
-        finally:
-            Kernel.describe = describe
-    ex.close_data_regions()
-    return ex, described
+    with tracing(tracer):
+        if one_pass:
+            ex.run_schedule(schedule, wl.scalars)
+        else:
+            described = launch_oracle.run_schedule(
+                ex, schedule, wl.scalars).described
+        ex.close_data_regions()
+    spans = [(sp.name, sp.category, sp.parent_id, sp.attrs, sp.counters)
+             for sp in tracer.spans] if tracer else []
+    return ex, described, arrays, spans
 
 
 def _bits(x: float) -> str:
@@ -82,15 +95,19 @@ def _bits(x: float) -> str:
 
 
 def assert_same_timeline(name, model, variant, scale="test", elide=False,
-                         spec=TESLA_M2090, timing=None):
+                         spec=TESLA_M2090, timing=None, kind="untraced"):
     bench, compiled = _compiled(name, model, variant, elide)
     # the oracle runs on a copy, which starts with no descriptor memos
     fresh = copy.deepcopy(compiled)
-    got, _ = _timeline(bench, model, variant, compiled, scale, True,
-                       spec, timing)
-    want, descs = _timeline(bench, model, variant, fresh, scale, False,
-                            spec, timing)
-    case = f"{name}/{model}/{variant}"
+    got, _, got_arrays, got_spans = _timeline(
+        bench, model, variant, compiled, scale, True, spec, timing, kind)
+    want, descs, want_arrays, want_spans = _timeline(
+        bench, model, variant, fresh, scale, False, spec, timing, kind)
+    case = f"{name}/{model}/{variant}/{kind}"
+    assert got_spans == want_spans, case
+    assert (kind == "traced") == bool(got_spans), case
+    for key, arr in want_arrays.items():
+        assert got_arrays[key].tobytes() == arr.tobytes(), (case, key)
     assert _bits(got.rt.clock_s) == _bits(want.rt.clock_s), case
     for attr in ("kernel_time_s", "transfer_time_s"):
         assert _bits(getattr(got.rt.profiler, attr)) \
@@ -123,21 +140,26 @@ def assert_same_timeline(name, model, variant, scale="test", elide=False,
 @pytest.mark.parametrize("name,model,variant", FIGURE1,
                          ids=["/".join(c) for c in FIGURE1])
 def test_figure1_ports_match_at_test_scale(name, model, variant):
-    assert_same_timeline(name, model, variant)
+    for kind in KINDS:
+        assert_same_timeline(name, model, variant, kind=kind)
 
 
 @pytest.mark.parametrize("config", ABLATION_CONFIGS, ids=str)
 @pytest.mark.parametrize("name", ["LUD", "NW", "SRAD", "HOTSPOT"])
 def test_ablation_configs_match(name, config):
     for model in ("OpenACC", "Hand-Written CUDA"):
-        assert_same_timeline(name, model, "best", timing=config)
+        for kind in KINDS:
+            assert_same_timeline(name, model, "best", timing=config,
+                                 kind=kind)
 
 
 @pytest.mark.parametrize("name,model,variant", FIGURE1,
                          ids=["/".join(c) for c in FIGURE1])
 def test_elide_transfers_match(name, model, variant):
-    # the naive SPMUL and CG ports skip and defer transfers
-    assert_same_timeline(name, model, variant, elide=True)
+    # the naive SPMUL and CG ports skip and defer transfers; traced
+    # runs check their gpu.elide spans keep their place
+    for kind in KINDS:
+        assert_same_timeline(name, model, variant, elide=True, kind=kind)
 
 
 def test_device_memory_overflow_raises_the_same_error():
@@ -145,14 +167,35 @@ def test_device_memory_overflow_raises_the_same_error():
     # a device with room for the arrays but not the expansion overflows
     spec = dataclasses.replace(TESLA_M2090, global_mem_bytes=4096)
     bench, compiled = _compiled("EP", "OpenACC", "transposed")
-    errors = []
-    for one_pass in (True, False):
-        with pytest.raises(DeviceMemoryError) as info:
-            _timeline(bench, "OpenACC", "transposed",
-                      copy.deepcopy(compiled), "test", one_pass, spec)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-    assert "expanded private arrays" in errors[0]
+    for kind in KINDS:
+        errors = []
+        for one_pass in (True, False):
+            with pytest.raises(DeviceMemoryError) as info:
+                _timeline(bench, "OpenACC", "transposed",
+                          copy.deepcopy(compiled), "test", one_pass, spec,
+                          kind=kind)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1], kind
+        assert "expanded private arrays" in errors[0], kind
+
+
+def test_launch_inside_an_open_pass_raises():
+    bench, compiled = _compiled("JACOBI", "OpenACC", "best")
+    wl = bench.workload("test")
+    rt = CudaRuntime(execute=False)
+    ex = ExecutableProgram(compiled, runtime=rt)
+    ex.bind_arrays(bench.layout("OpenACC", "best", wl.stand_ins()))
+    ex.run_schedule(bench.schedule_for("OpenACC", "best", wl), wl.scalars)
+    kernel = next(k for r in compiled.results.values() for k in r.kernels)
+    launches = len(rt.profiler.launches)
+    with rt.pricing_pass() as batch:
+        with pytest.raises(GpuSimError, match="open pricing pass"):
+            rt.launch(kernel, wl.scalars)
+        batch.launch(kernel, wl.scalars)
+    assert len(rt.profiler.launches) == launches + 1
+    # outside a pass it is a one-launch pass again
+    timing = rt.launch(kernel, wl.scalars)
+    assert rt.profiler.launches[-1].timing is timing
 
 
 def _counting(calls, key, fn):
@@ -172,7 +215,7 @@ def test_columns_price_the_later_keys(monkeypatch):
     monkeypatch.setattr(runtime_mod, "price_kernel",
                         _counting(calls, "price", runtime_mod.price_kernel))
     bench, compiled = _compiled("LUD", "OpenACC", "best")
-    ex, _ = _timeline(bench, "OpenACC", "best", compiled, "test", True)
+    ex, *_ = _timeline(bench, "OpenACC", "best", compiled, "test", True)
     assert len(ex.rt.profiler.launches) == 2 + 2 * 47
     assert calls == {"describe": 4, "price": 4}
 

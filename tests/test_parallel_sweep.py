@@ -225,6 +225,36 @@ class TestEngine:
         assert after["hits"] == before["hits"] + 1
         assert after["misses"] == before["misses"]
 
+    def test_in_process_units_are_not_absorbed(self, monkeypatch, capsys):
+        """A unit run in-process compiled into STORE itself: a jobs=1
+        sweep absorbs nothing and accounts for the store as before."""
+        from repro.models.cache import ArtifactStore
+
+        absorbed = []
+        absorb = ArtifactStore.absorb
+
+        def counting(self, view):
+            absorbed.append(view)
+            return absorb(self, view)
+
+        monkeypatch.setattr(ArtifactStore, "absorb", counting)
+        assert main(["all", "--jobs", "1", "--scale", "test"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ("artifact store: 115 compilations for 232 requests "
+                "(117 hits, 115 misses, 0 duplicate lowerings)") in lines
+        assert "shards: 1 worker(s) — 78 units (78 executed)" in lines
+        clear_compile_cache()
+        serial = run_sweep(evaluation_units(benchmarks=SUBSET), jobs=1,
+                           context=SweepContext(scale="test"))
+        assert absorbed == []
+        clear_compile_cache()
+        parallel = run_sweep(evaluation_units(benchmarks=SUBSET), jobs=2,
+                             context=SweepContext(scale="test"))
+        # worker deltas still are
+        assert len(absorbed) == len(parallel.outcomes)
+        assert serial.stats.store == parallel.stats.store
+        assert serial.stats.store["duplicates"] == []
+
     def test_worker_failure_surfaces_as_sweep_error(self):
         units = [WorkUnit(kind="lint", bench="JACOBI", model="OpenACC"),
                  WorkUnit(kind="lint", bench="NO-SUCH-BENCH",

@@ -31,9 +31,10 @@ from repro.harness.runner import run_speedups
 from repro.ir.analysis.access import AccessPattern
 from repro.ir.expr import ArrayRef, Var
 from repro.ir.stmt import Assign, Block, For
-from repro.models.cache import STORE, compile_port
+from repro.models.base import ExecutableProgram
+from repro.models.cache import STORE, StoreView, compile_port
 from repro.obs.counters import derive_counters
-from repro.obs.tracer import Tracer, tracing
+from tests import launch_oracle
 from tests.legacy_pricing import legacy_describe, legacy_price_region_serial
 
 #: every timing config the ablation benches price under
@@ -75,11 +76,12 @@ def _check_every_launch(monkeypatch, sweep) -> list[int]:
         return got
 
     monkeypatch.setattr(Kernel, "describe", checking)
-    # under a tracer a timing-only run launches one kernel at a time,
-    # asking the memo at every launch (a pricing pass asks it once per
-    # distinct launch; tests/test_batch_pricing.py checks that pass)
-    with tracing(Tracer()):
-        sweep()
+    # the oracle launches one kernel at a time, asking the memo at every
+    # launch (a pricing pass asks it once per distinct launch;
+    # tests/test_batch_pricing.py checks the pass against the oracle)
+    monkeypatch.setattr(ExecutableProgram, "run_schedule",
+                        launch_oracle.run_schedule)
+    sweep()
     return seen
 
 
@@ -145,8 +147,7 @@ class TestMemoLeavesCopies:
         kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
                                                  "stencil")
         kernel.describe(bindings, extents)
-        shipped = pickle.loads(pickle.dumps(STORE.view(
-            include_artifacts=True)))
+        shipped = pickle.loads(pickle.dumps(STORE.delta_view(StoreView())))
         kernels = [k for art in shipped.artifacts
                    for result in art.compiled.results.values()
                    for k in result.kernels]
@@ -215,7 +216,7 @@ class TestContentKey:
 
 class TestPriceCache:
     def test_cached_price_matches_fresh_under_every_config(self, monkeypatch):
-        launch = runtime_mod.CudaRuntime.launch
+        launch = launch_oracle.LaunchAtATime.launch
         staged = Kernel.describe
         described: list = []
         launched: list = []
@@ -226,22 +227,25 @@ class TestPriceCache:
 
         def checking(self, kernel, scalars, functions=None):
             timing = launch(self, kernel, scalars, functions)
-            desc, record = described[-1], self.profiler.launches[-1]
+            rt = self.rt
+            desc, record = described[-1], rt.profiler.launches[-1]
             assert record.timing is timing
-            assert timing == price_kernel(desc, self.spec, self.timing)
-            assert record.counters == derive_counters(desc, self.spec)
+            assert timing == price_kernel(desc, rt.spec, rt.timing)
+            assert record.counters == derive_counters(desc, rt.spec)
             launched.append(desc)
             return timing
 
         monkeypatch.setattr(Kernel, "describe", recording)
-        monkeypatch.setattr(runtime_mod.CudaRuntime, "launch", checking)
+        monkeypatch.setattr(launch_oracle.LaunchAtATime, "launch", checking)
+        # a launch at a time
+        monkeypatch.setattr(ExecutableProgram, "run_schedule",
+                            launch_oracle.run_schedule)
         benches = [get_benchmark(n)
                    for n in ("JACOBI", "HOTSPOT", "SRAD", "NW", "LUD")]
         # the default config both first and last: later configs must
         # not overwrite (or answer for) the first one's prices
-        with tracing(Tracer()):   # a launch at a time
-            for config in ABLATION_CONFIGS + ABLATION_CONFIGS[:1]:
-                run_speedups(benches, scale="test", timing=config)
+        for config in ABLATION_CONFIGS + ABLATION_CONFIGS[:1]:
+            run_speedups(benches, scale="test", timing=config)
         assert len(launched) > 1000
         held = {len(desc.priced) for desc in launched}
         assert max(held) >= len(ABLATION_CONFIGS)
