@@ -48,10 +48,6 @@ class KernelDescriptor:
     dtype: str = "double"
     placements: Mapping[str, MemorySpace] = field(default_factory=dict)
     tiling: Sequence[TilingDecision] = ()
-    #: what the runtime derived from this descriptor, keyed by the
-    #: pricing functions, device and timing config that produced it
-    priced: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @property
     def grid_blocks(self) -> int:
@@ -252,46 +248,28 @@ class Kernel:
 
     def stage(self, array_extents: Mapping[str, Sequence[Optional[int]]],
               ) -> BodyTerms:
-        """The symbolic stage of a launch over ``array_extents``."""
-        return self._staged_entry(array_extents)[0]
-
-    def _staged_entry(self, array_extents: Mapping[str, Sequence[Optional[int]]],
-                      ) -> tuple[BodyTerms, dict]:
-        """``(symbolic stage, descriptors by loop-bound key)`` of
-        ``array_extents``: the stage runs once per (content key, array
-        extents) and is shared by every kernel of that content."""
+        """The symbolic stage of a launch over ``array_extents``: it runs
+        once per (content key, array extents) and is shared by every
+        kernel of that content."""
         extents = tuple(sorted((name, tuple(ext))
                                for name, ext in array_extents.items()))
-        staged = self.__dict__.setdefault("_staged", {})
-        entry = staged.get(extents)
-        if entry is None:
-            shared = (self.content_key, extents)
-            stage = _STAGES.get(shared)
-            if stage is None:
-                stage = _STAGES[shared] = _symbolic_stage(self,
-                                                          array_extents)
-            entry = staged[extents] = (stage, {})
-        return entry
+        shared = (self.content_key, extents)
+        stage = _STAGES.get(shared)
+        if stage is None:
+            stage = _STAGES[shared] = _symbolic_stage(self, array_extents)
+        return stage
 
     def describe(self, bindings: Mapping[str, float],
                  array_extents: Mapping[str, Sequence[Optional[int]]],
                  ) -> KernelDescriptor:
-        """The static descriptor the timing model prices, memoized.
+        """The static descriptor the timing model prices.
 
         Two stages.  The symbolic one (:meth:`stage`) runs once per
         (content key, array extents).  The numeric one evaluates the
-        sequential loops' trip counts under ``bindings``; it reads them
-        only through loop bounds, so its descriptor is memoized on the
-        kernel by the bindings of the loop-bound scalars (as floats) and
-        the extents.  A launch whose key was seen before gets the same
-        descriptor.
+        sequential loops' trip counts under ``bindings``, on every call;
+        a pricing pass calls it once per distinct launch.
         """
-        stage, descriptors = self._staged_entry(array_extents)
-        key = stage.bound_key(bindings)
-        desc = descriptors.get(key)
-        if desc is None:
-            desc = descriptors[key] = self._descriptor(stage, bindings)
-        return desc
+        return self._descriptor(self.stage(array_extents), bindings)
 
     def describe_columns(self, stage: BodyTerms,
                          columns: Mapping[str, np.ndarray],
@@ -320,13 +298,6 @@ class Kernel:
         return (np.maximum(1, total), work.flops, work.divergence,
                 [count for _, count in access.refs])
 
-    def _describe(self, bindings: Mapping[str, float],
-                  array_extents: Mapping[str, Sequence[Optional[int]]],
-                  ) -> KernelDescriptor:
-        """:meth:`describe` computed afresh, sharing no stage or memo."""
-        return self._descriptor(_symbolic_stage(self, array_extents),
-                                bindings)
-
     def _descriptor(self, stage: BodyTerms,
                     bindings: Mapping[str, float]) -> KernelDescriptor:
         """The numeric stage: evaluate ``stage`` under one launch."""
@@ -348,10 +319,10 @@ class Kernel:
     def __getstate__(self) -> dict:
         # pickles (pool-worker store deltas) and deep copies start with
         # empty memos: a copy whose body is then replaced must not
-        # answer from the original's descriptors or content hashes
+        # answer from the original's content hashes (and so stages)
         state = self.__dict__.copy()
-        for memo in ("_staged", "_body_digest", "_content_key",
-                     "_grid_loops", "_private_bytes", "_ir_hash_memo"):
+        for memo in ("_body_digest", "_content_key", "_grid_loops",
+                     "_private_bytes", "_ir_hash_memo"):
             state.pop(memo, None)
         return state
 
@@ -420,7 +391,7 @@ def kernel_ir_summary(kernel: Kernel,
     memo = getattr(kernel, "_ir_hash_memo", None)
     sig = tuple(sorted((name, id(fn)) for name, fn in funcs.items()))
     if memo is not None and memo[0] == sig:
-        return memo[1:]
+        return memo[1:3]
     reachable = sorted(_reachable_functions(kernel.body, funcs).items())
     doc = {
         "v": 2,
@@ -436,7 +407,9 @@ def kernel_ir_summary(kernel: Kernel,
     swaps = any(isinstance(stmt, PointerArith)
                 for body in [kernel.body] + [f.body for _, f in reachable]
                 for stmt in body.walk())
-    kernel._ir_hash_memo = (sig, digest, swaps)  # type: ignore[attr-defined]
+    # the memo holds the functions, so no other object can take their ids
+    kernel._ir_hash_memo = (  # type: ignore[attr-defined]
+        sig, digest, swaps, funcs)
     return digest, swaps
 
 

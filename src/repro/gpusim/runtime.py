@@ -37,7 +37,7 @@ from repro.gpusim.timing import (KernelTiming, TimingConfig, price_columns,
 from repro.ir.program import Function
 from repro.obs import tracer as obs
 
-# NOTE: repro.obs.counters is imported lazily inside _counters()/
+# NOTE: repro.obs.counters is imported lazily inside _Price.counters and
 # _PricingPass.close() — counters itself imports gpusim analysis modules,
 # so a module-level import here would be circular when repro.obs is
 # imported before repro.gpusim.  repro.obs.tracer is dependency-free
@@ -51,17 +51,6 @@ Value = Union[int, float]
 #: pass calls it for every distinct launch instead
 _DESCRIBE = Kernel.describe
 _PRICE = price_kernel
-
-
-def _counters(desc: KernelDescriptor, spec: DeviceSpec):
-    """``derive_counters(desc, spec)``, once per descriptor, device and
-    counter function."""
-    from repro.obs.counters import derive_counters
-    key = (derive_counters, spec)
-    counters = desc.priced.get(key)
-    if counters is None:
-        counters = desc.priced[key] = derive_counters(desc, spec)
-    return counters
 
 
 def _marker(name: str, category: str, counters: Mapping[str, float],
@@ -189,18 +178,6 @@ class CudaRuntime:
                     f"{free} B free on device — strip-mine the parallel "
                     f"loop to reduce the iteration space")
 
-    def _price(self, desc: KernelDescriptor) -> KernelTiming:
-        """``price_kernel(desc)``: a price is a pure function of
-        (descriptor, spec, config), so each memoized descriptor is priced
-        once per pair; the key holds the pricing function too, so a
-        replaced one is never answered from another's results."""
-        key = (price_kernel, self.spec, self.timing)
-        timing = desc.priced.get(key)
-        if timing is None:
-            timing = desc.priced[key] = price_kernel(desc, self.spec,
-                                                     self.timing)
-        return timing
-
     @contextlib.contextmanager
     def pricing_pass(self) -> Iterator["_PricingPass"]:
         """Price and record launches and transfers in one pass.
@@ -240,7 +217,8 @@ class _Price:
     pricing pass prices its group's columns) and, derived on first read,
     its counters."""
 
-    __slots__ = ("kernel", "spec", "desc", "timing", "group", "key")
+    __slots__ = ("kernel", "spec", "desc", "timing", "group", "key",
+                 "_counters")
 
     def __init__(self, kernel: str, spec: DeviceSpec,
                  desc: Optional[KernelDescriptor] = None,
@@ -252,12 +230,16 @@ class _Price:
         self.timing = timing
         self.group = group
         self.key = key
+        self._counters = None
 
     @property
     def counters(self):
-        if self.desc is None:
-            self.desc = self.group.describe(self.key)
-        return _counters(self.desc, self.spec)
+        if self._counters is None:
+            from repro.obs.counters import derive_counters
+            if self.desc is None:
+                self.desc = self.group.describe(self.key)
+            self._counters = derive_counters(self.desc, self.spec)
+        return self._counters
 
 
 class _Group:
@@ -318,7 +300,7 @@ class _Group:
             # have at the launch
             for price in self.deferred:
                 price.desc = self.describe(price.key)
-                price.timing = rt._price(price.desc)
+                price.timing = price_kernel(price.desc, rt.spec, rt.timing)
             return
         total, flops, divergence, counts = got
         total = np.broadcast_to(total, (len(self.deferred),))
@@ -393,7 +375,7 @@ class _PricingPass:
         if group.anchor is None:
             group.anchor = (key, desc)
         return _Price(group.kernel.name, self.rt.spec, desc,
-                      self.rt._price(desc))
+                      price_kernel(desc, self.rt.spec, self.rt.timing))
 
     def close(self) -> None:
         """Price the deferred launches and write every record and, under

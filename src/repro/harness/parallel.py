@@ -1,11 +1,11 @@
 """Parallel sharded sweep engine with a deterministic merge.
 
-The full evaluation — Table II coverage/code-size, Figure 1 speedups,
-and the profile/baseline sweeps — is a graph of independent **work
-units**, one per (benchmark, model) pair (a unit owns every variant of
-its pair, so the unit set partitions the port set).  This module shards
-that graph across ``N`` worker processes (or runs it in-process at
-``jobs=1``) and merges the results in one fixed order:
+The full evaluation — Table II coverage/code-size, Figure 1 speedups
+and the run profiles the baseline gate reads — is a graph of independent
+**work units**, one per (benchmark, model) pair (a unit runs each variant
+of its pair once, so the unit set partitions the port set).  This module
+shards that graph across ``N`` worker processes (or runs it in-process
+at ``jobs=1``) and merges the results in one fixed order:
 
 * **self-scheduling shards** — workers steal unit indices from one
   shared task queue, so a slow unit (CFD at paper scale) never idles
@@ -35,8 +35,8 @@ that graph across ``N`` worker processes (or runs it in-process at
 ``jobs``.  The evaluation sweeps (Table II, Figure 1, profiles) reach it
 through :func:`repro.harness.runner.run_evaluation`, which builds
 :func:`evaluation_units` and folds with :func:`merge_evaluation`; the
-analysis suites (lint, tv, xfer, locality, translate) and the baseline
-sweep through :func:`sweep_ports`.
+analysis suites (lint, tv, xfer, locality, translate) through
+:func:`sweep_ports`.
 """
 
 from __future__ import annotations
@@ -162,11 +162,12 @@ class EvalUnitResult:
 @_unit_runner("eval")
 def _run_eval_unit(unit: WorkUnit, ctx: SweepContext) -> EvalUnitResult:
     from repro.benchmarks.registry import get_benchmark
-    from repro.harness.runner import price_pair
+    from repro.harness.runner import run_variants
     from repro.metrics.codesize import CodeSizeReport
     from repro.metrics.coverage import CoverageReport
+    from repro.metrics.speedup import BenchmarkSpeedups
     from repro.models.cache import compile_bench
-    from repro.obs.profile import profile_run
+    from repro.obs.profile import profile_outcome
 
     bench = get_benchmark(unit.bench)
     flags = set(unit.flags)
@@ -178,12 +179,20 @@ def _run_eval_unit(unit: WorkUnit, ctx: SweepContext) -> EvalUnitResult:
         size = CodeSizeReport(model=unit.model)
         size.add_port(bench.program, port)
         out.coverage, out.codesize = cov, size
-    if "speedups" in flags:
-        out.speedups = price_pair(bench, unit.model, ctx.scale, ctx.device,
-                                  ctx.timing)
-    if "profile" in flags:
-        out.profile = profile_run(unit.bench, unit.model, scale=ctx.scale,
-                                  device=ctx.device, timing=ctx.timing)
+    if "speedups" in flags or "profile" in flags:
+        # one run per variant (just the first without speedups); the
+        # profile is the first variant's run, the port profile_run picks
+        variants = bench.variants(unit.model)
+        speedups = BenchmarkSpeedups(benchmark=bench.name, model=unit.model)
+        for outcome in run_variants(
+                bench, unit.model,
+                variants if "speedups" in flags else variants[:1],
+                ctx.scale, ctx.device, ctx.timing):
+            speedups.variants.append(outcome.speedup)
+            if "profile" in flags and out.profile is None:
+                out.profile = profile_outcome(outcome, ctx.scale)
+        if "speedups" in flags:
+            out.speedups = speedups
     return out
 
 
@@ -212,16 +221,6 @@ _ANALYSIS_KINDS = (
 )
 UNIT_RUNNERS.update((kind, _analysis_runner(site, *context))
                     for kind, site, *context in _ANALYSIS_KINDS)
-
-
-@_unit_runner("baseline")
-def _run_baseline_unit(unit: WorkUnit, ctx: SweepContext):
-    from repro.obs.baseline import _entry_from_profile
-    from repro.obs.profile import profile_run
-
-    return _entry_from_profile(profile_run(
-        unit.bench, unit.model, scale=ctx.scale, device=ctx.device,
-        timing=ctx.timing))
 
 
 @_unit_runner("exec")

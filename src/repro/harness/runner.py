@@ -14,9 +14,9 @@ subclasses) are content-addressed by the store itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from repro.benchmarks.base import Benchmark
+from repro.benchmarks.base import Benchmark, RunOutcome
 from repro.benchmarks.registry import iter_suite
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.timing import TimingConfig
@@ -47,18 +47,17 @@ class EvaluationResults:
         default_factory=dict)
 
 
-def price_pair(bench: Benchmark, model: str, scale: str = "paper",
-               device: DeviceSpec = TESLA_M2090,
-               timing: Optional[TimingConfig] = None) -> BenchmarkSpeedups:
-    """Price every variant of one (benchmark, model) pair, timing-only."""
-    record = BenchmarkSpeedups(benchmark=bench.name, model=model)
-    for variant in bench.variants(model):
+def run_variants(bench: Benchmark, model: str, variants: Sequence[str],
+                 scale: str = "paper", device: DeviceSpec = TESLA_M2090,
+                 timing: Optional[TimingConfig] = None,
+                 ) -> Iterator[RunOutcome]:
+    """Run each of ``variants`` of one (benchmark, model) pair once,
+    timing-only, yielding the outcomes in order."""
+    for variant in variants:
         _, compiled = compile_bench(bench, model, variant)
-        outcome = bench.run(model, variant, scale=scale, execute=False,
-                            validate=False, device=device, timing=timing,
-                            compiled=compiled)
-        record.variants.append(outcome.speedup)
-    return record
+        yield bench.run(model, variant, scale=scale, execute=False,
+                        validate=False, device=device, timing=timing,
+                        compiled=compiled)
 
 
 def run_speedups(benchmarks: Optional[Sequence[Benchmark]] = None,
@@ -72,9 +71,12 @@ def run_speedups(benchmarks: Optional[Sequence[Benchmark]] = None,
     benches = list(benchmarks) if benchmarks is not None else list(iter_suite())
     for bench in benches:
         with obs.span(bench.name, "harness.bench"):
-            out[bench.name] = {model: price_pair(bench, model, scale,
-                                                 device, timing)
-                               for model in models}
+            out[bench.name] = {model: BenchmarkSpeedups(
+                benchmark=bench.name, model=model, variants=[
+                    outcome.speedup for outcome in run_variants(
+                        bench, model, bench.variants(model), scale, device,
+                        timing)])
+                for model in models}
     return out
 
 

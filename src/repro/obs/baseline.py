@@ -70,18 +70,19 @@ def collect_entries(benchmarks: Sequence[str], models: Sequence[str],
                     jobs: int = 1) -> dict:
     """Run the baseline sweep (best variants, timing-only).
 
-    ``jobs>1`` shards the (benchmark, model) pairs across worker
-    processes; entries merge back in manifest order regardless of
-    completion order, so the gate's verdict is jobs-independent.
+    The entries are :func:`~repro.harness.runner.run_evaluation`'s run
+    profiles: ``jobs>1`` shards the pairs across worker processes, and
+    they merge back in manifest order, so the verdict is jobs-independent.
     """
-    from repro.harness.parallel import sweep_ports
+    from repro.harness.runner import run_evaluation
 
-    pairs = [(bench, model) for bench in benchmarks for model in models]
-    found = sweep_ports("baseline", pairs, jobs, scale=scale, device=device,
-                        timing=timing)
+    _, profiles, _ = run_evaluation(
+        profiles=True, scale=scale, jobs=jobs, benchmarks=benchmarks,
+        models=models, device=device, timing=timing)
     entries: dict[str, dict] = {bench: {} for bench in benchmarks}
-    for (bench, model), entry in zip(pairs, found):
-        entries[bench][model] = entry
+    pairs = [(bench, model) for bench in benchmarks for model in models]
+    for (bench, model), profile in zip(pairs, profiles):
+        entries[bench][model] = _entry_from_profile(profile)
     return entries
 
 

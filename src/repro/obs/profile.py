@@ -99,6 +99,21 @@ def profile_from_profiler(profiler: Profiler) -> list[KernelProfile]:
     return profiles
 
 
+def profile_outcome(outcome, scale: str) -> RunProfile:
+    """The profile of one timing-only run (a
+    :class:`~repro.benchmarks.base.RunOutcome` at ``scale``)."""
+    ex = outcome.executable
+    profiler = ex.rt.profiler
+    return RunProfile(
+        benchmark=outcome.benchmark, model=outcome.model,
+        variant=outcome.variant, scale=scale,
+        kernels=profile_from_profiler(profiler),
+        kernel_time_s=profiler.kernel_time_s,
+        transfer_time_s=profiler.transfer_time_s,
+        bytes_htod=profiler.bytes_htod, bytes_dtoh=profiler.bytes_dtoh,
+        speedup=outcome.speedup.speedup, host_fallback_s=ex.host_time_s)
+
+
 def profile_run(benchmark: str, model: str, variant: Optional[str] = None,
                 scale: str = "paper", device: DeviceSpec = TESLA_M2090,
                 timing: Optional[TimingConfig] = None) -> RunProfile:
@@ -114,18 +129,9 @@ def profile_run(benchmark: str, model: str, variant: Optional[str] = None,
     bench = get_benchmark(benchmark)
     model = resolve_model(model)
     _, compiled, chosen = compile_port(benchmark, model, variant)
-    outcome = bench.run(model, chosen, scale=scale, execute=False,
-                        validate=False, device=device, timing=timing,
-                        compiled=compiled)
-    profiler = outcome.executable.rt.profiler
-    return RunProfile(
-        benchmark=bench.name, model=model, variant=chosen, scale=scale,
-        kernels=profile_from_profiler(profiler),
-        kernel_time_s=profiler.kernel_time_s,
-        transfer_time_s=profiler.transfer_time_s,
-        bytes_htod=profiler.bytes_htod, bytes_dtoh=profiler.bytes_dtoh,
-        speedup=outcome.speedup.speedup,
-        host_fallback_s=outcome.executable.host_time_s)
+    return profile_outcome(
+        bench.run(model, chosen, scale=scale, execute=False, validate=False,
+                  device=device, timing=timing, compiled=compiled), scale)
 
 
 def profile_suite(models: Optional[Sequence[str]] = None,

@@ -17,6 +17,7 @@ module keeps that loop as a reference only:
 
 from typing import Mapping, Optional
 
+import repro.gpusim.runtime as runtime_mod
 from repro.gpusim.executor import execute_kernel
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.profiler import TransferRecord
@@ -71,7 +72,9 @@ class LaunchAtATime:
         desc = kernel.describe(bindings, extents)
         self.described.append(desc)
         rt._check_private(kernel, desc)
-        timing = rt._price(desc)
+        # the runtime's binding, so a test's patch of it reaches the
+        # oracle as it reaches a pass
+        timing = runtime_mod.price_kernel(desc, rt.spec, rt.timing)
         if rt.execute:
             execute_kernel(kernel, views, dict(scalars), functions, rt.memo)
             for name in kernel.arrays:

@@ -5,12 +5,14 @@ Before pricing was staged, :func:`summarize_accesses` and
 counts into float weights as they went.  The staged analyses split that
 into a symbolic walk and a numeric evaluation; these copies of the
 one-pass walks pin the split to the same floats, bit for bit.
+:func:`fresh_describe` is the staged descriptor built from a stage of
+its own, the oracle for the content-keyed stage table.
 """
 
 import math
 
 from repro.cpu.host import _bytes_for
-from repro.gpusim.kernel import Kernel, KernelDescriptor
+from repro.gpusim.kernel import Kernel, KernelDescriptor, _symbolic_stage
 from repro.ir.analysis.access import (DEFAULT_SEQ_TRIPS,
                                       SYMBOLIC_LARGE_STRIDE, AccessPattern,
                                       AccessSummary, RefClass, _const_value,
@@ -222,6 +224,14 @@ def legacy_body_work(body, thread_vars, bindings):
 
     scan(body, 1.0, False)
     return est
+
+
+def fresh_describe(kernel: Kernel, bindings, array_extents
+                   ) -> KernelDescriptor:
+    """:meth:`Kernel.describe` computed afresh: a symbolic stage of its
+    own, shared with no other kernel through the stage table."""
+    return kernel._descriptor(_symbolic_stage(kernel, array_extents),
+                              bindings)
 
 
 def legacy_describe(kernel: Kernel, bindings, array_extents

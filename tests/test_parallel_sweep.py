@@ -25,7 +25,10 @@ from repro.harness.rollup import build_rollup, render_rollup
 from repro.harness.runner import (FIGURE1_MODELS, TABLE2_MODELS,
                                   run_evaluation, run_full_evaluation)
 from repro.models.cache import clear_compile_cache
-from repro.obs.baseline import DEFAULT_BASELINE_PATH, check_baseline
+from repro.benchmarks.base import Benchmark
+from repro.benchmarks.registry import get_benchmark, iter_suite
+from repro.obs.baseline import (DEFAULT_BASELINE_PATH, check_baseline,
+                                collect_entries)
 from repro.obs.merge import counter_totals
 from repro.obs.profile import profile_suite
 from repro.obs.tracer import Tracer, tracing
@@ -104,6 +107,46 @@ class TestSerialOracle:
         assert profiles == want_profiles
         assert _results_doc(results, profiles) == \
             _results_doc(want_results, want_profiles)
+
+
+class TestOneRunPerPort:
+    """A sweep runs each (port, variant) once: an eval unit's profile is
+    its first variant's run.  The serial oracle above still profiles
+    each pair with a run of its own, so together they pin the
+    shared-run profiles to the separate ones."""
+
+    @staticmethod
+    def _count_runs(monkeypatch) -> list[tuple[str, str, str]]:
+        runs: list[tuple[str, str, str]] = []
+        run = Benchmark.run
+
+        def counting(self, model, variant="best", *args, **kwargs):
+            runs.append((self.name, model, variant))
+            return run(self, model, variant, *args, **kwargs)
+
+        monkeypatch.setattr(Benchmark, "run", counting)
+        return runs
+
+    def test_evaluation_runs_each_variant_once(self, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        _, profiles, _ = run_evaluation(coverage=True, speedups=True,
+                                        profiles=True, scale="test")
+        ports = [(bench.name, model, variant) for bench in iter_suite()
+                 for model in FIGURE1_MODELS
+                 for variant in bench.variants(model)]
+        assert sorted(runs) == sorted(ports)
+        assert len(set(runs)) == len(runs)
+        assert [(p.benchmark, p.model, p.variant) for p in profiles] == [
+            (bench.name, model, bench.variants(model)[0])
+            for bench in iter_suite() for model in FIGURE1_MODELS]
+
+    def test_baseline_runs_each_pair_once(self, monkeypatch):
+        runs = self._count_runs(monkeypatch)
+        entries = collect_entries(SUBSET, FIGURE1_MODELS, "test")
+        assert runs == [(bench, model, get_benchmark(bench).variants(model)[0])
+                        for bench in SUBSET for model in FIGURE1_MODELS]
+        assert {bench: list(per) for bench, per in entries.items()} == \
+            {bench: list(FIGURE1_MODELS) for bench in SUBSET}
 
 
 class TestObsMergeIdentity:
@@ -240,8 +283,8 @@ class TestEngine:
         monkeypatch.setattr(ArtifactStore, "absorb", counting)
         assert main(["all", "--jobs", "1", "--scale", "test"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert ("artifact store: 115 compilations for 232 requests "
-                "(117 hits, 115 misses, 0 duplicate lowerings)") in lines
+        assert ("artifact store: 115 compilations for 167 requests "
+                "(52 hits, 115 misses, 0 duplicate lowerings)") in lines
         assert "shards: 1 worker(s) — 78 units (78 executed)" in lines
         clear_compile_cache()
         serial = run_sweep(evaluation_units(benchmarks=SUBSET), jobs=1,

@@ -1,13 +1,14 @@
-"""Price once, launch many: staged launch descriptors, the per-descriptor
-price cache, the shared workload slot with its CPU baseline, and the
-vectorized BFS levels.
+"""Price once, launch many: staged launch descriptors over the shared
+symbolic-stage table, the prices and counters of a pricing pass, the
+shared workload slot with its CPU baseline, and the vectorized BFS
+levels.
 
-Every memo here is checked against a fresh computation with zero
-tolerance: a staged descriptor must ``==`` the uncached one (and the
-one the one-pass scans of :mod:`tests.legacy_pricing` build) for every
-launch of the Figure-1 sweep, a cached price must ``==`` a fresh one
-under every timing config, and a shared workload must leave every
-run's outputs exactly as a private one would.
+Every shortcut here is checked against a fresh computation with zero
+tolerance: a staged descriptor must ``==`` one built from a stage of its
+own (and the one the one-pass scans of :mod:`tests.legacy_pricing`
+build) for every launch of the Figure-1 sweep, a pass's prices and
+counters must ``==`` fresh ones under every timing config, and a shared
+workload must leave every run's outputs exactly as a private one would.
 """
 
 import copy
@@ -18,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.gpusim.kernel as kernel_mod
 import repro.gpusim.runtime as runtime_mod
 from repro.benchmarks import base
 from repro.benchmarks.bfs import _bfs_levels
@@ -25,9 +27,9 @@ from repro.benchmarks.data import Graph, make_graph
 from repro.benchmarks.registry import get_benchmark, iter_suite
 from repro.cpu.host import KEENELAND_HOST, price_serial
 from repro.gpusim.device import TESLA_M2090
-from repro.gpusim.kernel import Kernel
+from repro.gpusim.kernel import Kernel, KernelDescriptor
 from repro.gpusim.timing import TimingConfig, price_kernel
-from repro.harness.runner import run_speedups
+from repro.harness.runner import FIGURE1_MODELS, run_speedups
 from repro.ir.analysis.access import AccessPattern
 from repro.ir.expr import ArrayRef, Var
 from repro.ir.stmt import Assign, Block, For
@@ -35,7 +37,8 @@ from repro.models.base import ExecutableProgram
 from repro.models.cache import STORE, StoreView, compile_port
 from repro.obs.counters import derive_counters
 from tests import launch_oracle
-from tests.legacy_pricing import legacy_describe, legacy_price_region_serial
+from tests.legacy_pricing import (fresh_describe, legacy_describe,
+                                  legacy_price_region_serial)
 
 #: every timing config the ablation benches price under
 ABLATION_CONFIGS = (TimingConfig(), TimingConfig(model_coalescing=False),
@@ -56,28 +59,31 @@ def _launch_args(bench_name: str, model: str, region: str,
     return kernel, bindings, extents
 
 
-def _check_every_launch(monkeypatch, sweep) -> list[int]:
-    """Run ``sweep`` checking each launch's staged descriptor against a
-    fresh ``_describe``, and each distinct one against the one-pass
-    scans; returns the descriptor ids launched."""
+def _check_every_launch(monkeypatch, sweep) -> list[tuple]:
+    """Run ``sweep`` checking each launch's staged descriptor against
+    :func:`fresh_describe`, and each distinct launch's against the
+    one-pass scans; returns every launch's key (kernel, loop-bound
+    bindings, extents)."""
     staged = Kernel.describe
-    seen: list[int] = []
-    checked: set[int] = set()
+    seen: list[tuple] = []
+    checked: set[tuple] = set()
 
     def checking(self, bindings, array_extents):
         got = staged(self, bindings, array_extents)
-        assert got == self._describe(bindings, array_extents), \
+        assert got == fresh_describe(self, bindings, array_extents), \
             (self.name, dict(bindings))
-        if id(got) not in checked:
-            checked.add(id(got))
+        key = (id(self), self.stage(array_extents).bound_key(bindings),
+               tuple(sorted((n, tuple(e)) for n, e in array_extents.items())))
+        if key not in checked:
+            checked.add(key)
             assert got == legacy_describe(self, bindings, array_extents), \
                 (self.name, dict(bindings))
-        seen.append(id(got))
+        seen.append(key)
         return got
 
     monkeypatch.setattr(Kernel, "describe", checking)
-    # the oracle launches one kernel at a time, asking the memo at every
-    # launch (a pricing pass asks it once per distinct launch;
+    # the oracle launches one kernel at a time, describing every launch
+    # (a pricing pass describes each distinct launch once;
     # tests/test_batch_pricing.py checks the pass against the oracle)
     monkeypatch.setattr(ExecutableProgram, "run_schedule",
                         launch_oracle.run_schedule)
@@ -91,9 +97,7 @@ class TestDescriptorMemo:
             run_speedups(scale="test"),
             run_speedups([get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")],
                          scale="paper")))
-        # the memo actually answers: far fewer descriptors than launches
         assert len(seen) > 3000
-        assert len(set(seen)) < len(seen) // 2
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", ["LUD", "NW"])
@@ -109,7 +113,9 @@ class TestDescriptorMemo:
         kernel, bindings, extents = _launch_args("SRAD", "OpenACC",
                                                  "diffusion")
         first = kernel.describe({**bindings, "t": 0.0}, extents)
-        assert kernel.describe({**bindings, "t": 7.0}, extents) is first
+        assert kernel.describe({**bindings, "t": 7.0}, extents) == first
+        assert first == fresh_describe(kernel, {**bindings, "t": 7.0},
+                                       extents)
 
     def test_loop_bound_scalars_split_the_key(self):
         # NW's anti-diagonal d bounds the wavefront loop
@@ -117,16 +123,21 @@ class TestDescriptorMemo:
                                                  "wave_upper")
         a = kernel.describe({**bindings, "d": 3.0}, extents)
         b = kernel.describe({**bindings, "d": 9.0}, extents)
-        assert a is not b and a.total_threads != b.total_threads
-        assert a == kernel._describe({**bindings, "d": 3.0}, extents)
+        assert a.total_threads != b.total_threads
+        assert a == fresh_describe(kernel, {**bindings, "d": 3.0}, extents)
+        assert b == fresh_describe(kernel, {**bindings, "d": 9.0}, extents)
 
     def test_extents_split_the_key(self):
         kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
                                                  "stencil")
         a = kernel.describe(bindings, extents)
         wider = {name: [e + 1 for e in ext] for name, ext in extents.items()}
-        assert kernel.describe(bindings, wider) is not a
-        assert kernel.describe(dict(bindings), dict(extents)) is a
+        # one symbolic stage per extents, shared by equal extents
+        assert kernel.stage(wider) is not kernel.stage(extents)
+        assert kernel.stage(dict(extents)) is kernel.stage(extents)
+        assert kernel.describe(bindings, wider) == fresh_describe(
+            kernel, bindings, wider)
+        assert kernel.describe(dict(bindings), dict(extents)) == a
 
 
 class TestMemoLeavesCopies:
@@ -135,13 +146,13 @@ class TestMemoLeavesCopies:
                                                  "stencil")
         desc = kernel.describe(bindings, extents)
         kernel.private_global_bytes_per_thread()
-        assert {"_staged", "_content_key", "_private_bytes"} <= set(vars(kernel))
+        memos = {"_body_digest", "_content_key", "_private_bytes"}
+        assert memos <= set(vars(kernel))
         clone = pickle.loads(pickle.dumps(kernel))
-        assert not {"_staged", "_content_key", "_private_bytes"} & set(
-            vars(clone))
+        assert not memos & set(vars(clone))
         assert clone.describe(bindings, extents) == desc
-        # the original keeps answering from its memo
-        assert kernel.describe(bindings, extents) is desc
+        assert clone.content_key == kernel.content_key
+        assert kernel.describe(bindings, extents) == desc
 
     def test_store_view_ships_no_descriptors(self):
         kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
@@ -152,7 +163,9 @@ class TestMemoLeavesCopies:
                    for result in art.compiled.results.values()
                    for k in result.kernels]
         assert kernels
-        assert not any("_staged" in vars(k) for k in kernels)
+        assert not any(isinstance(value, KernelDescriptor)
+                       or name in ("_body_digest", "_content_key")
+                       for k in kernels for name, value in vars(k).items())
 
     def test_deepcopy_then_new_body_is_not_stale(self):
         kernel, bindings, extents = _launch_args("JACOBI", "OpenACC",
@@ -162,9 +175,9 @@ class TestMemoLeavesCopies:
         bad = copy.deepcopy(kernel)
         bad.body = Block(())
         emptied = bad.describe(bindings, extents)
-        assert emptied == bad._describe(bindings, extents)
+        assert emptied == fresh_describe(bad, bindings, extents)
         assert emptied.access.refs == [] and emptied.flops_per_thread == 0
-        assert kernel.describe(bindings, extents) is desc
+        assert kernel.describe(bindings, extents) == desc
 
 
 def _kernel(name="k", thread_vars=("i", "j"), **kwargs) -> Kernel:
@@ -197,12 +210,14 @@ class TestContentKey:
         a = first.describe(self.BINDINGS, self.EXTENTS)
         b = second.describe(self.BINDINGS, self.EXTENTS)
         # one shared symbolic stage, two descriptors with their own names
-        stage = next(iter(vars(first)["_staged"].values()))[0]
-        assert next(iter(vars(second)["_staged"].values()))[0] is stage
+        stage = first.stage(self.EXTENTS)
+        assert second.stage(self.EXTENTS) is stage
+        assert kernel_mod._STAGES[(first.content_key, tuple(sorted(
+            (n, tuple(e)) for n, e in self.EXTENTS.items())))] is stage
         assert (a.name, b.name) == ("first", "second")
         assert b.block_threads == 128
-        assert a == first._describe(self.BINDINGS, self.EXTENTS)
-        assert b == second._describe(self.BINDINGS, self.EXTENTS)
+        assert a == fresh_describe(first, self.BINDINGS, self.EXTENTS)
+        assert b == fresh_describe(second, self.BINDINGS, self.EXTENTS)
         assert price_kernel(a, TESLA_M2090).name == "first"
 
     def test_overrides_reach_the_descriptor(self):
@@ -215,40 +230,29 @@ class TestContentKey:
 
 
 class TestPriceCache:
-    def test_cached_price_matches_fresh_under_every_config(self, monkeypatch):
-        launch = launch_oracle.LaunchAtATime.launch
-        staged = Kernel.describe
-        described: list = []
-        launched: list = []
-
-        def recording(self, bindings, array_extents):
-            described.append(staged(self, bindings, array_extents))
-            return described[-1]
-
-        def checking(self, kernel, scalars, functions=None):
-            timing = launch(self, kernel, scalars, functions)
-            rt = self.rt
-            desc, record = described[-1], rt.profiler.launches[-1]
-            assert record.timing is timing
-            assert timing == price_kernel(desc, rt.spec, rt.timing)
-            assert record.counters == derive_counters(desc, rt.spec)
-            launched.append(desc)
-            return timing
-
-        monkeypatch.setattr(Kernel, "describe", recording)
-        monkeypatch.setattr(launch_oracle.LaunchAtATime, "launch", checking)
-        # a launch at a time
-        monkeypatch.setattr(ExecutableProgram, "run_schedule",
-                            launch_oracle.run_schedule)
-        benches = [get_benchmark(n)
-                   for n in ("JACOBI", "HOTSPOT", "SRAD", "NW", "LUD")]
-        # the default config both first and last: later configs must
-        # not overwrite (or answer for) the first one's prices
+    def test_cached_price_matches_fresh_under_every_config(self):
+        # every launch record of a pricing pass carries the price and
+        # counters a fresh price_kernel / derive_counters gives its
+        # descriptor; the default config both first and last, so no run
+        # answers from another config's prices
+        launched = 0
         for config in ABLATION_CONFIGS + ABLATION_CONFIGS[:1]:
-            run_speedups(benches, scale="test", timing=config)
-        assert len(launched) > 1000
-        held = {len(desc.priced) for desc in launched}
-        assert max(held) >= len(ABLATION_CONFIGS)
+            for name in ("JACOBI", "HOTSPOT", "SRAD", "NW", "LUD"):
+                bench = get_benchmark(name)
+                for model in FIGURE1_MODELS:
+                    for variant in bench.variants(model):
+                        rt = bench.run(model, variant, scale="test",
+                                       execute=False, validate=False,
+                                       timing=config).executable.rt
+                        assert rt.timing == config
+                        for record in rt.profiler.launches:
+                            counters = record.counters   # describes it
+                            desc = record.source.desc
+                            assert record.timing == price_kernel(
+                                desc, rt.spec, config), record.kernel
+                            assert counters == derive_counters(desc, rt.spec)
+                            launched += 1
+        assert launched > 1000
 
     def test_frozen_value_objects(self):
         from dataclasses import FrozenInstanceError

@@ -22,9 +22,11 @@ from repro.benchmarks.registry import BENCHMARK_ORDER, get_benchmark
 from repro.gpusim import locality, memo, trace
 from repro.gpusim.cache import LineStream, line_stream
 from repro.gpusim.device import TESLA_M2090
-from repro.gpusim.kernel import kernel_ir_hash
+from repro.gpusim.kernel import Kernel, kernel_ir_hash
 from repro.gpusim.memo import LaunchMemo
 from repro.gpusim.trace import MemoryTrace, TracingExecutor
+from repro.ir.builder import aref, assign, call, pfor, v
+from repro.ir.program import Function, Param
 from repro.ir.stmt import Block
 from repro.models.cache import compile_port
 
@@ -46,6 +48,23 @@ class TestContentHash:
         clone.body = Block(())
         assert kernel_ir_hash(clone, functions) != original
         assert kernel_ir_hash(kernel, functions) == original
+
+    def test_a_freed_function_lends_no_hash(self):
+        # only the Function objects are built and dropped in turn, so
+        # the next one usually takes the last one's id: the hash must
+        # still follow the body
+        parts = {index: ([Param("dst", is_array=True), Param("i")],
+                         assign(aref("dst", v(index)), 1.0))
+                 for index in ("i", "n")}
+        kernel = Kernel("k", pfor("i", 0, 4, call("f", v("y"), v("i"))),
+                        ["i"], arrays=("y",))
+        want = {index: kernel_ir_hash(copy.deepcopy(kernel),
+                                      {"f": Function("f", *parts[index])})
+                for index in parts}
+        assert want["i"] != want["n"]
+        for index in ("i", "n") * 50:
+            assert kernel_ir_hash(
+                kernel, {"f": Function("f", *parts[index])}) == want[index]
 
 
 # ---------------------------------------------------------------------------
