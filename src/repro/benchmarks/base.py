@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cpu.host import (KEENELAND_HOST, HostSpec, price_serial,
+from repro.cpu.host import (KEENELAND_HOST, HostSpec, price_serial_columns,
                             serial_stage)
 from repro.errors import BenchmarkError
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
@@ -342,32 +342,34 @@ class Benchmark(abc.ABC):
     def cpu_time(self, wl: Workload, host: HostSpec = KEENELAND_HOST) -> float:
         """Analytical serial-CPU time of the workload's schedule.
 
-        Each region's symbolic stage is built once, and its price once
-        per binding of the scalars its loop bounds read, the only
-        bindings the host model depends on.
+        Each region's symbolic stage is built once, and priced as one
+        column over the distinct bindings of the scalars its loop bounds
+        read, the only bindings the host model depends on; the steps
+        then add up in schedule order.
         """
         program = self.program
         extents = {name: list(shape) for name, (shape, _) in wl.shapes.items()}
         bindings = {k: float(v) for k, v in wl.scalars.items()}
-        total = 0.0
         stages: dict[str, BodyTerms] = {}
-        cache: dict[tuple, float] = {}
+        steps = []
         for step in wl.schedule:
-            region = program.region(step.region)
             stage = stages.get(step.region)
             if stage is None:
-                stage = stages[step.region] = serial_stage(region.body,
-                                                           extents)
-            step_bindings = dict(bindings)
-            step_bindings.update({k: float(x)
-                                  for k, x in step.scalars.items()})
-            key = (step.region, stage.bound_key(step_bindings))
-            if key not in cache:
-                per_invocation = price_serial(
-                    stage, float(region.invocations), step_bindings,
-                    dtype=self.dtype, spec=host)
-                cache[key] = per_invocation / max(1, region.invocations)
-            total += cache[key] * step.times
+                stage = stages[step.region] = serial_stage(
+                    program.region(step.region).body, extents)
+            key = stage.bound_key({**bindings, **{
+                k: float(x) for k, x in step.scalars.items()}})
+            steps.append((step.region, key, step.times))
+        prices: dict[tuple, float] = {}
+        for name, stage in stages.items():
+            invocations = program.region(name).invocations
+            keys = list(dict.fromkeys(k for n, k, _ in steps if n == name))
+            for key, t in zip(keys, price_serial_columns(
+                    stage, float(invocations), keys, self.dtype, host)):
+                prices[name, key] = t / max(1, invocations)
+        total = 0.0
+        for name, key, times in steps:
+            total += prices[name, key] * times
         return total
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.ir.analysis.access import (AccessPattern, AccessSummary,
                                       summarize_accesses)
 from repro.ir.analysis.metrics import BodyTerms, body_work
@@ -81,14 +83,27 @@ def price_serial(stage: BodyTerms, iterations: float,
                  bindings: Mapping[str, float], dtype: str = "double",
                  spec: HostSpec = KEENELAND_HOST) -> float:
     """The host model's numeric stage: serial time of executing the
-    staged body ``iterations`` times under ``bindings``."""
-    work, summary = stage.evaluate(bindings)
+    staged body ``iterations`` times under ``bindings``, the one binding
+    of :func:`price_serial_columns`."""
+    return price_serial_columns(stage, iterations, [stage.bound_key(bindings)],
+                                dtype, spec)[0]
+
+
+def price_serial_columns(stage: BodyTerms, iterations: float,
+                         keys: Sequence[tuple], dtype: str = "double",
+                         spec: HostSpec = KEENELAND_HOST) -> list[float]:
+    """:func:`price_serial` of the bindings with loop-bound keys
+    ``keys`` (:meth:`BodyTerms.bound_key`), at once."""
     elem = numpy_dtype(dtype).itemsize
-    t_flops = work.flops / spec.flops_per_s
-    t_bytes = _bytes_for(summary, elem, spec) / spec.mem_bandwidth
-    # a scalar core overlaps compute and memory imperfectly
-    per_pass = max(t_flops, t_bytes) + 0.25 * min(t_flops, t_bytes)
-    return per_pass * iterations
+    with np.errstate(all="ignore"):
+        work, summary = stage.evaluate(stage.access.nest.key_columns(keys),
+                                       len(keys))
+        t_flops = work.flops / spec.flops_per_s
+        t_bytes = _bytes_for(summary, elem, spec) / spec.mem_bandwidth
+        # a scalar core overlaps compute and memory imperfectly
+        per_pass = (np.where(t_bytes > t_flops, t_bytes, t_flops)
+                    + 0.25 * np.where(t_bytes < t_flops, t_bytes, t_flops))
+        return np.broadcast_to(per_pass * iterations, (len(keys),)).tolist()
 
 
 def price_body_serial(body: Stmt, iterations: float,

@@ -15,7 +15,6 @@ from repro.gpusim.occupancy import (Occupancy, block_shape_occupancy,
                                     latency_hiding_factor)
 from repro.gpusim.profiler import (LaunchRecord, Profiler, TransferRecord,
                                    chrome_trace_document, dump_chrome_trace)
-from repro.gpusim.reference import ScalarExecutor, execute_kernel_scalar
 from repro.gpusim.codegen import (compiled_program_to_cuda, expr_to_c,
                                   kernel_to_cuda)
 from repro.gpusim.multigpu import (KEENELAND_IB, Interconnect,
@@ -37,7 +36,6 @@ __all__ = [
     "latency_hiding_factor",
     "Kernel", "KernelDescriptor", "DEFAULT_BLOCK",
     "KernelExecutor", "execute_kernel",
-    "ScalarExecutor", "execute_kernel_scalar",
     "KernelTiming", "TimingConfig", "price_kernel", "price_transfer",
     "Profiler", "LaunchRecord", "TransferRecord",
     "chrome_trace_document", "dump_chrome_trace",

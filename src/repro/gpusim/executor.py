@@ -626,9 +626,9 @@ def execute_kernel(kernel: Kernel, arrays: MutableMapping[str, np.ndarray],
     With a ``memo``, a launch the memo has seen before on the same
     inputs writes back the elements it changed instead of being
     interpreted again (see :mod:`repro.gpusim.memo`); it is still
-    counted and timed as a launch.  The scalar reference implementation
-    (:mod:`repro.gpusim.reference`) is the oracle the interpreter is
-    checked against — see ``docs/architecture.md``.
+    counted and timed as a launch.  The tests check the interpreter
+    against a scalar per-thread reference (``tests/scalar_reference.py``)
+    — see ``docs/architecture.md``.
     """
     from repro.obs import tracer as obs
 

@@ -20,8 +20,8 @@ from repro.errors import IRError, LaunchError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import MemorySpace
 from repro.ir.analysis.access import (AccessPattern, AccessSummary,
-                                      _const_value, summarize_accesses,
-                                      trip_column)
+                                      _const_value, column_item,
+                                      summarize_accesses, trip_column)
 from repro.ir.analysis.metrics import BodyTerms, body_work
 from repro.ir.program import Function, numpy_dtype
 from repro.ir.serialize import stmt_to_dict
@@ -265,50 +265,55 @@ class Kernel:
         """The static descriptor the timing model prices.
 
         Two stages.  The symbolic one (:meth:`stage`) runs once per
-        (content key, array extents).  The numeric one evaluates the
-        sequential loops' trip counts under ``bindings``, on every call;
-        a pricing pass calls it once per distinct launch.
+        (content key, array extents).  The numeric one, on every call,
+        is the one launch of :meth:`describe_columns`; a pricing pass
+        calls this for each kernel's first distinct launch.
         """
-        return self._descriptor(self.stage(array_extents), bindings)
+        stage = self.stage(array_extents)
+        return self.descriptor(
+            stage, self.describe_columns(stage, [stage.bound_key(bindings)]),
+            0)
 
     def describe_columns(self, stage: BodyTerms,
-                         columns: Mapping[str, np.ndarray],
-                         ) -> Optional[tuple]:
-        """The numeric stage of many launches at once.
+                         keys: Sequence[tuple]) -> tuple:
+        """The numeric stage of the launches with loop-bound keys
+        ``keys`` (:meth:`BodyTerms.bound_key`), at once.
 
-        ``columns`` holds each of ``stage``'s bound names, one value
-        per launch.  Returns ``(total_threads, flops_per_thread,
-        divergence, counts)``: the descriptor fields that vary between
-        launches, each element computed by the same IEEE operations as
-        :meth:`_descriptor`, with one count per reference of
-        ``stage.access``.  None unless every loop count is exact under
-        the columns; those launches keep the scalar stage.
+        Returns ``(total_threads, flops_per_thread, divergence,
+        counts)``, the descriptor fields that vary between launches,
+        with one count per reference of ``stage.access``: each a column
+        of one entry per launch, or a value every launch shares.  Raises
+        :class:`LaunchError` when a grid loop's extent does not resolve.
         """
-        trips = stage.access.nest.trip_columns(columns)
-        if trips is None:
-            return None
-        total = 1
-        for loop in self.grid_loops():
-            extent = trip_column(loop, columns)
-            if extent is None:
-                return None
-            total = total * extent.astype(np.int64)
-        work = stage.work.evaluate(trips, [True] * len(trips))
-        access = stage.access.evaluate(trips)
+        columns = stage.access.nest.key_columns(keys)
+        total = np.ones(len(keys), dtype=np.int64)
+        with np.errstate(all="ignore"):
+            work, access = stage.evaluate(columns, len(keys))
+            for loop in self.grid_loops():
+                extent, exact = trip_column(loop, columns)
+                if not exact.all():
+                    bound = sorted(name for name, (_, where)
+                                   in columns.items() if np.all(where))
+                    raise LaunchError(
+                        f"kernel {self.name!r}: cannot resolve extent of "
+                        f"loop {loop.var!r} from bindings {bound}")
+                total = total * extent.astype(np.int64)
         return (np.maximum(1, total), work.flops, work.divergence,
                 [count for _, count in access.refs])
 
-    def _descriptor(self, stage: BodyTerms,
-                    bindings: Mapping[str, float]) -> KernelDescriptor:
-        """The numeric stage: evaluate ``stage`` under one launch."""
-        work, access = stage.evaluate(bindings)
+    def descriptor(self, stage: BodyTerms, columns: tuple,
+                   row: int) -> KernelDescriptor:
+        """Launch ``row`` of :meth:`describe_columns`' ``columns``."""
+        total, flops, divergence, counts = columns
         return KernelDescriptor(
             name=self.name,
-            total_threads=max(1, self.total_threads(bindings)),
+            total_threads=column_item(total, row),
             block_threads=self.block_threads,
-            flops_per_thread=work.flops,
-            divergence=work.divergence,
-            access=access,
+            flops_per_thread=column_item(flops, row),
+            divergence=column_item(divergence, row),
+            access=AccessSummary([
+                (cls, column_item(count, row))
+                for (cls, _), count in zip(stage.access.refs, counts)]),
             smem_per_block=sum(t.smem_bytes_per_block for t in self.tiling),
             regs_per_thread=self.regs_per_thread,
             dtype=self.dtype,

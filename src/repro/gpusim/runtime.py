@@ -12,16 +12,16 @@ Functional execution can be disabled (``execute=False``) for timing-only
 sweeps at paper-scale problem sizes: the analytical model needs sizes,
 not values, so Figure 1's large inputs cost nothing to "run".  Every
 launch and transfer goes through a :meth:`CudaRuntime.pricing_pass`,
-which describes and prices each distinct launch once (a kernel's other
-launches as numpy columns), executes kernels as they come, and writes
-the records, the clock and the ``gpu.*`` spans when it closes.
+which describes and prices each distinct launch once (a kernel's first
+one at its launch, the others as one set of numpy columns when the
+pass ends), executes kernels as they come, and writes the records, the
+clock and the ``gpu.*`` spans when it closes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import inspect
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.gpusim.memory import DeviceBuffer, MemoryManager, MemorySpace
 from repro.gpusim.profiler import Profiler, TransferRecord
 from repro.gpusim.timing import (KernelTiming, TimingConfig, price_columns,
                                  price_kernel, price_transfer)
+from repro.ir.analysis.access import column_item
 from repro.ir.program import Function
 from repro.obs import tracer as obs
 
@@ -44,14 +45,6 @@ from repro.obs import tracer as obs
 # and always safe.
 
 Value = Union[int, float]
-
-#: the numeric stage and price :meth:`Kernel.describe_columns` and
-#: :func:`price_columns` reproduce; while either name is bound to
-#: something else (not a ``functools.wraps`` wrapper of it), a pricing
-#: pass calls it for every distinct launch instead
-_DESCRIBE = Kernel.describe
-_PRICE = price_kernel
-
 
 def _marker(name: str, category: str, counters: Mapping[str, float],
             **attrs) -> None:
@@ -162,19 +155,19 @@ class CudaRuntime:
             price = batch.launch(kernel, scalars, functions)
         return price.timing
 
-    def _check_private(self, kernel: Kernel, desc: KernelDescriptor) -> None:
+    def _check_private(self, kernel: Kernel, total_threads: int) -> None:
         """Expanded private arrays are a real device allocation: one slot
         per thread; too many threads overflow global memory (the EP
         porting story, Section V-A of the paper)."""
         private_bytes = (kernel.private_global_bytes_per_thread()
-                         * desc.total_threads)
+                         * total_threads)
         if private_bytes:
             free = self.spec.global_mem_bytes - self.mem.global_used
             if private_bytes > free:
                 from repro.errors import DeviceMemoryError
                 raise DeviceMemoryError(
                     f"kernel {kernel.name!r}: expanded private arrays need "
-                    f"{private_bytes} B for {desc.total_threads} threads; "
+                    f"{private_bytes} B for {total_threads} threads; "
                     f"{free} B free on device — strip-mine the parallel "
                     f"loop to reduce the iteration space")
 
@@ -214,22 +207,25 @@ class CudaRuntime:
 
 class _Price:
     """One distinct launch: its :class:`KernelTiming` (None until a
-    pricing pass prices its group's columns) and, derived on first read,
-    its counters."""
+    pricing pass prices its group's columns), its thread count when its
+    kernel expands private arrays, and, derived on first read, its
+    descriptor and counters."""
 
-    __slots__ = ("kernel", "spec", "desc", "timing", "group", "key",
-                 "_counters")
+    __slots__ = ("kernel", "spec", "desc", "timing", "threads", "group",
+                 "row", "_counters")
 
     def __init__(self, kernel: str, spec: DeviceSpec,
                  desc: Optional[KernelDescriptor] = None,
                  timing: Optional[KernelTiming] = None,
-                 group: Optional["_Group"] = None, key: tuple = ()) -> None:
+                 threads: Optional[int] = None,
+                 group: Optional["_Group"] = None, row: int = 0) -> None:
         self.kernel = kernel
         self.spec = spec
         self.desc = desc
         self.timing = timing
+        self.threads = threads
         self.group = group
-        self.key = key
+        self.row = row
         self._counters = None
 
     @property
@@ -237,7 +233,9 @@ class _Price:
         if self._counters is None:
             from repro.obs.counters import derive_counters
             if self.desc is None:
-                self.desc = self.group.describe(self.key)
+                group = self.group
+                self.desc = group.kernel.descriptor(group.stage,
+                                                    group.columns, self.row)
             self._counters = derive_counters(self.desc, self.spec)
         return self._counters
 
@@ -245,8 +243,7 @@ class _Price:
 class _Group:
     """The launches of one kernel in a pricing pass."""
 
-    def __init__(self, rt: CudaRuntime, kernel: Kernel,
-                 columnar: bool) -> None:
+    def __init__(self, rt: CudaRuntime, kernel: Kernel) -> None:
         self.rt = rt
         self.kernel = kernel
         self.extents: dict[str, list[int]] = {}
@@ -260,53 +257,40 @@ class _Group:
         self.private = kernel.private_global_bytes_per_thread()
         #: the distinct launches, by loop-bound key
         self.prices: dict[tuple, _Price] = {}
-        #: the first launch's key and descriptor
-        self.anchor: Optional[tuple] = None
-        #: whether later keys are priced as columns (None: not known
-        #: before a second distinct launch); expanded private arrays
-        #: are checked against free memory launch by launch
-        self.columnar: Optional[bool] = (None if columnar and not self.private
-                                         else False)
-        #: the launches priced as columns when the pass ends
+        #: the first launch's descriptor
+        self.first: Optional[KernelDescriptor] = None
+        #: the later distinct launches and their keys, and then their
+        #: :meth:`Kernel.describe_columns`
         self.deferred: list[_Price] = []
+        self.keys: list[tuple] = []
+        self.columns: Optional[tuple] = None
 
-    def key_columns(self, keys: Sequence[tuple]) -> dict[str, np.ndarray]:
-        return {name: np.array(values, dtype=np.float64)
-                for name, values in zip(self.names, zip(*keys))}
-
-    def takes_columns(self, key: tuple) -> bool:
-        """Whether ``key`` can wait for the columns: not the first key,
-        and the kernel's numeric stage evaluates as columns."""
-        if self.anchor is None:
-            return False
-        if self.columnar is None:
-            probe = self.kernel.describe_columns(
-                self.stage, self.key_columns([self.anchor[0]]))
-            self.columnar = probe is not None
-        return self.columnar and None not in key
-
-    def describe(self, key: tuple) -> KernelDescriptor:
-        """The descriptor of the launch with loop-bound key ``key``."""
-        bindings = dict(zip(self.names, key))
-        return self.kernel.describe(bindings, self.extents)
+    def price(self, key: tuple, scalars: Mapping[str, Value]) -> _Price:
+        """A new distinct launch.  The first is described and priced at
+        once; a later one waits for :meth:`resolve`, its expanded
+        private arrays (if any) counted from a one-row description."""
+        kernel, rt = self.kernel, self.rt
+        if self.first is None:
+            desc = self.first = kernel.describe(
+                {k: float(v) for k, v in scalars.items()}, self.extents)
+            return _Price(kernel.name, rt.spec, desc,
+                          price_kernel(desc, rt.spec, rt.timing),
+                          desc.total_threads)
+        threads = None
+        if self.private:
+            threads = column_item(kernel.describe_columns(self.stage,
+                                                          [key])[0])
+        self.deferred.append(_Price(kernel.name, rt.spec, threads=threads,
+                                    group=self, row=len(self.keys)))
+        self.keys.append(key)
+        return self.deferred[-1]
 
     def resolve(self) -> None:
-        """Price the deferred launches as columns."""
+        """Describe and price the later launches as columns."""
         rt = self.rt
-        got = self.kernel.describe_columns(
-            self.stage, self.key_columns([p.key for p in self.deferred]))
-        if got is None:
-            # a count overflowed: the scalar path decides, as it would
-            # have at the launch
-            for price in self.deferred:
-                price.desc = self.describe(price.key)
-                price.timing = price_kernel(price.desc, rt.spec, rt.timing)
-            return
-        total, flops, divergence, counts = got
-        total = np.broadcast_to(total, (len(self.deferred),))
-        timings = price_columns(self.anchor[1], total, flops, divergence,
-                                counts, rt.spec, rt.timing)
-        for price, timing in zip(self.deferred, timings):
+        self.columns = self.kernel.describe_columns(self.stage, self.keys)
+        for price, timing in zip(self.deferred, price_columns(
+                self.first, *self.columns, rt.spec, rt.timing)):
             price.timing = timing
 
 
@@ -315,11 +299,10 @@ class _PricingPass:
 
     Launches are grouped by kernel (the extents are fixed: a pass never
     frees or reallocates a buffer, and a pointer swap exchanges buffers
-    of one shape).  The first launch of each distinct loop-bound key is
-    described and priced by the scalar path at once, in launch order,
-    so every error fires at its launch; when a kernel's numeric stage
-    evaluates as columns, its later keys wait for one numpy evaluation
-    at the end.
+    of one shape).  A kernel's first launch is described and priced at
+    once, in launch order, so every error fires at its launch; its later
+    distinct loop-bound keys wait for one evaluation of the numeric
+    stage as numpy columns when the pass ends.
     """
 
     def __init__(self, rt: CudaRuntime) -> None:
@@ -329,9 +312,6 @@ class _PricingPass:
         #: elided one, in order
         self.events: list = []
         self.groups: dict[Kernel, _Group] = {}
-        self.columnar = (inspect.unwrap(Kernel.describe) is _DESCRIBE
-                         and inspect.unwrap(price_kernel) is _PRICE
-                         and not rt.timing.model_cache_hierarchy)
 
     def launch(self, kernel: Kernel, scalars: Mapping[str, Value],
                functions: Optional[Mapping[str, Function]] = None,
@@ -341,14 +321,14 @@ class _PricingPass:
         rt = self.rt
         group = self.groups.get(kernel)
         if group is None:
-            group = self.groups[kernel] = _Group(rt, kernel, self.columnar)
+            group = self.groups[kernel] = _Group(rt, kernel)
         key = tuple([float(scalars[n]) if n in scalars else None
                      for n in group.names])
         price = group.prices.get(key)
         if price is None:
-            price = group.prices[key] = self._price(group, key, scalars)
-        elif group.private:
-            rt._check_private(kernel, price.desc)
+            price = group.prices[key] = group.price(key, scalars)
+        if group.private:
+            rt._check_private(kernel, price.threads)
         self.events.append(price)
         if rt.execute:
             # the group checked the buffers when the pass first saw them
@@ -361,21 +341,6 @@ class _PricingPass:
     def elide(self, name: str, direction: str, nbytes: int) -> None:
         """Queue a transfer the program skipped: a span, no record."""
         self.events.append((name, nbytes, direction, None))
-
-    def _price(self, group: _Group, key: tuple,
-               scalars: Mapping[str, Value]) -> _Price:
-        if group.takes_columns(key):
-            price = _Price(group.kernel.name, self.rt.spec, group=group,
-                           key=key)
-            group.deferred.append(price)
-            return price
-        bindings = {k: float(v) for k, v in scalars.items()}
-        desc = group.kernel.describe(bindings, group.extents)
-        self.rt._check_private(group.kernel, desc)
-        if group.anchor is None:
-            group.anchor = (key, desc)
-        return _Price(group.kernel.name, self.rt.spec, desc,
-                      price_kernel(desc, self.rt.spec, self.rt.timing))
 
     def close(self) -> None:
         """Price the deferred launches and write every record and, under

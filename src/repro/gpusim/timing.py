@@ -78,9 +78,11 @@ class KernelTiming:
                 f"{self.flops / 1e6:.1f} MFLOP)")
 
 
-def _static_l2_hit_rate(desc: KernelDescriptor, spec: DeviceSpec,
-                        elem: int, warps: int) -> float:
-    """Descriptor-level L2 hit estimate: captured cross-reference reuse.
+def _static_l2_hit_rate(desc: KernelDescriptor, counts: list,
+                        warps: np.ndarray, spec: DeviceSpec,
+                        elem: int) -> np.ndarray:
+    """Descriptor-level L2 hit estimate: captured cross-reference reuse,
+    one rate per launch of :func:`price_columns`.
 
     Per array, one full traversal's transaction bytes are compulsory
     (DRAM); bytes beyond that — repeated references, sequential-loop
@@ -89,24 +91,24 @@ def _static_l2_hit_rate(desc: KernelDescriptor, spec: DeviceSpec,
     prediction in :mod:`repro.ir.analysis.reuse` (which needs the
     kernel body); both use the same fits-in-cache reload rule.
     """
-    per_array_total: dict[str, float] = {}
-    per_array_once: dict[str, float] = {}
-    for ref, count in desc.access.refs:
+    per_array_total: dict[str, np.ndarray] = {}
+    per_array_once: dict[str, np.ndarray] = {}
+    for (ref, _), count in zip(desc.access.refs, counts):
         txns = transactions_per_warp(ref, elem, spec)
         traversal = txns * spec.transaction_bytes * warps
         per_array_total[ref.array] = (per_array_total.get(ref.array, 0.0)
                                       + traversal * count)
-        per_array_once[ref.array] = max(
+        per_array_once[ref.array] = np.maximum(
             per_array_once.get(ref.array, 0.0), traversal)
     total = sum(per_array_total.values())
-    if total <= 0:
-        return 0.0
-    hit_bytes = 0.0
+    hit_bytes = np.zeros(len(warps))
     for array, tot in per_array_total.items():
-        once = min(per_array_once[array], tot)
-        if once <= spec.l2_bytes:
-            hit_bytes += tot - once
-    return min(1.0, max(0.0, hit_bytes / total))
+        once = np.minimum(per_array_once[array], tot)
+        hit_bytes = np.where(once <= spec.l2_bytes, hit_bytes + (tot - once),
+                             hit_bytes)
+    rate = np.divide(hit_bytes, total, out=np.zeros(len(warps)),
+                     where=total > 0)
+    return np.minimum(1.0, np.maximum(0.0, rate))
 
 
 def _occupancy_terms(desc: KernelDescriptor, grid_blocks: int,
@@ -156,89 +158,76 @@ def _warp_bytes(desc: KernelDescriptor, spec: DeviceSpec,
 
 def price_kernel(desc: KernelDescriptor, spec: DeviceSpec,
                  config: Optional[TimingConfig] = None) -> KernelTiming:
-    """Simulated execution time of one kernel launch."""
-    config = config or TimingConfig()
-    occupancy, bw, peak = _occupancy_terms(desc, desc.grid_blocks, spec,
-                                           config)
-    warps = max(1, -(-desc.total_threads // spec.warp_size))
-    elem = numpy_dtype(desc.dtype).itemsize
-
-    dram_bytes = 0.0
-    for (_, count), bytes_per_warp in zip(
-            desc.access.refs, _warp_bytes(desc, spec, config, elem)):
-        dram_bytes += bytes_per_warp * count * warps
-
-    if config.model_divergence:
-        # divergent warps issue fewer concurrent memory requests
-        bw *= max(0.3, 1.0 - 0.4 * desc.divergence)
-    l2_hit = 0.0
-    if config.model_cache_hierarchy:
-        l2_hit = _static_l2_hit_rate(desc, spec, elem, warps)
-        if l2_hit > 0.0 and spec.l2_bandwidth_ratio > 0:
-            # average cost/byte: misses at DRAM bw, hits at L2 bw
-            bw /= (1.0 - l2_hit) + l2_hit / spec.l2_bandwidth_ratio
-    t_memory = dram_bytes / bw if bw > 0 else float("inf")
-
-    flops = desc.flops_per_thread * desc.total_threads
-    if config.model_divergence:
-        peak *= max(0.1, 1.0 - 0.8 * desc.divergence)
-    t_compute = flops / peak if peak > 0 else float("inf")
-
-    launch = spec.kernel_launch_us * 1e-6
-    total = launch + max(t_compute, t_memory)
-    return KernelTiming(
-        name=desc.name, time_s=total, compute_s=t_compute,
-        memory_s=t_memory, launch_s=launch, occupancy=occupancy,
-        dram_bytes=dram_bytes, flops=flops,
-        bound="memory" if t_memory >= t_compute else "compute",
-        l2_hit_rate=l2_hit)
+    """Simulated execution time of one kernel launch: the one launch
+    of :func:`price_columns`."""
+    return price_columns(desc, np.array([desc.total_threads]),
+                         desc.flops_per_thread, desc.divergence,
+                         [count for _, count in desc.access.refs], spec,
+                         config or TimingConfig())[0]
 
 
 def price_columns(desc: KernelDescriptor, total_threads: np.ndarray,
-                  flops_per_thread, divergence: float, counts: list,
+                  flops_per_thread, divergence, counts: list,
                   spec: DeviceSpec, config: TimingConfig,
                   ) -> list[KernelTiming]:
-    """:func:`price_kernel` of many launches of one kernel at once.
+    """Simulated execution times of many launches of one kernel.
 
     ``desc`` is any descriptor of the kernel: it supplies what every
     launch shares (block shape, placements, tiling, the references).
-    ``total_threads``, ``flops_per_thread`` and ``counts`` (one entry
-    per reference) vary per launch, from
-    :meth:`~repro.gpusim.kernel.Kernel.describe_columns`.  Every element
-    goes through the same IEEE operations as the scalar price; the
-    occupancy terms are computed once per distinct grid size.  Without
-    the opt-in ``model_cache_hierarchy`` term only.
+    ``total_threads`` holds one entry per launch; ``flops_per_thread``,
+    ``divergence`` and ``counts`` (one per reference) hold one entry per
+    launch or a value every launch shares, as
+    :meth:`~repro.gpusim.kernel.Kernel.describe_columns` returns them.
+    The occupancy terms are computed once per distinct grid size.
     """
-    if config.model_cache_hierarchy:
-        raise ValueError("price_columns does not model the L2 hierarchy")
+    rows = len(total_threads)
     grid_blocks = np.maximum(1, np.ceil(total_threads / desc.block_threads))
-    sizes, which = np.unique(grid_blocks, return_inverse=True)
-    terms = np.array([_occupancy_terms(desc, int(g), spec, config)
-                      for g in sizes])[which]
+    if rows == 1:
+        terms = np.array([_occupancy_terms(desc, int(grid_blocks[0]), spec,
+                                           config)])
+    else:
+        sizes, which = np.unique(grid_blocks, return_inverse=True)
+        terms = np.array([_occupancy_terms(desc, int(g), spec, config)
+                          for g in sizes])[which]
     occupancy, bw, peak = terms[:, 0], terms[:, 1], terms[:, 2]
     warps = np.maximum(1, -(-total_threads // spec.warp_size))
     elem = numpy_dtype(desc.dtype).itemsize
 
-    dram_bytes = np.zeros(len(total_threads))
-    for count, bytes_per_warp in zip(counts,
-                                     _warp_bytes(desc, spec, config, elem)):
-        dram_bytes += bytes_per_warp * count * warps
+    # each reference's bytes in row ``i + 1``, summed in reference order
+    per_ref = np.zeros((len(counts) + 1, rows))
+    for i, count in enumerate(counts, 1):
+        per_ref[i] = count
+    dram_bytes = np.cumsum(np.array([0.0] + _warp_bytes(desc, spec, config,
+                                                         elem))[:, None]
+                           * per_ref * warps, axis=0)[-1]
 
     if config.model_divergence:
-        bw = bw * max(0.3, 1.0 - 0.4 * divergence)
-        peak = peak * max(0.1, 1.0 - 0.8 * divergence)
+        # divergent warps issue fewer concurrent memory requests
+        bw = bw * np.maximum(0.3, 1.0 - 0.4 * divergence)
+        peak = peak * np.maximum(0.1, 1.0 - 0.8 * divergence)
+    l2_hit = np.zeros(rows)
+    if config.model_cache_hierarchy:
+        l2_hit = _static_l2_hit_rate(desc, counts, warps, spec, elem)
+        if spec.l2_bandwidth_ratio > 0:
+            # average cost/byte: misses at DRAM bw, hits at L2 bw
+            bw = np.where(l2_hit > 0.0, bw / (
+                (1.0 - l2_hit) + l2_hit / spec.l2_bandwidth_ratio), bw)
+    t_memory = np.divide(dram_bytes, bw, out=np.full(rows, np.inf),
+                         where=bw > 0)
     flops = flops_per_thread * total_threads
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_memory = np.where(bw > 0, dram_bytes / bw, np.inf)
-        t_compute = np.where(peak > 0, flops / peak, np.inf)
+    t_compute = np.divide(flops, peak, out=np.full(rows, np.inf),
+                          where=peak > 0)
+
     launch = spec.kernel_launch_us * 1e-6
     time_s = launch + np.maximum(t_compute, t_memory)
     return [KernelTiming(name=desc.name, time_s=t, compute_s=c, memory_s=m,
                          launch_s=launch, occupancy=o, dram_bytes=d, flops=f,
-                         bound="memory" if m >= c else "compute")
-            for t, c, m, o, d, f in zip(
+                         bound="memory" if m >= c else "compute",
+                         l2_hit_rate=h)
+            for t, c, m, o, d, f, h in zip(
                 time_s.tolist(), t_compute.tolist(), t_memory.tolist(),
-                occupancy.tolist(), dram_bytes.tolist(), flops.tolist())]
+                occupancy.tolist(), dram_bytes.tolist(), flops.tolist(),
+                l2_hit.tolist())]
 
 
 def price_transfer(nbytes: int, spec: DeviceSpec) -> float:

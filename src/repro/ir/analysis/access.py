@@ -28,7 +28,7 @@ COALESCED).
 from __future__ import annotations
 
 import enum
-import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -380,53 +380,80 @@ evaluation inputs."""
 Factor = Union[float, int]
 
 
-#: the operators :func:`_column_value` evaluates, as numpy ufuncs doing
-#: the same IEEE operation :func:`_const_value` does on one launch
-_COLUMN_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply,
-               "min": np.minimum, "max": np.maximum}
+#: the operators :func:`_column_value` evaluates, each doing per launch
+#: the IEEE operation :func:`_const_value` does (``min`` and ``max``
+#: keep Python's left operand on ties and NaNs)
+_COLUMN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "min": lambda a, b: np.where(b < a, b, a),
+               "max": lambda a, b: np.where(b > a, b, a),
+               "/": np.true_divide, "//": np.floor_divide, "%": np.remainder}
+
+_UNBOUND = (np.nan, False)
+
+#: per bound scalar, its values (one per launch) and where it is bound
+#: (``True``: in every launch)
+Columns = Mapping[str, tuple]
 
 
-def _column_value(expr: Expr, columns: Mapping[str, np.ndarray]):
+def _column_value(expr: Expr, columns: Columns) -> tuple:
     """:func:`_const_value` of many launches at once.
 
-    ``columns`` maps each bound scalar to its values, one per launch.
-    None when ``expr`` reads a name that is not a column or uses an
-    operator outside :data:`_COLUMN_OPS` (whose scalar twin may give
-    up per launch).
+    Returns ``(values, bound)``: ``bound`` is False (everywhere, or per
+    launch) where :func:`_const_value` gives None, and ``values`` means
+    nothing there.  Callers silence numpy's floating-point warnings.
     """
     if isinstance(expr, Const):
-        return float(expr.value)
+        return float(expr.value), True
     if isinstance(expr, Var):
-        return columns.get(expr.name)
+        return columns.get(expr.name, _UNBOUND)
     if isinstance(expr, Cast):
         return _column_value(expr.operand, columns)
     if isinstance(expr, UnOp) and expr.op == "-":
-        inner = _column_value(expr.operand, columns)
-        return -inner if inner is not None else None
-    if isinstance(expr, BinOp) and expr.op in _COLUMN_OPS:
-        left = _column_value(expr.left, columns)
-        right = _column_value(expr.right, columns)
-        if left is None or right is None:
-            return None
-        return _COLUMN_OPS[expr.op](left, right)
-    return None
+        inner, bound = _column_value(expr.operand, columns)
+        return -inner, bound
+    if not (isinstance(expr, BinOp) and expr.op in _COLUMN_OPS):
+        return _UNBOUND
+    left, left_bound = _column_value(expr.left, columns)
+    right, bound = _column_value(expr.right, columns)
+    bound = left_bound & bound
+    if expr.op in ("/", "//", "%"):
+        # unbound where the divisor is zero
+        bound = bound & (right != 0.0)
+        right = np.where(right != 0.0, right, 1.0)
+    value = _COLUMN_OPS[expr.op](left, right)
+    if expr.op == "//":
+        # ``float(int(q))``: unbound unless finite, and never -0.0
+        return value + 0.0, bound & np.isfinite(value)
+    return value, bound
 
 
-def trip_column(loop: For, columns: Mapping[str, np.ndarray]):
-    """``max(0, ceil((upper - lower) / step))`` of ``loop`` for many
-    launches at once, as floats; None when a bound is not a
-    :func:`_column_value` or a count is not finite."""
-    lo = _column_value(loop.lower, columns)
-    hi = _column_value(loop.upper, columns)
-    step = _column_value(loop.step, columns)
-    if lo is None or hi is None or step is None:
-        return None
-    step = np.where(step == 0.0, 1.0, step)
+def trip_column(loop: For, columns: Columns) -> tuple:
+    """``(counts, exact)`` of ``loop`` for many launches at once.
+
+    Each count is ``max(0, ceil((upper - lower) / step))`` as a float,
+    a zero or unbound step counting as 1; it is exact where both bounds
+    are bound and the quotient is finite, and means nothing elsewhere.
+    """
+    lo, lo_bound = _column_value(loop.lower, columns)
+    hi, hi_bound = _column_value(loop.upper, columns)
+    step, step_bound = _column_value(loop.step, columns)
+    if step_bound is True and isinstance(step, float):
+        step = step or 1.0      # one step for every launch
+    else:
+        step = np.where(step_bound & (step != 0.0), step, 1.0)
     quotient = (hi - lo) / step
-    if not np.all(np.isfinite(quotient)):
-        return None
     # ``+ 0.0`` turns a ceiling of -0.0 into the 0.0 ``max(0, ...)`` gives
-    return np.maximum(0.0, np.ceil(quotient)) + 0.0
+    return (np.maximum(0.0, np.ceil(quotient)) + 0.0,
+            lo_bound & hi_bound & np.isfinite(quotient))
+
+
+def column_item(column, row: int = 0):
+    """Launch ``row``'s entry of a column, or the value every launch
+    shares, as a Python number."""
+    if type(column) is float:
+        return column
+    column = np.asarray(column)
+    return column.item(row) if column.ndim else column.item()
 
 
 @dataclass(frozen=True)
@@ -435,8 +462,8 @@ class LoopNest:
 
     The symbolic stages (:class:`AccessTerms` and
     :class:`~repro.ir.analysis.metrics.WorkTerms`) name a loop by its
-    index here, and :meth:`trip_factors` is the only step of either
-    analysis that reads a launch's bindings.
+    index here, and :meth:`trip_columns` is the only step of either
+    analysis that reads launches' bindings.
     """
 
     loops: tuple[For, ...]
@@ -445,67 +472,78 @@ class LoopNest:
     #: False for loops mapped to the thread grid, which carry no factor
     sequential: tuple[bool, ...]
     #: scalars any loop's lower/upper/step reads, sorted: the only
-    #: bindings :meth:`trip_factors` (and the grid extents) depend on
+    #: bindings :meth:`trip_columns` (and the grid extents) depend on
     bound_names: tuple[str, ...]
 
     def bound_key(self, bindings: Mapping[str, float]) -> tuple:
         """The bindings of :attr:`bound_names`, as floats."""
-        return tuple(float(bindings[n]) if n in bindings else None
-                     for n in self.bound_names)
+        return tuple([float(bindings[n]) if n in bindings else None
+                      for n in self.bound_names])
 
-    def trip_factors(self, bindings: Mapping[str, float],
-                     ) -> tuple[list, list[bool]]:
-        """Each sequential loop's trip count, and whether it is exact.
+    def key_columns(self, keys: Sequence[tuple]) -> dict[str, tuple]:
+        """The :data:`Columns` of the launches whose :meth:`bound_key`
+        values are ``keys``, in order."""
+        columns = {}
+        for name, values in zip(self.bound_names, zip(*keys)):
+            if len(keys) == 1:      # one launch: its value every launch shares
+                columns[name] = (_UNBOUND if values[0] is None
+                                 else (values[0], True))
+                continue
+            bound = True
+            if None in values:
+                bound = np.array([v is not None for v in values])
+                values = [np.nan if v is None else v for v in values]
+            columns[name] = (np.array(values, dtype=np.float64), bound)
+        return columns
 
-        Exact when the bounds evaluate to numbers under ``bindings``;
-        otherwise the value-range estimate under the enclosing loops'
+    def trip_columns(self, columns: Columns, rows: int,
+                     ) -> tuple[list, list]:
+        """Each sequential loop's trip counts in ``rows`` launches, and
+        where they are exact.
+
+        Exact where :func:`trip_column` is; elsewhere the value-range
+        estimate under that launch's bindings and the enclosing loops'
         ranges, or ``DEFAULT_SEQ_TRIPS`` when that is unbounded too.
         Thread-grid loops get ``None``.
         """
         trips: list = [None] * len(self.loops)
-        exact = [True] * len(self.loops)
-        envs: dict[int, dict[str, SymRange]] = {}
+        exact: list = [True] * len(self.loops)
+        envs: dict[tuple[int, int], dict[str, SymRange]] = {}
 
-        def env(i: int) -> dict[str, SymRange]:
-            """Value ranges inside loop ``i`` (-1: the bindings alone)."""
-            got = envs.get(i)
+        def env(i: int, row: int) -> dict[str, SymRange]:
+            """Value ranges inside loop ``i`` (-1: the bindings alone)
+            in launch ``row``."""
+            got = envs.get((i, row))
             if got is None:
                 if i < 0:
-                    got = bindings_env(bindings)
+                    got = bindings_env({
+                        name: column_item(values, row)
+                        for name, (values, bound) in columns.items()
+                        if column_item(bound, row)})
                 else:
-                    outer = env(self.parents[i])
-                    got = dict(outer)
-                    got[self.loops[i].var] = loop_range(self.loops[i], outer)
-                envs[i] = got
+                    got = dict(env(self.parents[i], row))
+                    got[self.loops[i].var] = loop_range(self.loops[i], got)
+                envs[(i, row)] = got
             return got
 
         for i, loop in enumerate(self.loops):
             if not self.sequential[i]:
                 continue
-            lo = _const_value(loop.lower, bindings)
-            hi = _const_value(loop.upper, bindings)
-            step = _const_value(loop.step, bindings) or 1.0
-            if lo is not None and hi is not None and step:
-                trips[i] = max(0.0, math.ceil((hi - lo) / step))
-            else:
-                est = estimate_trips(loop.lower, loop.upper, loop.step,
-                                     env(i))
-                trips[i] = est if est is not None else DEFAULT_SEQ_TRIPS
-                exact[i] = False
+            counts, known = trip_column(loop, columns)
+            if not known.all():
+                counts = np.array(np.broadcast_to(counts, (rows,)))
+                known = np.broadcast_to(known, (rows,))
+                for row in np.flatnonzero(~known).tolist():
+                    est = estimate_trips(loop.lower, loop.upper, loop.step,
+                                         env(i, row))
+                    counts[row] = DEFAULT_SEQ_TRIPS if est is None else est
+            trips[i], exact[i] = counts, known
         return trips, exact
 
-    def trip_columns(self, columns: Mapping[str, np.ndarray],
-                     ) -> Optional[list]:
-        """:meth:`trip_factors` of many launches at once, when every
-        sequential loop's count is exact (a :func:`trip_column`);
-        None otherwise."""
-        trips: list = [None] * len(self.loops)
-        for i, loop in enumerate(self.loops):
-            if self.sequential[i]:
-                trips[i] = trip_column(loop, columns)
-                if trips[i] is None:
-                    return None
-        return trips
+    def row_trips(self, bindings: Mapping[str, float]) -> tuple[list, list]:
+        """:meth:`trip_columns` of the one launch ``bindings``."""
+        return self.trip_columns(self.key_columns([self.bound_key(bindings)]),
+                                 1)
 
 
 class _NestBuilder:
@@ -556,8 +594,7 @@ class AccessTerms:
 
     Everything about a body's accesses except the trip counts of its
     sequential loops: each reference's class, with its weight left as a
-    product of factors.  :meth:`evaluate` takes the trip counts of one
-    launch.
+    product of factors.  :meth:`evaluate` takes launches' trip counts.
     """
 
     nest: LoopNest
@@ -733,4 +770,7 @@ def summarize_accesses(body: Stmt, thread_vars: Sequence[str],
     terms = AccessTerms(nest.build(), tuple(index), refs)
     if symbolic:
         return terms
-    return terms.evaluate(terms.nest.trip_factors(bindings or {})[0])
+    with np.errstate(all="ignore"):
+        summary = terms.evaluate(terms.nest.row_trips(bindings or {})[0])
+    return AccessSummary([(cls, column_item(count))
+                          for cls, count in summary.refs])

@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.ir.analysis.access import (DEFAULT_SEQ_TRIPS, AccessSummary,
-                                      AccessTerms, Factor, LoopNest,
-                                      _NestBuilder, _weight_values)
+                                      AccessTerms, Columns, Factor, LoopNest,
+                                      _NestBuilder, _weight_values,
+                                      column_item)
 from repro.ir.expr import (INTRINSIC_FLOP_COST, ArrayRef, BinOp, Call, Cast,
                            Const, Expr, Ternary, UnOp, Var)
 from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
@@ -79,7 +82,7 @@ class WorkTerms:
 
     Weights are products of factors, as in
     :class:`~repro.ir.analysis.access.AccessTerms`; :meth:`evaluate`
-    takes one launch's trip counts and replays the sums in scan order.
+    takes launches' trip counts and replays the sums in scan order.
     """
 
     nest: LoopNest
@@ -94,18 +97,22 @@ class WorkTerms:
     divergence: tuple[tuple[float, int], ...]
     branches: int
 
-    def evaluate(self, trips: Sequence, exact: Sequence[bool],
+    def evaluate(self, trips: Sequence, exact: Sequence,
                  ) -> WorkEstimate:
+        """The work of launches with trip counts ``trips`` and
+        exactness ``exact`` (columns, or values every launch shares)."""
         w = _weight_values(self.weights, trips)
         flops = 0.0
         for coef, loop, wi, tail in self.flops:
             term = (trips[loop] if loop >= 0 else coef) * w[wi]
             flops += term if tail is None else term * tail
+        # capping the running sum at 1 after each (non-negative)
+        # increment, as the scan did, caps the final sum at 1 exactly
         divergence = 0.0
         for amount, loop in self.divergence:
-            if loop < 0 or not exact[loop]:
-                divergence = min(1.0, divergence + amount)
-        return WorkEstimate(flops, divergence, self.branches)
+            divergence = divergence + (
+                amount if loop < 0 else np.where(exact[loop], 0.0, amount))
+        return WorkEstimate(flops, np.minimum(1.0, divergence), self.branches)
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,7 @@ class BodyTerms:
     """A body's symbolic access and work stages, priced together.
 
     Both scans number the body's ``For`` loops in the same order, so
-    one :meth:`~repro.ir.analysis.access.LoopNest.trip_factors` call
+    one :meth:`~repro.ir.analysis.access.LoopNest.trip_columns` call
     serves both; :meth:`evaluate` is the whole numeric stage.
     """
 
@@ -121,12 +128,15 @@ class BodyTerms:
     work: WorkTerms
 
     def bound_key(self, bindings: Mapping[str, float]) -> tuple:
-        """The only part of ``bindings`` :meth:`evaluate` reads."""
+        """The only part of ``bindings`` the numeric stage reads."""
         return self.access.nest.bound_key(bindings)
 
-    def evaluate(self, bindings: Mapping[str, float],
+    def evaluate(self, columns: Columns, rows: int,
                  ) -> tuple[WorkEstimate, AccessSummary]:
-        trips, exact = self.access.nest.trip_factors(bindings)
+        """The work and accesses of ``rows`` launches bound by
+        ``columns``: per-launch entries are columns, and entries every
+        launch shares may stay single values."""
+        trips, exact = self.access.nest.trip_columns(columns, rows)
         return self.work.evaluate(trips, exact), self.access.evaluate(trips)
 
 
@@ -205,4 +215,7 @@ def body_work(body: Stmt, thread_vars: Sequence[str],
                       branches)
     if symbolic:
         return terms
-    return terms.evaluate(*terms.nest.trip_factors(bindings or {}))
+    with np.errstate(all="ignore"):
+        work = terms.evaluate(*terms.nest.row_trips(bindings or {}))
+    return WorkEstimate(column_item(work.flops), column_item(work.divergence),
+                        work.branches)

@@ -39,7 +39,7 @@ _CATALOG_URI = "https://example.invalid/repro-harness/docs/lint.md"
 _DESCRIPTORS: dict[str, dict] = {}
 
 
-def _rule_descriptor(rule_id: str) -> dict:
+def _sarif_rule(rule_id: str) -> dict:
     from repro.lint.engine import RULES
     cached = _DESCRIPTORS.get(rule_id)
     if cached is not None:
@@ -100,7 +100,7 @@ def _run(report: LintReport, tool_version: str) -> dict:
                 "informationUri":
                     "https://example.invalid/repro-harness",
                 "version": tool_version,
-                "rules": [_rule_descriptor(r) for r in rule_ids],
+                "rules": [_sarif_rule(r) for r in rule_ids],
             },
         },
         "results": [_result(f) for f in report.sorted()],

@@ -665,12 +665,10 @@ class ExecutableProgram:
                 serial_stage(region.body, extents), {})
         stage, prices = entry
         key = stage.bound_key(scalars)
-        t = prices.get(key)
-        if t is None:
-            bindings = {k: float(v) for k, v in scalars.items()}
-            t = prices[key] = price_serial(stage, float(region.invocations),
-                                           bindings, spec=self.host)
-        return t
+        if key not in prices:
+            prices[key] = price_serial(stage, float(region.invocations),
+                                       scalars, spec=self.host)
+        return prices[key]
 
     # -- results ---------------------------------------------------------
     @property

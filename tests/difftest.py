@@ -3,7 +3,7 @@
 Three engines can run a kernel:
 
 * ``reference``   — the scalar statement-at-a-time interpreter
-  (:mod:`repro.gpusim.reference`), the always-available oracle;
+  (:mod:`tests.scalar_reference`), the always-available oracle;
 * ``interpreter`` — the vectorizing executor
   (:mod:`repro.gpusim.executor`), which walks each lane's own trip
   count through a divergent loop;
@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 from repro.benchmarks.registry import get_benchmark, iter_suite
 from repro.gpusim.executor import KernelExecutor, execute_kernel
 from repro.gpusim.kernel import Kernel
-from repro.gpusim.reference import execute_kernel_scalar
+from tests.scalar_reference import execute_kernel_scalar
 from repro.gpusim.trace import TracingExecutor
 from repro.harness.runner import (FIGURE1_MODELS, TABLE2_MODELS,
                                   EvaluationResults, run_speedups)

@@ -6,7 +6,9 @@ kernel's later loop-bound keys as numpy columns, and writes the records,
 the clock and the ``gpu.*`` spans when it closes.  Before that, a run
 went a launch at a time: each launch was described, priced, executed,
 recorded and spanned at once, each transfer and elision likewise.  This
-module keeps that loop as a reference only:
+module keeps that loop as a reference only, describing and pricing
+every launch with the scalar evaluators of :mod:`tests.legacy_pricing`
+(never the columns it checks):
 
 * :class:`LaunchAtATime` stands in for a pass in
   ``ExecutableProgram._invoke``;
@@ -17,7 +19,6 @@ module keeps that loop as a reference only:
 
 from typing import Mapping, Optional
 
-import repro.gpusim.runtime as runtime_mod
 from repro.gpusim.executor import execute_kernel
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.profiler import TransferRecord
@@ -26,6 +27,7 @@ from repro.gpusim.timing import KernelTiming, price_transfer
 from repro.ir.program import Function
 from repro.obs import tracer as obs
 from repro.obs.counters import transfer_counters
+from tests.legacy_pricing import scalar_describe, scalar_price_kernel
 
 
 class OracleRuntime(CudaRuntime):
@@ -69,12 +71,10 @@ class LaunchAtATime:
             views[name] = buf.data
             extents[name] = list(buf.data.shape)
         bindings = {k: float(v) for k, v in scalars.items()}
-        desc = kernel.describe(bindings, extents)
+        desc = scalar_describe(kernel, bindings, extents)
         self.described.append(desc)
-        rt._check_private(kernel, desc)
-        # the runtime's binding, so a test's patch of it reaches the
-        # oracle as it reaches a pass
-        timing = runtime_mod.price_kernel(desc, rt.spec, rt.timing)
+        rt._check_private(kernel, desc.total_threads)
+        timing = scalar_price_kernel(desc, rt.spec, rt.timing)
         if rt.execute:
             execute_kernel(kernel, views, dict(scalars), functions, rt.memo)
             for name in kernel.arrays:

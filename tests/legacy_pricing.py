@@ -1,28 +1,199 @@
-"""The one-pass pricing scans, kept as the oracle for the staged ones.
+"""The scalar pricing evaluators, kept as the oracle for the columns.
 
-Before pricing was staged, :func:`summarize_accesses` and
-:func:`body_work` each walked a body once per launch, multiplying trip
-counts into float weights as they went.  The staged analyses split that
-into a symbolic walk and a numeric evaluation; these copies of the
-one-pass walks pin the split to the same floats, bit for bit.
-:func:`fresh_describe` is the staged descriptor built from a stage of
+Pricing has one numeric stage: numpy columns of launches
+(:meth:`LoopNest.trip_columns`, :meth:`Kernel.describe_columns`,
+:func:`price_columns`, :func:`price_serial_columns`), a single launch
+being one row.  Two generations of scalar arithmetic are kept here to
+pin it to the same floats, bit for bit:
+
+* the staged scalar evaluation (:func:`trip_factors`,
+  :func:`scalar_evaluate`, :func:`scalar_describe`,
+  :func:`scalar_price_kernel`, :func:`scalar_price_serial`): one launch
+  at a time, in Python floats, over the same symbolic stage;
+* the one-pass scans: before pricing was staged,
+  :func:`summarize_accesses` and :func:`body_work` each walked a body
+  once per launch, multiplying trip counts into float weights as they
+  went.
+
+:func:`fresh_describe` is the scalar descriptor built from a stage of
 its own, the oracle for the content-keyed stage table.
 """
 
 import math
 
 from repro.cpu.host import _bytes_for
+from repro.gpusim.coalescing import transactions_per_warp
 from repro.gpusim.kernel import Kernel, KernelDescriptor, _symbolic_stage
+from repro.gpusim.timing import (KernelTiming, TimingConfig,
+                                 _occupancy_terms, _warp_bytes)
 from repro.ir.analysis.access import (DEFAULT_SEQ_TRIPS,
                                       SYMBOLIC_LARGE_STRIDE, AccessPattern,
                                       AccessSummary, RefClass, _const_value,
-                                      classify_ref)
+                                      _weight_values, classify_ref)
 from repro.ir.analysis.metrics import (BINOP_FLOP_COST, WorkEstimate,
                                        _expr_flops_clean)
 from repro.ir.analysis.ranges import bindings_env, estimate_trips, loop_range
 from repro.ir.expr import ArrayRef
 from repro.ir.program import numpy_dtype
 from repro.ir.stmt import Assign, Block, Critical, For, If, LocalDecl, While
+
+
+def trip_factors(nest, bindings):
+    """Each sequential loop's trip count in the one launch ``bindings``,
+    and whether it is exact.
+
+    Exact when the bounds evaluate to numbers under ``bindings``;
+    otherwise the value-range estimate under the enclosing loops'
+    ranges, or ``DEFAULT_SEQ_TRIPS`` when that is unbounded too.
+    Thread-grid loops get ``None``.
+    """
+    trips = [None] * len(nest.loops)
+    exact = [True] * len(nest.loops)
+    envs = {}
+
+    def env(i):
+        """Value ranges inside loop ``i`` (-1: the bindings alone)."""
+        got = envs.get(i)
+        if got is None:
+            if i < 0:
+                got = bindings_env(bindings)
+            else:
+                outer = env(nest.parents[i])
+                got = dict(outer)
+                got[nest.loops[i].var] = loop_range(nest.loops[i], outer)
+            envs[i] = got
+        return got
+
+    for i, loop in enumerate(nest.loops):
+        if not nest.sequential[i]:
+            continue
+        lo = _const_value(loop.lower, bindings)
+        hi = _const_value(loop.upper, bindings)
+        step = _const_value(loop.step, bindings) or 1.0
+        if lo is not None and hi is not None and step:
+            trips[i] = max(0.0, math.ceil((hi - lo) / step))
+        else:
+            est = estimate_trips(loop.lower, loop.upper, loop.step, env(i))
+            trips[i] = est if est is not None else DEFAULT_SEQ_TRIPS
+            exact[i] = False
+    return trips, exact
+
+
+def scalar_work(terms, trips, exact):
+    """:meth:`WorkTerms.evaluate` of one launch, in Python floats."""
+    w = _weight_values(terms.weights, trips)
+    flops = 0.0
+    for coef, loop, wi, tail in terms.flops:
+        term = (trips[loop] if loop >= 0 else coef) * w[wi]
+        flops += term if tail is None else term * tail
+    divergence = 0.0
+    for amount, loop in terms.divergence:
+        if loop < 0 or not exact[loop]:
+            divergence = min(1.0, divergence + amount)
+    return WorkEstimate(flops, divergence, terms.branches)
+
+
+def scalar_evaluate(stage, bindings):
+    """:meth:`BodyTerms.evaluate` of the one launch ``bindings``."""
+    trips, exact = trip_factors(stage.access.nest, bindings)
+    return scalar_work(stage.work, trips, exact), stage.access.evaluate(trips)
+
+
+def scalar_descriptor(kernel: Kernel, stage, bindings) -> KernelDescriptor:
+    """The numeric stage of one launch: ``stage`` under ``bindings``."""
+    work, access = scalar_evaluate(stage, bindings)
+    return KernelDescriptor(
+        name=kernel.name,
+        total_threads=max(1, kernel.total_threads(bindings)),
+        block_threads=kernel.block_threads,
+        flops_per_thread=work.flops,
+        divergence=work.divergence,
+        access=access,
+        smem_per_block=sum(t.smem_bytes_per_block for t in kernel.tiling),
+        regs_per_thread=kernel.regs_per_thread,
+        dtype=kernel.dtype,
+        placements=kernel.placements,
+        tiling=kernel.tiling,
+    )
+
+
+def scalar_describe(kernel: Kernel, bindings, array_extents
+                    ) -> KernelDescriptor:
+    """:meth:`Kernel.describe` one launch at a time: the shared
+    symbolic stage, evaluated in Python floats."""
+    return scalar_descriptor(kernel, kernel.stage(array_extents), bindings)
+
+
+def _scalar_l2_hit_rate(desc, spec, elem, warps):
+    """The descriptor-level L2 hit estimate of one launch."""
+    per_array_total, per_array_once = {}, {}
+    for ref, count in desc.access.refs:
+        txns = transactions_per_warp(ref, elem, spec)
+        traversal = txns * spec.transaction_bytes * warps
+        per_array_total[ref.array] = (per_array_total.get(ref.array, 0.0)
+                                      + traversal * count)
+        per_array_once[ref.array] = max(
+            per_array_once.get(ref.array, 0.0), traversal)
+    # left to right, as ``price_columns`` adds its columns (the builtin
+    # ``sum`` of floats compensates from CPython 3.12 on)
+    total = 0.0
+    for tot in per_array_total.values():
+        total += tot
+    if total <= 0:
+        return 0.0
+    hit_bytes = 0.0
+    for array, tot in per_array_total.items():
+        once = min(per_array_once[array], tot)
+        if once <= spec.l2_bytes:
+            hit_bytes += tot - once
+    return min(1.0, max(0.0, hit_bytes / total))
+
+
+def scalar_price_kernel(desc, spec, config=None) -> KernelTiming:
+    """:func:`price_kernel` of one launch, in Python floats."""
+    config = config or TimingConfig()
+    occupancy, bw, peak = _occupancy_terms(desc, desc.grid_blocks, spec,
+                                           config)
+    warps = max(1, -(-desc.total_threads // spec.warp_size))
+    elem = numpy_dtype(desc.dtype).itemsize
+
+    dram_bytes = 0.0
+    for (_, count), bytes_per_warp in zip(
+            desc.access.refs, _warp_bytes(desc, spec, config, elem)):
+        dram_bytes += bytes_per_warp * count * warps
+
+    if config.model_divergence:
+        bw *= max(0.3, 1.0 - 0.4 * desc.divergence)
+    l2_hit = 0.0
+    if config.model_cache_hierarchy:
+        l2_hit = _scalar_l2_hit_rate(desc, spec, elem, warps)
+        if l2_hit > 0.0 and spec.l2_bandwidth_ratio > 0:
+            bw /= (1.0 - l2_hit) + l2_hit / spec.l2_bandwidth_ratio
+    t_memory = dram_bytes / bw if bw > 0 else float("inf")
+
+    flops = desc.flops_per_thread * desc.total_threads
+    if config.model_divergence:
+        peak *= max(0.1, 1.0 - 0.8 * desc.divergence)
+    t_compute = flops / peak if peak > 0 else float("inf")
+
+    launch = spec.kernel_launch_us * 1e-6
+    total = launch + max(t_compute, t_memory)
+    return KernelTiming(
+        name=desc.name, time_s=total, compute_s=t_compute,
+        memory_s=t_memory, launch_s=launch, occupancy=occupancy,
+        dram_bytes=dram_bytes, flops=flops,
+        bound="memory" if t_memory >= t_compute else "compute",
+        l2_hit_rate=l2_hit)
+
+
+def scalar_price_serial(stage, iterations, bindings, dtype, spec) -> float:
+    """:func:`price_serial` of one binding, in Python floats."""
+    work, summary = scalar_evaluate(stage, bindings)
+    elem = numpy_dtype(dtype).itemsize
+    t_flops = work.flops / spec.flops_per_s
+    t_bytes = _bytes_for(summary, elem, spec) / spec.mem_bandwidth
+    per_pass = max(t_flops, t_bytes) + 0.25 * min(t_flops, t_bytes)
+    return per_pass * iterations
 
 
 def _trips(stmt, bindings, range_env):
@@ -228,10 +399,10 @@ def legacy_body_work(body, thread_vars, bindings):
 
 def fresh_describe(kernel: Kernel, bindings, array_extents
                    ) -> KernelDescriptor:
-    """:meth:`Kernel.describe` computed afresh: a symbolic stage of its
+    """:func:`scalar_describe` computed afresh: a symbolic stage of its
     own, shared with no other kernel through the stage table."""
-    return kernel._descriptor(_symbolic_stage(kernel, array_extents),
-                              bindings)
+    return scalar_descriptor(kernel, _symbolic_stage(kernel, array_extents),
+                             bindings)
 
 
 def legacy_describe(kernel: Kernel, bindings, array_extents

@@ -161,3 +161,110 @@ class TestSummaries:
                     for r, _ in summary.refs}
         assert patterns[("b", True)] is AccessPattern.COALESCED
         assert patterns[("a", False)] is AccessPattern.STRIDED
+
+
+# ---------------------------------------------------------------------------
+# The numeric stage: columns against the scalar evaluation
+# ---------------------------------------------------------------------------
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.ir.analysis.access import (LoopNest, _column_value, _const_value,
+                                      trip_column)
+from repro.ir.expr import BinOp, Cast, Const, UnOp, Var
+from repro.ir.stmt import For
+
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, 3.0, -5.0, 0.5, 2.5, 1e300,
+                -1e300, 5e-324, math.inf, -math.inf, math.nan]
+_values = (st.sampled_from(_EDGE_VALUES)
+           | st.integers(-50, 50).map(float)
+           | st.floats(allow_nan=True, allow_infinity=True))
+#: ``m`` is never bound; the others are bound in some launches
+_NAMES = ("a", "b", "c", "m")
+_exprs = st.recursive(
+    _values.map(Const) | st.sampled_from(_NAMES).map(Var),
+    lambda inner: (
+        st.builds(BinOp, st.sampled_from(["+", "-", "*", "/", "//", "%",
+                                          "min", "max"]), inner, inner)
+        | st.builds(Cast, st.sampled_from(["int", "double"]), inner)
+        | inner.map(lambda e: UnOp("-", e))),
+    max_leaves=8)
+#: one to three launches, each binding a subset of a, b and c
+_launches = st.lists(
+    st.dictionaries(st.sampled_from(_NAMES[:3]), _values),
+    min_size=1, max_size=3)
+
+
+def _columns(launches):
+    nest = LoopNest((), (), (), _NAMES)
+    return nest.key_columns([nest.bound_key(b) for b in launches])
+
+
+def _same(column, bound, rows, row, want) -> bool:
+    """Whether launch ``row`` of ``rows`` in ``(column, bound)`` is
+    ``want`` (None: unbound), bit for bit (any NaN equals any NaN)."""
+    if not np.broadcast_to(bound, (rows,))[row]:
+        return want is None
+    got = np.broadcast_to(column, (rows,))[row].item()
+    if want is None:
+        return False
+    if math.isnan(want):
+        return math.isnan(got)
+    return float(got).hex() == float(want).hex()
+
+
+def _scalar_trips(loop, bindings):
+    """The scalar trip count of ``loop``; None when inexact (a bound
+    does not evaluate, or the count is not finite)."""
+    lo = _const_value(loop.lower, bindings)
+    hi = _const_value(loop.upper, bindings)
+    step = _const_value(loop.step, bindings) or 1.0
+    if lo is None or hi is None:
+        return None
+    try:
+        return max(0.0, math.ceil((hi - lo) / step))
+    except (OverflowError, ValueError):
+        return None
+
+
+class TestColumnParity:
+    @settings(max_examples=300)
+    @given(_exprs, _launches)
+    # Python's min/max keep the left operand on a NaN or a tie of zeros
+    @example(BinOp("min", Const(1.0), Const(math.nan)), [{}])
+    @example(BinOp("max", Var("a"), Const(-0.0)), [{"a": 0.0}, {}])
+    # float(int(-0.0 // 5)) is 0.0; a non-finite quotient is unbound
+    @example(BinOp("//", Var("a"), Const(5.0)), [{"a": -0.0}])
+    @example(BinOp("//", Const(1e300), Var("a")), [{"a": 1e-300}])
+    # a zero divisor unbinds its own launch only
+    @example(BinOp("%", Const(7.0), Var("a")),
+             [{"a": 0.0}, {"a": -2.0}, {}])
+    def test_column_value_matches_const_value(self, expr, launches):
+        columns = _columns(launches)
+        with np.errstate(all="ignore"):
+            values, bound = _column_value(expr, columns)
+        for row, bindings in enumerate(launches):
+            want = _const_value(expr, bindings)
+            assert _same(values, bound, len(launches), row, want), \
+                (expr, bindings)
+
+    @settings(max_examples=300)
+    @given(_exprs, _exprs, _exprs, _launches)
+    # zero, NaN and unbound steps; an infinite span is inexact
+    @example(Const(0.0), Var("a"), Var("b"),
+             [{"a": 10.0, "b": 0.0}, {"a": 10.0, "b": math.nan},
+              {"a": 10.0}, {"a": -3.0, "b": 2.0}])
+    @example(Const(0.0), Var("a"), Const(1.0), [{"a": math.inf}, {}])
+    def test_trip_column_matches_scalar_count(self, lower, upper, step,
+                                              launches):
+        loop = For("k", lower, upper, [], step=step)
+        with np.errstate(all="ignore"):
+            counts, exact = trip_column(loop, _columns(launches))
+        for row, bindings in enumerate(launches):
+            want = _scalar_trips(loop, bindings)
+            assert _same(counts, exact, len(launches), row, want), \
+                (loop.lower, loop.upper, loop.step, bindings)

@@ -6,16 +6,19 @@ priced once, a kernel's later loop-bound keys (LUD's pivot, NW's
 anti-diagonal) are evaluated as numpy columns, and the records, clock
 and ``gpu.*`` spans are written when the pass closes.
 :mod:`tests.launch_oracle` launches one kernel at a time, recording as
-it goes.  For untraced and traced timing-only runs and for executing
+it goes, and describes and prices each launch with the scalar
+evaluators of :mod:`tests.legacy_pricing`.  For untraced and traced timing-only runs and for executing
 runs, every clock, time and record the two leave must be equal bit for
 bit, traced runs must leave the same spans in the same order, executing
 runs the same arrays, and lazily derived counters must equal eager ones.
 """
 
+import contextlib
 import copy
 import dataclasses
 import functools
 
+import numpy as np
 import pytest
 
 import repro.gpusim.runtime as runtime_mod
@@ -29,6 +32,8 @@ from repro.gpusim.memo import LaunchMemo
 from repro.gpusim.runtime import CudaRuntime
 from repro.gpusim.timing import TimingConfig
 from repro.harness.runner import FIGURE1_MODELS, run_speedups
+from repro.ir.expr import ArrayRef, Var
+from repro.ir.stmt import Assign, For, LocalDecl
 from repro.models.base import ExecutableProgram
 from repro.models.cache import compile_bench
 from repro.obs.tracer import Tracer, tracing
@@ -179,6 +184,33 @@ def test_device_memory_overflow_raises_the_same_error():
         assert "expanded private arrays" in errors[0], kind
 
 
+def test_later_key_overflow_raises_at_its_launch():
+    # 128 B of expanded private array per thread: the first key fits,
+    # and a later key, priced as columns, overflows at its own launch
+    spec = dataclasses.replace(TESLA_M2090, global_mem_bytes=512 + 2000)
+    kernel = Kernel("priv", For("i", 0, Var("n"), [
+        LocalDecl("t", (16,)), Assign(ArrayRef("a", (Var("i"),)), 1.0)],
+        parallel=True), ("i",), arrays=("a",), scalars=("n",),
+        private_orientations={"t": "row"})
+    outcomes = []
+    for one_pass in (True, False):
+        rt = CudaRuntime(spec=spec, execute=False)
+        rt.bind_host("a", np.zeros(64))
+        rt.malloc("a")
+        launched = 0
+        with pytest.raises(DeviceMemoryError) as info:
+            with (rt.pricing_pass() if one_pass else
+                  contextlib.nullcontext(launch_oracle.LaunchAtATime(rt))
+                  ) as batch:
+                for n in (10.0, 12.0, 10.0, 20.0, 12.0):
+                    batch.launch(kernel, {"n": n})
+                    launched += 1
+        outcomes.append((launched, str(info.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 3
+    assert "2560 B for 20 threads" in outcomes[0][1]
+
+
 def test_launch_inside_an_open_pass_raises():
     bench, compiled = _compiled("JACOBI", "OpenACC", "best")
     wl = bench.workload("test")
@@ -207,8 +239,8 @@ def _counting(calls, key, fn):
 
 
 def test_columns_price_the_later_keys(monkeypatch):
-    """LUD's per-pivot launches reach the numpy columns: one scalar
-    describe and price per kernel, whatever the pivot."""
+    """LUD's per-pivot launches reach the numpy columns: one
+    ``describe`` and ``price_kernel`` per kernel, whatever the pivot."""
     calls = {"describe": 0, "price": 0}
     monkeypatch.setattr(Kernel, "describe",
                         _counting(calls, "describe", Kernel.describe))
@@ -221,12 +253,8 @@ def test_columns_price_the_later_keys(monkeypatch):
 
 
 def test_figure1_slice_work_counts(monkeypatch):
-    """Paper-scale EP/SRAD/KMEANS: 3,222 launches, 74 distinct ones.
-
-    The wrappers keep ``__wrapped__``, as an outside tracer does, so
-    the pass still takes its columns; counters are never derived unless
-    read.
-    """
+    """Paper-scale EP/SRAD/KMEANS: 3,222 launches, 74 distinct ones;
+    counters are never derived unless read."""
     calls = {"describe": 0, "price": 0, "counters": 0}
     monkeypatch.setattr(Kernel, "describe",
                         _counting(calls, "describe", Kernel.describe))
@@ -253,4 +281,7 @@ def test_figure1_slice_work_counts(monkeypatch):
                          ids=["/".join(c) for c in FIGURE1
                               if c[0] in ("LUD", "NW", "SRAD")])
 def test_paper_scale_lud_nw_srad_match(name, model, variant):
-    assert assert_same_timeline(name, model, variant, scale="paper") > 0
+    # the opt-in L2 term too, which the columns price per launch
+    for timing in (None, TimingConfig(model_cache_hierarchy=True)):
+        assert assert_same_timeline(name, model, variant, scale="paper",
+                                    timing=timing) > 0

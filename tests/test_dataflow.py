@@ -363,12 +363,12 @@ class TestLintFamily:
         assert not any("\n" in l for l in lines)
 
     def test_sarif_descriptors_deduplicated_with_help(self):
-        from repro.lint.sarif import _rule_descriptor
-        one = _rule_descriptor("COV-NON-AFFINE")
-        two = _rule_descriptor("COV-NON-AFFINE")
+        from repro.lint.sarif import _sarif_rule
+        one = _sarif_rule("COV-NON-AFFINE")
+        two = _sarif_rule("COV-NON-AFFINE")
         assert one is two  # memoized, not re-synthesized
         assert "non affine" in one["shortDescription"]["text"]
         assert one["helpUri"].endswith("#cov-model-coverage")
-        xfer = _rule_descriptor("XFER001")
+        xfer = _sarif_rule("XFER001")
         assert xfer["helpUri"].endswith("#xfer001")
         assert xfer["fullDescription"]["text"]

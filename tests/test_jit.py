@@ -15,7 +15,7 @@ import pytest
 from tests.difftest import assert_same_result, make_kernel
 from repro.gpusim.executor import ExecutionError, LaunchError, execute_kernel
 from repro.gpusim.kernel import Kernel
-from repro.gpusim.reference import execute_kernel_scalar
+from tests.scalar_reference import execute_kernel_scalar
 from repro.gpusim.trace import TracingExecutor
 from repro.ir.builder import (accum, aref, assign, block, call, iff,
                               intrinsic, local, pfor, ternary, v, wloop)

@@ -6,11 +6,28 @@ import json
 import pytest
 
 import repro.gpusim.runtime as runtime_mod
-from repro.gpusim.timing import TimingConfig, price_kernel
+from repro.gpusim.timing import TimingConfig, price_columns, price_kernel
 from repro.harness.cli import main
 from repro.obs.baseline import (check_baseline, record_baseline)
 
 BENCHES = ["JACOBI", "HOTSPOT"]
+
+
+def _scale_prices(monkeypatch, factor: float) -> None:
+    """Scale every launch's simulated time by ``factor``.
+
+    A pricing pass prices each kernel's first launch through
+    ``price_kernel`` and its later distinct launches through
+    ``price_columns``; both are patched where the runtime calls them.
+    """
+    def scaled(timing):
+        return dataclasses.replace(timing, time_s=timing.time_s * factor)
+
+    monkeypatch.setattr(runtime_mod, "price_kernel",
+                        lambda *args: scaled(price_kernel(*args)))
+    monkeypatch.setattr(runtime_mod, "price_columns",
+                        lambda *args: [scaled(t)
+                                       for t in price_columns(*args)])
 
 
 @pytest.fixture()
@@ -45,11 +62,7 @@ class TestCheck:
         assert "PASS" in diff.render()
 
     def test_perturbed_timing_fails(self, baseline_path, monkeypatch):
-        def slower(desc, spec, timing=None):
-            t = price_kernel(desc, spec, timing)
-            return dataclasses.replace(t, time_s=t.time_s * 1.05)
-
-        monkeypatch.setattr(runtime_mod, "price_kernel", slower)
+        _scale_prices(monkeypatch, 1.05)
         diff = check_baseline(baseline_path)
         assert diff.failed
         kinds = {i.kind for i in diff.failures()}
@@ -57,23 +70,33 @@ class TestCheck:
 
     def test_small_perturbation_within_tolerance(self, baseline_path,
                                                  monkeypatch):
-        def barely(desc, spec, timing=None):
-            t = price_kernel(desc, spec, timing)
-            return dataclasses.replace(t, time_s=t.time_s * 1.001)
-
-        monkeypatch.setattr(runtime_mod, "price_kernel", barely)
+        _scale_prices(monkeypatch, 1.001)
         assert not check_baseline(baseline_path).failed
 
     def test_improvement_is_note_not_failure(self, baseline_path,
                                              monkeypatch):
-        def faster(desc, spec, timing=None):
-            t = price_kernel(desc, spec, timing)
-            return dataclasses.replace(t, time_s=t.time_s * 0.5)
-
-        monkeypatch.setattr(runtime_mod, "price_kernel", faster)
+        _scale_prices(monkeypatch, 0.5)
         diff = check_baseline(baseline_path)
         assert not diff.failed
         assert any(i.kind == "improvement" for i in diff.issues)
+
+    def test_perturbation_reaches_every_launch(self, tmp_path, monkeypatch):
+        # LUD's pivot gives nearly every launch its own loop-bound key,
+        # so all but each kernel's first launch are priced as columns: a
+        # perturbation that reached first launches only would leave
+        # most kernels within tolerance
+        path = str(tmp_path / "lud.json")
+        doc = record_baseline(path, benchmarks=["LUD"], scale="test")
+        _scale_prices(monkeypatch, 1.05)
+        diff = check_baseline(path)
+        kernels = {f"LUD/{model}/{kernel}"
+                   for model, entry in doc["entries"]["LUD"].items()
+                   for kernel in entry["kernels"]}
+        regressed = {i.location for i in diff.failures()
+                     if i.kind == "regression"
+                     and i.message.startswith("time_s")}
+        assert len(kernels) >= 10
+        assert regressed == kernels
 
     def test_config_mismatch_fails_immediately(self, baseline_path):
         diff = check_baseline(baseline_path,
@@ -118,12 +141,7 @@ class TestCli:
         path = str(tmp_path / "b.json")
         assert main(["baseline", "record", "--baseline", path,
                      "--scale", "test", "--benchmarks", "JACOBI"]) == 0
-
-        def slower(desc, spec, timing=None):
-            t = price_kernel(desc, spec, timing)
-            return dataclasses.replace(t, time_s=t.time_s * 1.10)
-
-        monkeypatch.setattr(runtime_mod, "price_kernel", slower)
+        _scale_prices(monkeypatch, 1.10)
         assert main(["baseline", "check", "--baseline", path]) == 2
         out = capsys.readouterr().out
         assert "FAIL" in out and "regression" in out

@@ -4,14 +4,17 @@ shared workload slot with its CPU baseline, and the vectorized BFS
 levels.
 
 Every shortcut here is checked against a fresh computation with zero
-tolerance: a staged descriptor must ``==`` one built from a stage of its
-own (and the one the one-pass scans of :mod:`tests.legacy_pricing`
-build) for every launch of the Figure-1 sweep, a pass's prices and
-counters must ``==`` fresh ones under every timing config, and a shared
-workload must leave every run's outputs exactly as a private one would.
+tolerance: a descriptor (one row of the numeric columns) must ``==`` the
+one the scalar evaluators of :mod:`tests.legacy_pricing` build from a
+stage of its own (and the one its one-pass scans build) for every
+launch of the Figure-1 sweep, a pass's prices and counters must ``==``
+the scalar price and fresh counters under every timing config, and a
+shared workload must leave every run's outputs exactly as a private one
+would.
 """
 
 import copy
+import dataclasses
 import pickle
 import sys
 import threading
@@ -25,20 +28,24 @@ from repro.benchmarks import base
 from repro.benchmarks.bfs import _bfs_levels
 from repro.benchmarks.data import Graph, make_graph
 from repro.benchmarks.registry import get_benchmark, iter_suite
-from repro.cpu.host import KEENELAND_HOST, price_serial
+from repro.cpu.host import (KEENELAND_HOST, price_serial,
+                            price_serial_columns, serial_stage)
 from repro.gpusim.device import TESLA_M2090
 from repro.gpusim.kernel import Kernel, KernelDescriptor
 from repro.gpusim.timing import TimingConfig, price_kernel
 from repro.harness.runner import FIGURE1_MODELS, run_speedups
-from repro.ir.analysis.access import AccessPattern
-from repro.ir.expr import ArrayRef, Var
+from repro.ir.analysis.access import AccessPattern, summarize_accesses
+from repro.ir.analysis.metrics import body_work
+from repro.ir.expr import ArrayRef, BinOp, Var
 from repro.ir.stmt import Assign, Block, For
 from repro.models.base import ExecutableProgram
 from repro.models.cache import STORE, StoreView, compile_port
 from repro.obs.counters import derive_counters
 from tests import launch_oracle
 from tests.legacy_pricing import (fresh_describe, legacy_describe,
-                                  legacy_price_region_serial)
+                                  legacy_price_region_serial,
+                                  scalar_price_kernel, scalar_price_serial,
+                                  trip_factors)
 
 #: every timing config the ablation benches price under
 ABLATION_CONFIGS = (TimingConfig(), TimingConfig(model_coalescing=False),
@@ -60,31 +67,32 @@ def _launch_args(bench_name: str, model: str, region: str,
 
 
 def _check_every_launch(monkeypatch, sweep) -> list[tuple]:
-    """Run ``sweep`` checking each launch's staged descriptor against
-    :func:`fresh_describe`, and each distinct launch's against the
+    """Run ``sweep`` a launch at a time, checking each launch's
+    descriptor (one row of the columns) against the scalar evaluators
+    over a stage of its own, and each distinct launch's against the
     one-pass scans; returns every launch's key (kernel, loop-bound
     bindings, extents)."""
-    staged = Kernel.describe
     seen: list[tuple] = []
     checked: set[tuple] = set()
 
-    def checking(self, bindings, array_extents):
-        got = staged(self, bindings, array_extents)
-        assert got == fresh_describe(self, bindings, array_extents), \
-            (self.name, dict(bindings))
-        key = (id(self), self.stage(array_extents).bound_key(bindings),
+    def checking(kernel, bindings, array_extents):
+        want = fresh_describe(kernel, bindings, array_extents)
+        assert kernel.describe(bindings, array_extents) == want, \
+            (kernel.name, dict(bindings))
+        key = (id(kernel), kernel.stage(array_extents).bound_key(bindings),
                tuple(sorted((n, tuple(e)) for n, e in array_extents.items())))
         if key not in checked:
             checked.add(key)
-            assert got == legacy_describe(self, bindings, array_extents), \
-                (self.name, dict(bindings))
+            assert want == legacy_describe(kernel, bindings, array_extents), \
+                (kernel.name, dict(bindings))
         seen.append(key)
-        return got
+        return want
 
-    monkeypatch.setattr(Kernel, "describe", checking)
     # the oracle launches one kernel at a time, describing every launch
-    # (a pricing pass describes each distinct launch once;
-    # tests/test_batch_pricing.py checks the pass against the oracle)
+    # with the scalar evaluators (a pricing pass describes each distinct
+    # launch once; tests/test_batch_pricing.py checks the pass against
+    # the oracle)
+    monkeypatch.setattr(launch_oracle, "scalar_describe", checking)
     monkeypatch.setattr(ExecutableProgram, "run_schedule",
                         launch_oracle.run_schedule)
     sweep()
@@ -229,10 +237,113 @@ class TestContentKey:
         assert plain.access != forced.access
 
 
+class TestOneRowTypes:
+    """A single launch is one row of the columns, and comes back in
+    Python numbers: numpy scalars would print as ``np.float64(...)``."""
+
+    @staticmethod
+    def _assert_python_numbers(obj):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, (int, float)) and not isinstance(value,
+                                                                  bool):
+                assert type(value) in (int, float), (f.name, type(value))
+        assert "np." not in repr(obj)
+
+    @pytest.mark.parametrize("name,region", [("SPMUL", "spmv"),
+                                             ("LUD", "lud_update")])
+    def test_describe_price_and_host_price(self, name, region):
+        # SPMUL's CSR row loop is inexact, LUD's pivot loop exact
+        kernel, bindings, extents = _launch_args(name, "OpenACC", region)
+        desc = kernel.describe(bindings, extents)
+        self._assert_python_numbers(desc)
+        assert type(desc.total_threads) is int
+        assert type(desc.flops_per_thread) is float
+        assert type(desc.divergence) is float
+        assert all(type(count) is float for _, count in desc.access.refs)
+        for config in ABLATION_CONFIGS:
+            timing = price_kernel(desc, TESLA_M2090, config)
+            self._assert_python_numbers(timing)
+            assert type(timing.time_s) is float
+            assert type(timing.l2_hit_rate) is float
+        stage = serial_stage(kernel.body, extents)
+        assert type(price_serial(stage, 1.0, bindings)) is float
+        summary = summarize_accesses(kernel.body, kernel.thread_vars,
+                                     extents, bindings)
+        assert all(type(count) is float for _, count in summary.refs)
+        work = body_work(kernel.body, kernel.thread_vars, bindings)
+        assert (type(work.flops), type(work.divergence)) == (float, float)
+
+    def test_deferred_launch_descriptors(self):
+        # LUD's later pivots are priced as columns; their descriptors,
+        # built on a counter read, are Python numbers too
+        rt = get_benchmark("LUD").run("OpenACC", scale="test", execute=False,
+                                      validate=False).executable.rt
+        deferred = [r for r in rt.profiler.launches
+                    if r.source.group is not None]
+        assert deferred
+        for record in deferred:
+            record.counters
+            self._assert_python_numbers(record.source.desc)
+            self._assert_python_numbers(record.timing)
+
+
+class TestEstimatedTrips:
+    """A loop whose bounds read an enclosing loop's index is estimated
+    per launch from the value ranges under that launch's bindings.  The
+    Figure-1 suite has no such loop, so a triangular nest pins the
+    columns to the scalar evaluators here, with a launch that leaves
+    ``m`` unbound."""
+
+    # i: exact; j in [i, min(n, m)): estimated from i's and m's ranges;
+    # k in [0, m): exact where m is bound
+
+    BINDINGS = [{"n": 8.0, "m": 3.0}, {"n": 101.0, "m": 50.0}, {"n": 8.0}]
+    EXTENTS = {"a": [128]}
+
+    @staticmethod
+    def _body(outer):
+        return outer("i", 0, Var("n"), [
+            For("j", Var("i"), BinOp("min", Var("n"), Var("m")), [Assign(
+                ArrayRef("a", (Var("j"),)), ArrayRef("a", (Var("i"),)))]),
+            For("k", 0, Var("m"), [Assign(ArrayRef("a", (Var("k"),)), 0.0)])])
+
+    def test_host_price_matches_scalar(self):
+        stage = serial_stage(self._body(For), self.EXTENTS)
+        keys = [stage.bound_key(b) for b in self.BINDINGS]
+        nest = stage.access.nest
+        trips, exact = nest.trip_columns(nest.key_columns(keys), len(keys))
+        for row, bindings in enumerate(self.BINDINGS):
+            want, want_exact = trip_factors(nest, bindings)
+            assert [None if t is None else float(t[row]).hex()
+                    for t in trips] == [None if t is None else float(t).hex()
+                                        for t in want]
+            assert [bool(np.broadcast_to(e, (len(keys),))[row])
+                    for e in exact] == want_exact
+        assert trips[1][0] != trips[1][1]          # estimated per launch
+        assert price_serial_columns(stage, 2.0, keys) == [
+            scalar_price_serial(stage, 2.0, b, "double", KEENELAND_HOST)
+            for b in self.BINDINGS]
+
+    def test_kernel_describe_matches_scalar(self):
+        def grid(var, lower, upper, body):
+            return For(var, lower, upper, body, parallel=True)
+
+        kernel = Kernel("tri", self._body(grid), ("i",), arrays=("a",))
+        stage = kernel.stage(self.EXTENTS)
+        keys = [stage.bound_key(b) for b in self.BINDINGS]
+        columns = kernel.describe_columns(stage, keys)
+        for row, bindings in enumerate(self.BINDINGS):
+            want = fresh_describe(kernel, bindings, self.EXTENTS)
+            assert kernel.descriptor(stage, columns, row) == want
+            assert kernel.describe(bindings, self.EXTENTS) == want
+        assert columns[2][0] != columns[2][2]      # m unbound: diverges
+
+
 class TestPriceCache:
     def test_cached_price_matches_fresh_under_every_config(self):
         # every launch record of a pricing pass carries the price and
-        # counters a fresh price_kernel / derive_counters gives its
+        # counters the scalar price and a fresh derive_counters give its
         # descriptor; the default config both first and last, so no run
         # answers from another config's prices
         launched = 0
@@ -248,7 +359,7 @@ class TestPriceCache:
                         for record in rt.profiler.launches:
                             counters = record.counters   # describes it
                             desc = record.source.desc
-                            assert record.timing == price_kernel(
+                            assert record.timing == scalar_price_kernel(
                                 desc, rt.spec, config), record.kernel
                             assert counters == derive_counters(desc, rt.spec)
                             launched += 1
@@ -269,23 +380,26 @@ class TestPriceCache:
         assert hash(config) == hash(TimingConfig())
 
     def test_paper_slice_prices_each_descriptor_once(self, monkeypatch):
-        calls = {"gpu": 0, "host": 0}
+        calls = {"gpu": 0, "host": 0, "host_rows": 0}
 
         def counting_gpu(desc, spec, config=None):
             calls["gpu"] += 1
             return price_kernel(desc, spec, config)
 
-        def counting_host(*args, **kwargs):
+        def counting_host(stage, iterations, keys, *args, **kwargs):
             calls["host"] += 1
-            return price_serial(*args, **kwargs)
+            calls["host_rows"] += len(keys)
+            return price_serial_columns(stage, iterations, keys, *args,
+                                        **kwargs)
 
         monkeypatch.setattr(runtime_mod, "price_kernel", counting_gpu)
-        monkeypatch.setattr(base, "price_serial", counting_host)
+        monkeypatch.setattr(base, "price_serial_columns", counting_host)
         monkeypatch.setattr(base, "_WORKLOAD_SLOT", (None,) * 4)
         run_speedups([get_benchmark(n) for n in ("EP", "SRAD", "KMEANS")],
                      scale="paper")
-        # 3,222 launches, 225 scheduled CPU regions
-        assert calls == {"gpu": 74, "host": 8}
+        # 3,222 launches; 343 scheduled CPU steps over 8 regions, each
+        # priced as one column of its distinct keys (one key each)
+        assert calls == {"gpu": 74, "host": 8, "host_rows": 8}
 
 
 def _per_step_cpu_time(bench, wl) -> float:
