@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.ir.builder import (accum, aref, assign, block, intrinsic, local,
                               pfor, reduce_clause, sfor, ternary, v)
 from repro.ir.program import ArrayDecl, ParallelRegion, Program, ScalarDecl
@@ -53,6 +53,7 @@ def _sigmoid(x):
     return 1.0 / (1.0 + intrinsic("exp", -x))
 
 
+@shared_program
 def _build(transposed: bool, contiguous: bool,
            with_clauses: bool = True) -> Program:
     i, j, k = v("i"), v("j"), v("k")

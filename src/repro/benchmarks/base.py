@@ -17,6 +17,8 @@ Each benchmark provides:
 from __future__ import annotations
 
 import abc
+import functools
+import inspect
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -45,6 +47,23 @@ ALL_MODELS: tuple[str, ...] = (
     "PGI Accelerator", "OpenACC", "HMPP", "OpenMPC", "R-Stream",
     "Hand-Written CUDA",
 )
+
+
+def shared_program(build: Callable[..., Program]) -> Callable[..., Program]:
+    """Memoize a program builder on its arguments, bound to its
+    signature with the defaults applied, so every call with equal
+    arguments, however spelled, returns one shared :class:`Program`.
+    Ports then share IR objects, and each per-object digest and memo is
+    computed once per distinct program.  Shared IR is never mutated."""
+    signature = inspect.signature(build)
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def shared(*args, **kwargs) -> Program:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args, **bound.kwargs)
+    return shared
 
 
 #: an array's declared ``(shape, dtype)``

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload, shapes_of
+from repro.benchmarks.base import (Benchmark, Workload, shapes_of,
+                                   shared_program)
 from repro.benchmarks.data import Graph, make_graph
 from repro.ir.builder import (accum, aref, assign, block, critical, iff,
                               pfor, sfor, v)
@@ -34,6 +35,7 @@ from repro.models.base import (DataRegionSpec, PortSpec, RegionOptions,
                                ScheduleStep)
 
 
+@shared_program
 def _build() -> Program:
     i, k = v("i"), v("k")
     nbr = aref("edges", k)

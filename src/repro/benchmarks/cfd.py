@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.benchmarks.data import make_graph
 from repro.gpusim.memory import MemorySpace
 from repro.ir.builder import (accum, aref, assign, block, call, iff,
@@ -97,6 +97,7 @@ def _flux_region(soa: bool, invocations: int) -> ParallelRegion:
                           invocations=invocations)
 
 
+@shared_program
 def _build(iters: int, soa: bool = False,
            with_clauses: bool = True) -> Program:
     i, j, idx, b = v("i"), v("j"), v("idx"), v("b")

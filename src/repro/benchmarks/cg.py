@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload, shapes_of
+from repro.benchmarks.base import (Benchmark, Workload, shapes_of,
+                                   shared_program)
 from repro.benchmarks.data import CsrMatrix, make_csr
 from repro.gpusim.memory import MemorySpace
 from repro.ir.builder import (accum, aref, assign, block, idx, intrinsic,
@@ -62,6 +63,7 @@ def _dot(name: str, slot_array: str, xa: str, ya: str, slot: str,
         invocations=invocations)
 
 
+@shared_program
 def _build(cgitmax: int, with_clauses: bool = True) -> Program:
     i = v("i")
     k = v("k")

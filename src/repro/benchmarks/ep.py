@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.ir.builder import (accum, aref, assign, block, c, cast, critical,
                               iff, intrinsic, local, maximum, pfor, sfor, v)
 from repro.ir.program import ArrayDecl, ParallelRegion, Program, ScalarDecl
@@ -83,6 +83,7 @@ def _ep_body(decomposed_critical: bool):
     return block(*stmts)
 
 
+@shared_program
 def _build(decomposed_critical: bool) -> Program:
     region = ParallelRegion(
         "ep_main",

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.ir.builder import (accum, aref, assign, block, c, call, idx,
                               local, pfor, reduce_clause, sfor, v)
 from repro.ir.program import (ArrayDecl, Function, Param, ParallelRegion,
@@ -110,6 +110,7 @@ def _stage_region(name: str, xr: str, xi: str, yr: str, yi: str,
     return ParallelRegion(name, nest, invocations=invocations)
 
 
+@shared_program
 def _build(n_stage_invocations: int, with_clauses: bool = True) -> Program:
     e = v("e")
     i, j, k = idx("i", "j", "k")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.benchmarks.data import make_grid
 from repro.ir.builder import (aref, assign, block, local, maximum, minimum,
                               pfor, sfor, v)
@@ -70,6 +70,7 @@ def _step_region(name: str, src: str, dst: str, iters: int,
     return ParallelRegion(name, nest, invocations=(iters + 1) // 2)
 
 
+@shared_program
 def _build(iters: int, style: str) -> Program:
     return Program(
         "hotspot",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.benchmarks.data import make_grid
 from repro.ir.builder import aref, assign, idx, pfor, sfor, v
 from repro.ir.program import (ArrayDecl, ParallelRegion, Program, ScalarDecl)
@@ -45,6 +45,7 @@ def _copy_body():
     return assign(aref("a", i, j), aref("b", i, j))
 
 
+@shared_program
 def _program_outer_parallel(iters: int) -> Program:
     """The original OpenMP form: outermost loop parallel, inner serial."""
     regions = [
@@ -70,6 +71,7 @@ def _program_outer_parallel(iters: int) -> Program:
         domain="Iterative PDE solvers", driver_lines=33)
 
 
+@shared_program
 def _program_swapped(iters: int) -> Program:
     """Manually loop-swapped input: the parallel index walks columns."""
     regions = [
@@ -95,6 +97,7 @@ def _program_swapped(iters: int) -> Program:
         domain="Iterative PDE solvers", driver_lines=33)
 
 
+@shared_program
 def _program_2d(iters: int) -> Program:
     """Both loops annotated parallel (2-D thread-block mapping)."""
     regions = [

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.benchmarks.data import make_clusters
 from repro.ir.builder import (accum, aref, assign, block, critical, iff,
                               intrinsic, local, maximum, pfor, sfor, v)
@@ -119,6 +119,7 @@ def _rmse_region() -> ParallelRegion:
         ), private=["f", "d"]))
 
 
+@shared_program
 def _build(iters: int, style: str) -> Program:
     return Program(
         "kmeans",

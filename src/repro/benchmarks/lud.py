@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.benchmarks.data import make_spd_dense
 from repro.ir.builder import (accum, aref, assign, intrinsic, pfor,
                               reduce_clause, sfor, v)
@@ -35,6 +35,7 @@ from repro.models.base import (DataRegionSpec, PortSpec, RegionOptions,
 _TILE = 16
 
 
+@shared_program
 def _build(two_d_update: bool, with_clauses: bool = True) -> Program:
     i, j, k = v("i"), v("j"), v("k")
     lin = lambda r, c: r * v("n") + c  # noqa: E731 - row-major linearized

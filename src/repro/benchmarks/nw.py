@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.benchmarks.data import make_blosum, make_sequences
 from repro.ir.builder import (aref, assign, block, iff, local, maximum,
                               pfor, sfor, v)
@@ -42,6 +42,7 @@ def _dp_update(i, j):
     return assign(aref("items", i, j), maximum(maximum(diag, left), up))
 
 
+@shared_program
 def _build_wavefront() -> Program:
     i, j, t, d = v("i"), v("j"), v("t"), v("d")
     init_refs = ParallelRegion(
@@ -84,6 +85,7 @@ def _build_wavefront() -> Program:
         domain="Bioinformatics", driver_lines=116)
 
 
+@shared_program
 def _build_blocked() -> Program:
     """Manual-CUDA structure: 16x16 tiles along block anti-diagonals.
 

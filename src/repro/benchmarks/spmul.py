@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload, shapes_of
+from repro.benchmarks.base import (Benchmark, Workload, shapes_of,
+                                   shared_program)
 from repro.benchmarks.data import CsrMatrix, make_csr
 from repro.gpusim.memory import MemorySpace
 from repro.ir.builder import (accum, aref, assign, block, idx, intrinsic,
@@ -78,6 +79,7 @@ def _scale_region(invocations: int) -> ParallelRegion:
         invocations=invocations)
 
 
+@shared_program
 def _build_program(iters: int, with_clauses: bool = True) -> Program:
     return Program(
         "spmul",

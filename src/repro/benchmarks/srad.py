@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, Workload
+from repro.benchmarks.base import Benchmark, Workload, shared_program
 from repro.benchmarks.data import make_grid
 from repro.ir.builder import (accum, aref, assign, block, iff, intrinsic,
                               local, maximum, minimum, pfor, reduce_clause,
@@ -120,6 +120,7 @@ def _nest(body, two_d: bool):
                 private=["j"])
 
 
+@shared_program
 def _build(iters: int, two_d: bool = False, direct_index: bool = False,
            with_clauses: bool = True) -> Program:
     i, j = v("i"), v("j")

@@ -23,8 +23,8 @@ from repro.ir.analysis.access import (AccessPattern, AccessSummary,
                                       _const_value, column_item,
                                       summarize_accesses, trip_column)
 from repro.ir.analysis.metrics import BodyTerms, body_work
+from repro.ir.analysis.regionmemo import block_digest
 from repro.ir.program import Function, numpy_dtype
-from repro.ir.serialize import stmt_to_dict
 from repro.ir.stmt import (Block, CallStmt, For, PointerArith, Stmt,
                            as_block)
 from repro.ir.transforms.tiling import TilingDecision
@@ -208,15 +208,17 @@ class Kernel:
     # ------------------------------------------------------------------
     @property
     def body_digest(self) -> str:
-        """sha256 of the serialized body and thread vars, memoized.
+        """sha256 of the body's digest and the thread vars, memoized.
 
-        The one serialization of the body that :attr:`content_key`,
-        :func:`kernel_ir_hash` and tv's store-fact memo build on; kernels
-        are not mutated after construction.
+        Built on the body object's cached
+        :func:`~repro.ir.analysis.regionmemo.block_digest`, so a body is
+        serialized once however many kernels or analyses digest it;
+        :attr:`content_key`, :func:`kernel_ir_hash` and tv's memos build
+        on it.  Kernels are not mutated after construction.
         """
         digest = self.__dict__.get("_body_digest")
         if digest is None:
-            doc = {"body": stmt_to_dict(self.body),
+            doc = {"body": block_digest(self.body),
                    "thread_vars": list(self.thread_vars)}
             digest = self._body_digest = hashlib.sha256(
                 json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -404,7 +406,7 @@ def kernel_ir_summary(kernel: Kernel,
         "functions": {
             name: {"params": [(p.name, p.is_array, p.dtype)
                               for p in func.params],
-                   "body": stmt_to_dict(func.body)}
+                   "body": block_digest(func.body)}
             for name, func in reachable},
     }
     digest = hashlib.sha256(

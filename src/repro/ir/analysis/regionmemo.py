@@ -66,8 +66,12 @@ def _sha256(doc) -> str:
 
 
 def block_digest(block: Block) -> str:
-    """sha256 of the serialized block."""
-    return _cached(block, lambda: _sha256(stmt_to_dict(block)))
+    """sha256 of the digests of the block's statements, each statement
+    serialized once per object: a kernel body that wraps a region's
+    loops reuses their digests."""
+    return _cached(block, lambda: _sha256(
+        [_cached(stmt, lambda: _sha256(stmt_to_dict(stmt)))
+         for stmt in block.stmts]))
 
 
 class ProgramDigests(NamedTuple):

@@ -16,7 +16,7 @@ runtime bindings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -172,23 +172,17 @@ class ParallelRegion:
         Benchmarks may mark regions whose array subscripts are affine; the
         R-Stream front end *verifies* this with the affine analysis rather
         than trusting it (a mismatch is a test failure).
-    arrays_read / arrays_written:
-        Optional explicit access summaries.  When omitted they are derived
-        from the body by the access analysis.
     invocations:
         How many times the host driver executes this region per benchmark
         run (outer iteration count); used by the data-transfer planners to
         weigh redundant-transfer elimination.
     """
 
-    __slots__ = ("name", "body", "private", "affine_hint", "invocations",
-                 "_arrays_read", "_arrays_written")
+    __slots__ = ("name", "body", "private", "affine_hint", "invocations")
 
     def __init__(self, name: str, body: Union[Stmt, Sequence[Stmt]],
                  private: Sequence[str] = (), affine_hint: bool = False,
-                 invocations: int = 1,
-                 arrays_read: Optional[Sequence[str]] = None,
-                 arrays_written: Optional[Sequence[str]] = None) -> None:
+                 invocations: int = 1) -> None:
         if not name:
             raise IRTypeError("ParallelRegion needs a name")
         self.name = name
@@ -196,8 +190,6 @@ class ParallelRegion:
         self.private = tuple(private)
         self.affine_hint = bool(affine_hint)
         self.invocations = int(invocations)
-        self._arrays_read = tuple(arrays_read) if arrays_read is not None else None
-        self._arrays_written = tuple(arrays_written) if arrays_written is not None else None
         if self.invocations < 1:
             raise IRError(f"region {name!r}: invocations must be >= 1")
 

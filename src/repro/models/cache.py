@@ -7,11 +7,13 @@ translation validator, and the ``passes`` report all touch every
 (benchmark, model) pair, and a port compiles identically every time, so
 each pair is lowered once per process.  Each artifact carries the full
 :class:`~repro.models.base.CompiledProgram` — including the per-pass
-records and state snapshots the pipeline produced — keyed by
+records, whose state snapshots render on first read — keyed by
 
     ``(bench, model, variant, config_hash)``
 
-where ``config_hash`` digests the serialized input program, the port's
+where ``config_hash`` digests the input program (composed from the
+cached per-object digests of :mod:`repro.ir.analysis.regionmemo`, so a
+program several ports share is serialized once), the port's
 annotations, and the compiler's pass list.  Registry benchmarks take a
 fast-key path (name triple → key, no re-hashing per call); non-registry
 instances (test subclasses, ablation clones) are content-addressed, so
@@ -24,12 +26,12 @@ monkeypatch compilers need it).
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.ir.analysis.regionmemo import clear_region_memo
+from repro.ir.analysis.regionmemo import (block_digest, clear_region_memo,
+                                          program_digests)
 from repro.models import get_compiler, resolve_model
 
 if TYPE_CHECKING:
@@ -65,18 +67,23 @@ def _config_hash(model: str, variant: str, port: "PortSpec",
                  compiler) -> str:
     """Digest everything that determines the compilation's output: the
     input program, the port's annotations, and the compiler's pass
-    list (a monkeypatched or subclassed compiler hashes differently)."""
+    list (a monkeypatched or subclassed compiler hashes differently).
+
+    The program enters through its cached per-object digests
+    (:func:`program_digests` and each region body's
+    :func:`block_digest`) plus the declaration fields those leave out,
+    so a program shared by several ports is serialized once."""
+    program = port.program
     h = hashlib.sha256()
     h.update(model.encode())
     h.update(variant.encode())
-    try:
-        from repro.ir.serialize import program_to_dict
-        h.update(json.dumps(program_to_dict(port.program),
-                            sort_keys=True).encode())
-    except Exception:
-        # unserializable test programs fall back to identity addressing:
-        # no cross-instance sharing, but still cached per program object
-        h.update(f"unserializable:{id(port.program)}".encode())
+    h.update(repr((tuple(program_digests(program)), program.name,
+                   program.domain, program.driver_lines,
+                   list(program.scalars.values()))).encode())
+    for region in program.regions:
+        h.update(repr((region.name, region.private, region.affine_hint,
+                       region.invocations,
+                       block_digest(region.body))).encode())
     h.update(repr((port.directive_lines, port.restructured_lines,
                    port.data_regions, sorted(port.region_options.items()),
                    port.notes, port.elide_transfers)).encode())

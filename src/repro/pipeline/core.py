@@ -17,6 +17,7 @@ Table II coverage diagnostics carry a pass attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import CompileError, UnsupportedFeatureError
@@ -25,6 +26,7 @@ from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, For
 from repro.ir.transforms.tiling import TilingDecision
 from repro.obs import tracer as obs
+from repro.pipeline.render import render_state
 
 if TYPE_CHECKING:  # avoid the import cycle with repro.models.base
     from repro.ir.analysis.features import RegionFeatures
@@ -82,11 +84,14 @@ class ProgramPass:
 class PassRecord:
     """What one pass did to one region — the provenance trail.
 
-    ``ir`` and ``state_text`` are populated only when the pass changed
-    the region state (or for ``snapshot_always`` passes): ``ir`` keeps
-    the live loop-nest IR for downstream analyses (the translation
-    validator's divergence localization), ``state_text`` the rendered
-    IR + lowering decisions the ``passes`` CLI diffs.
+    ``ir`` and ``decisions`` are kept only when the pass changed the
+    region state (or for ``snapshot_always`` passes): ``ir`` is the live
+    loop-nest IR for downstream analyses (the translation validator's
+    divergence localization), ``decisions`` the
+    :meth:`PassContext.decisions_key` after the pass.  ``state_text``,
+    the rendered IR + lowering decisions the ``passes`` CLI diffs, is
+    rendered from those two on first read (``None`` without a
+    snapshot), so a compile nobody reports on renders nothing.
     """
 
     name: str
@@ -95,7 +100,13 @@ class PassRecord:
     rejected: bool = False
     notes: tuple[str, ...] = ()
     ir: Optional[Block] = None
-    state_text: Optional[str] = None
+    decisions: tuple = ((), (), (), ())
+
+    @cached_property
+    def state_text(self) -> Optional[str]:
+        if self.ir is None:
+            return None
+        return render_state(self.ir, self.decisions)
 
 
 @dataclass
@@ -226,14 +237,11 @@ class PassManager:
     # -- execution -------------------------------------------------------
     def run_region(self, region: ParallelRegion, program: Program,
                    port: "PortSpec") -> RegionCompilation:
-        from repro.pipeline.render import render_state
-
         ctx = PassContext(region=region, program=program, port=port)
         records: list[PassRecord] = []
+        ir_key, decisions = ctx.ir_key(), ctx.decisions_key()
         for p in self.region_passes:
             rec = PassRecord(name=p.name, stage=p.stage)
-            ir_before = ctx.ir_key()
-            dec_before = ctx.decisions_key()
             notes_before = len(ctx.applied)
             try:
                 with obs.span(f"pass.{p.name}", category="pipeline",
@@ -247,12 +255,13 @@ class PassManager:
                     translated=False, records=records,
                     reads=ctx.reads, writes=ctx.writes,
                     error=exc, failed_pass=p.name, failed_stage=p.stage)
-            rec.changed = (ctx.ir_key() != ir_before
-                           or ctx.decisions_key() != dec_before)
+            ir_before, dec_before = ir_key, decisions
+            ir_key, decisions = ctx.ir_key(), ctx.decisions_key()
+            rec.changed = ir_key != ir_before or decisions != dec_before
             rec.notes = tuple(ctx.applied[notes_before:])
             if rec.changed or p.snapshot_always:
                 rec.ir = ctx.current_ir()
-                rec.state_text = render_state(ctx)
+                rec.decisions = decisions
             records.append(rec)
         return RegionCompilation(
             translated=True, kernels=ctx.kernels, applied=ctx.applied,

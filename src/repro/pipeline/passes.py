@@ -51,25 +51,29 @@ def grid_nest(loop: For, max_dims: int = 3) -> list[str]:
 
 def region_arrays(region: ParallelRegion,
                   program: Program) -> tuple[frozenset[str], frozenset[str]]:
-    """(reads, writes) of program-level arrays for one region.
+    """(reads, writes) of program-level arrays for one region, derived
+    from the body plus called functions' bodies; memoized by everything
+    it reads: the body, the program's functions and its array names."""
+    digests = program_digests(program)
+    key = (digests.functions, digests.arrays, block_digest(region.body))
+    return memoized("arrays", key,
+                    lambda: _region_arrays(region.body, program))
 
-    Uses the region's explicit summaries when present, otherwise derives
-    them from the body (plus called functions' bodies).
-    """
+
+def _region_arrays(body: Block, program: Program,
+                   ) -> tuple[frozenset[str], frozenset[str]]:
+    from repro.ir.expr import Var
+    from repro.ir.stmt import CallStmt
     from repro.ir.visitors import read_arrays, written_arrays
 
-    if region._arrays_read is not None and region._arrays_written is not None:
-        return frozenset(region._arrays_read), frozenset(region._arrays_written)
-    reads = read_arrays(region.body)
-    writes = written_arrays(region.body)
-    for stmt in region.body.walk():
-        from repro.ir.stmt import CallStmt
+    reads = read_arrays(body)
+    writes = written_arrays(body)
+    for stmt in body.walk():
         if isinstance(stmt, CallStmt) and stmt.func in program.functions:
             func = program.functions[stmt.func]
             # map param names to argument arrays
             param_map = {}
             for param, arg in zip(func.params, stmt.args):
-                from repro.ir.expr import Var
                 if param.is_array and isinstance(arg, Var):
                     param_map[param.name] = arg.name
             for name in read_arrays(func.body):

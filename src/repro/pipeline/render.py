@@ -6,19 +6,18 @@ pass snapshots are small and meaningful), and :func:`render_state`
 appends the accumulated lowering decisions — tiling, access-pattern
 overrides, private-array orientations — so passes that change *decisions*
 rather than IR (automatic tiling, private-array placement) still produce
-a visible diff in ``repro-harness passes``.
+a visible diff in ``repro-harness passes``.  A snapshot is rendered when
+a :class:`~repro.pipeline.core.PassRecord`'s ``state_text`` is first
+read, from the IR and decisions the record keeps.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.gpusim.codegen import expr_to_c
 from repro.ir.stmt import (Assign, Barrier, Block, CallStmt, Critical, For,
                            If, LocalDecl, PointerArith, Return, Stmt, While)
-
-if TYPE_CHECKING:
-    from repro.pipeline.core import PassContext
 
 _INDENT = "  "
 
@@ -86,24 +85,26 @@ def render_ir(stmt: Stmt) -> str:
     return "\n".join(_lines(stmt, 0))
 
 
-def render_state(ctx: "PassContext") -> str:
-    """IR text plus the accumulated lowering decisions."""
-    parts = [render_ir(ctx.current_ir())]
-    decisions: list[str] = []
-    for td in ctx.tiling:
+def render_state(ir: Block, decisions: tuple) -> str:
+    """IR text plus the lowering decisions, given as
+    :meth:`~repro.pipeline.core.PassContext.decisions_key` values."""
+    tiling, overrides, orientations, kernels = decisions
+    parts = [render_ir(ir)]
+    lines: list[str] = []
+    for td in tiling:
         dims = "x".join(str(d) for d in td.tile_dims)
-        decisions.append(f"tiling {dims} over {', '.join(td.arrays)} "
-                         f"(smem {td.smem_bytes_per_block} B/block)")
-    for name, pattern in sorted(ctx.pattern_overrides.items()):
-        decisions.append(f"access-pattern override: {name} -> "
-                         f"{getattr(pattern, 'name', pattern)}")
-    for name, orient in sorted(ctx.private_orientations.items()):
-        decisions.append(f"private expansion: {name} -> {orient}")
-    for k in ctx.kernels:
-        decisions.append(f"kernel {k.name}: grid over "
-                         f"({', '.join(k.thread_vars)}), "
-                         f"{k.block_threads} threads/block")
-    if decisions:
+        lines.append(f"tiling {dims} over {', '.join(td.arrays)} "
+                     f"(smem {td.smem_bytes_per_block} B/block)")
+    for name, pattern in overrides:
+        lines.append(f"access-pattern override: {name} -> "
+                     f"{getattr(pattern, 'name', pattern)}")
+    for name, orient in orientations:
+        lines.append(f"private expansion: {name} -> {orient}")
+    for name, thread_vars, block_threads in kernels:
+        lines.append(f"kernel {name}: grid over "
+                     f"({', '.join(thread_vars)}), "
+                     f"{block_threads} threads/block")
+    if lines:
         parts.append("// decisions:")
-        parts.extend(f"//   {d}" for d in decisions)
+        parts.extend(f"//   {d}" for d in lines)
     return "\n".join(parts)

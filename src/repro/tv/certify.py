@@ -26,13 +26,13 @@ the transform that introduced it rather than at "the compiler".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
 from repro.ir.analysis.regionmemo import (block_digest, memoized,
                                           program_digests)
-from repro.ir.program import Program
+from repro.ir.program import ParallelRegion, Program
 from repro.ir.stmt import Block, Stmt
 from repro.models.base import CompiledProgram, RegionResult
 from repro.tv.summary import (CanonFact, canonicalize, summarize_stores)
@@ -142,15 +142,38 @@ def _localize(cert: Certificate, program: Program,
 
 def validate_region(program: Program, model: str,
                     result: RegionResult) -> Certificate:
-    """Certify one region's lowered kernels against its source body."""
+    """Certify one region's lowered kernels against its source body.
+
+    The verdict is computed once per distinct content — the region
+    body, the program's digests, the translated flag and diagnostics,
+    and the kernel bodies — and shared; each caller gets its own copy,
+    labelled with its program, model and region and localized against
+    its own pass records.
+    """
     region = program.region(result.region)
-    cert = Certificate(program=program.name, model=model, region=region.name,
+    key = (tuple(program_digests(program)), block_digest(region.body),
+           result.translated,
+           tuple(d.message for d in result.diagnostics[:2]),
+           tuple(k.body_digest for k in result.kernels))
+    shared, localize = memoized(
+        "certificate", key, lambda: _certify(program, region, result))
+    cert = replace(shared, program=program.name, model=model,
+                   region=region.name, notes=list(shared.notes))
+    if localize:
+        _localize(cert, program, result)
+    return cert
+
+
+def _certify(program: Program, region: ParallelRegion,
+             result: RegionResult) -> tuple[Certificate, bool]:
+    """``(unlabelled certificate, needs localization?)`` of one region."""
+    cert = Certificate(program="", model="", region="",
                        status=CertStatus.PROVED)
     if not result.translated:
         reasons = "; ".join(d.message for d in result.diagnostics[:2])
         cert.status = CertStatus.SKIPPED
         cert.detail = f"region rejected by model: {reasons or 'untranslated'}"
-        return cert
+        return cert, False
 
     src_facts, src_blocking = _store_facts(program, region.body,
                                            block_digest(region.body))
@@ -201,8 +224,7 @@ def validate_region(program: Program, model: str,
             cert.status = CertStatus.REFUTED
             cert.witness = witness
             cert.detail = witness.describe()
-            _localize(cert, program, result)
-            return cert
+            return cert, True
 
     if unmatched_src or unmatched_ker:
         cert.status = CertStatus.UNKNOWN
@@ -214,19 +236,18 @@ def validate_region(program: Program, model: str,
         cert.detail = (f"{cert.matched}/{cert.stores_source} source stores "
                        f"matched; {len(unmatched_src)} source and "
                        f"{len(unmatched_ker)} kernel stores unmatched")
-        _localize(cert, program, result)
-        return cert
+        return cert, True
 
     if blocking:
         cert.status = CertStatus.UNKNOWN
         cert.blocking = blocking[0]
         cert.detail = (f"all {cert.matched} stores matched but the region "
                        "contains a construct outside the analysis")
-        return cert
+        return cert, False
 
     cert.detail = (f"{cert.matched} store fact(s) matched one-to-one "
                    f"across {len(result.kernels)} kernel(s)")
-    return cert
+    return cert, False
 
 
 def validate_compiled(program: Program,

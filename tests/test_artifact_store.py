@@ -8,6 +8,7 @@ artifact while divergent content (an overridden port) gets its own; and
 ``clear_compile_cache`` gives tests full isolation.
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -102,6 +103,65 @@ class TestContentAddressing:
         trimmed.__dict__["_pipeline"] = get_compiler("pgi").pipeline
         h2 = _config_hash("OpenACC", "best", port, trimmed)
         assert h1 != h2
+
+
+def _flip_first_store(program):
+    from repro.ir.stmt import Assign
+
+    store = next(s for s in program.regions[0].body.walk()
+                 if isinstance(s, Assign))
+    store.op = "+" if store.op is None else None
+
+
+#: edits of a program copy, each to a part the config hash must cover
+PROGRAM_EDITS = {
+    "region-body": _flip_first_store,
+    "invocations": lambda p: setattr(p.regions[0], "invocations",
+                                     p.regions[0].invocations + 1),
+    "private": lambda p: setattr(p.regions[0], "private",
+                                 p.regions[0].private + ("extra",)),
+    "driver-lines": lambda p: setattr(p, "driver_lines",
+                                      p.driver_lines + 1),
+    "scalar-dtype": lambda p: p.scalars.update(
+        {name: dataclasses.replace(decl, dtype="float")
+         for name, decl in list(p.scalars.items())[:1]}),
+}
+
+
+class TestSharedProgramAddressing:
+    """Ports share their benchmark's ``Program`` objects, and the config
+    hash is composed from per-object digests: a copy of equal content
+    still shares the artifact, an edited copy gets its own."""
+
+    def _overriding(self, edit=None):
+        base_cls = type(get_benchmark("jacobi"))
+
+        class Override(base_cls):
+            def port(self, model, variant="best"):
+                spec = super().port(model, variant)
+                program = copy.deepcopy(spec.program)
+                if edit is not None:
+                    edit(program)
+                return dataclasses.replace(spec, program=program)
+
+        return Override()
+
+    def test_equal_copy_shares_the_artifact(self):
+        _, registry = compile_bench(get_benchmark("jacobi"),
+                                    "OpenACC", "best")
+        _, instance = compile_bench(self._overriding(), "OpenACC", "best")
+        assert instance is registry
+
+    @pytest.mark.parametrize("edit", sorted(PROGRAM_EDITS))
+    def test_edited_program_gets_its_own_artifact(self, edit):
+        _, registry = compile_bench(get_benchmark("jacobi"),
+                                    "OpenACC", "best")
+        _, instance = compile_bench(self._overriding(PROGRAM_EDITS[edit]),
+                                    "OpenACC", "best")
+        assert instance is not registry
+        assert cache_stats()["entries"] == 2
+        pristine = get_benchmark("jacobi").port("OpenACC", "best").program
+        assert instance.program is not pristine
 
 
 class TestIsolation:

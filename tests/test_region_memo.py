@@ -168,9 +168,14 @@ def test_modified_copies_are_certified_afresh():
     jacobi, jacobi_compiled, _ = compile_port("JACOBI", "OpenACC")
     assert certify(cg, cg_compiled)["rho0"].status is CertStatus.PROVED
 
-    cert = certify(cg, _strip_reduction(cg_compiled, "rho0", "rho"))["rho0"]
+    broken = _strip_reduction(cg_compiled, "rho0", "rho")
+    cert = certify(cg, broken)["rho0"]
     assert cert.status is CertStatus.REFUTED
     assert cert.witness is not None and "rho" in cert.detail
+    # a repeat is a memo hit: its own copy, localized once
+    again = certify(cg, broken)["rho0"]
+    assert again is not cert and again.to_dict() == cert.to_dict()
+    assert len(cert.notes) == 1
 
     bad = copy.deepcopy(jacobi_compiled)
     name, result = next(iter(bad.results.items()))
@@ -190,8 +195,10 @@ def test_modified_copies_are_certified_afresh():
 def test_gates_work_counts(monkeypatch):
     """Over the gates slice (lint, tv, translate, xfer from a cold
     store) each distinct region analysis runs once: 150 store-fact
-    canonicalizations, 75 feature scans and 135 exposed-read sets,
-    against 1,132, 429 and 1,482 without the memo."""
+    canonicalizations, 75 feature scans, 135 exposed-read sets and 126
+    certificates, against 1,132, 429, 1,482 and 644 without the memo
+    (lint and translate ask for certificates tv already issued, and
+    models that lower a region alike share one)."""
     calls = collections.Counter()
 
     def counting(module, name):
@@ -205,10 +212,13 @@ def test_gates_work_counts(monkeypatch):
     counting(certify_mod, "canonicalize")
     counting(passes_mod, "scan_region")
     counting(cfg_mod, "array_upward_exposed_reads")
+    counting(certify_mod, "validate_region")
+    counting(certify_mod, "_certify")
     clear_compile_cache()
     _records(("lint", "tv", "translate", "xfer"), GATES)
     assert calls == {"canonicalize": 150, "scan_region": 75,
-                     "array_upward_exposed_reads": 135}
+                     "array_upward_exposed_reads": 135,
+                     "validate_region": 644, "_certify": 126}
 
 
 def test_copies_and_pickles_digest_afresh():
