@@ -19,9 +19,9 @@ import numpy as np
 from repro.errors import IRError, LaunchError
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import MemorySpace
-from repro.ir.analysis.access import (AccessPattern, AccessSummary,
-                                      _const_value, column_item,
-                                      summarize_accesses, trip_column)
+from repro.ir.analysis.access import (AccessPattern, AccessSummary, Columns,
+                                      column_item, summarize_accesses,
+                                      trip_column)
 from repro.ir.analysis.metrics import BodyTerms, body_work
 from repro.ir.analysis.regionmemo import block_digest
 from repro.ir.program import Function, numpy_dtype
@@ -185,25 +185,24 @@ class Kernel:
         return loops
 
     # ------------------------------------------------------------------
-    def grid_extents(self, bindings: Mapping[str, float]) -> list[int]:
-        """Numeric extent of each thread loop under ``bindings``."""
-        extents: list[int] = []
+    def grid_extents(self, columns: Columns) -> list:
+        """Each thread loop's extent in the launches of ``columns``, as
+        an int64 column, outermost first.
+
+        Raises :class:`LaunchError` when one does not resolve in some
+        launch.  Callers silence numpy's floating-point warnings.
+        """
+        extents = []
         for loop in self.grid_loops():
-            lo = _const_value(loop.lower, bindings)
-            hi = _const_value(loop.upper, bindings)
-            step = _const_value(loop.step, bindings) or 1.0
-            if lo is None or hi is None:
+            extent, exact = trip_column(loop, columns)
+            if not exact.all():
+                bound = sorted(name for name, (_, where) in columns.items()
+                               if np.all(where))
                 raise LaunchError(
                     f"kernel {self.name!r}: cannot resolve extent of loop "
-                    f"{loop.var!r} from bindings {sorted(bindings)}")
-            extents.append(max(0, math.ceil((hi - lo) / step)))
+                    f"{loop.var!r} from bindings {bound}")
+            extents.append(extent.astype(np.int64))
         return extents
-
-    def total_threads(self, bindings: Mapping[str, float]) -> int:
-        total = 1
-        for e in self.grid_extents(bindings):
-            total *= e
-        return total
 
     # ------------------------------------------------------------------
     @property
@@ -285,21 +284,14 @@ class Kernel:
         counts)``, the descriptor fields that vary between launches,
         with one count per reference of ``stage.access``: each a column
         of one entry per launch, or a value every launch shares.  Raises
-        :class:`LaunchError` when a grid loop's extent does not resolve.
+        :meth:`grid_extents`' :class:`LaunchError`.
         """
         columns = stage.access.nest.key_columns(keys)
         total = np.ones(len(keys), dtype=np.int64)
         with np.errstate(all="ignore"):
             work, access = stage.evaluate(columns, len(keys))
-            for loop in self.grid_loops():
-                extent, exact = trip_column(loop, columns)
-                if not exact.all():
-                    bound = sorted(name for name, (_, where)
-                                   in columns.items() if np.all(where))
-                    raise LaunchError(
-                        f"kernel {self.name!r}: cannot resolve extent of "
-                        f"loop {loop.var!r} from bindings {bound}")
-                total = total * extent.astype(np.int64)
+            for extent in self.grid_extents(columns):
+                total = total * extent
         return (np.maximum(1, total), work.flops, work.divergence,
                 [count for _, count in access.refs])
 

@@ -329,45 +329,6 @@ class AccessSummary:
         return {r.array for r, _ in self.refs}
 
 
-def _const_value(expr: Expr, bindings: Mapping[str, float]) -> Optional[float]:
-    """Best-effort numeric evaluation of a bound expression."""
-    if isinstance(expr, Const):
-        return float(expr.value)
-    if isinstance(expr, Var):
-        val = bindings.get(expr.name)
-        return float(val) if val is not None else None
-    if isinstance(expr, Cast):
-        return _const_value(expr.operand, bindings)
-    if isinstance(expr, UnOp) and expr.op == "-":
-        inner = _const_value(expr.operand, bindings)
-        return -inner if inner is not None else None
-    if isinstance(expr, BinOp):
-        left = _const_value(expr.left, bindings)
-        right = _const_value(expr.right, bindings)
-        if left is None or right is None:
-            return None
-        try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right if right else None
-            if expr.op == "//":
-                return float(int(left // right)) if right else None
-            if expr.op == "%":
-                return float(left % right) if right else None
-            if expr.op == "min":
-                return min(left, right)
-            if expr.op == "max":
-                return max(left, right)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return None
-    return None
-
-
 DEFAULT_SEQ_TRIPS = 16.0
 """Assumed trip count for sequential loops with unresolvable bounds
 (e.g. CSR row loops); roughly the average nonzeros-per-row of the
@@ -380,9 +341,9 @@ evaluation inputs."""
 Factor = Union[float, int]
 
 
-#: the operators :func:`_column_value` evaluates, each doing per launch
-#: the IEEE operation :func:`_const_value` does (``min`` and ``max``
-#: keep Python's left operand on ties and NaNs)
+#: the operators :func:`_column_value` evaluates, each the IEEE operation
+#: of Python floats per launch (``min`` and ``max`` keep Python's left
+#: operand on ties and NaNs)
 _COLUMN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "min": lambda a, b: np.where(b < a, b, a),
                "max": lambda a, b: np.where(b > a, b, a),
@@ -395,12 +356,19 @@ _UNBOUND = (np.nan, False)
 Columns = Mapping[str, tuple]
 
 
+def binding_columns(bindings: Mapping[str, float]) -> dict[str, tuple]:
+    """The :data:`Columns` of the one launch ``bindings``."""
+    return {name: (float(value), True) for name, value in bindings.items()}
+
+
 def _column_value(expr: Expr, columns: Columns) -> tuple:
-    """:func:`_const_value` of many launches at once.
+    """Numeric value of a bound expression in many launches at once.
 
     Returns ``(values, bound)``: ``bound`` is False (everywhere, or per
-    launch) where :func:`_const_value` gives None, and ``values`` means
-    nothing there.  Callers silence numpy's floating-point warnings.
+    launch) where the expression reads an unbound scalar, divides by
+    zero, takes a non-finite floor quotient or applies an operator
+    outside :data:`_COLUMN_OPS`, and ``values`` means nothing there.
+    Callers silence numpy's floating-point warnings.
     """
     if isinstance(expr, Const):
         return float(expr.value), True
@@ -427,6 +395,23 @@ def _column_value(expr: Expr, columns: Columns) -> tuple:
     return value, bound
 
 
+def step_column(loop: For, columns: Columns):
+    """``loop``'s step in many launches at once, a zero or unbound step
+    counting as 1."""
+    step, bound = _column_value(loop.step, columns)
+    if bound is True and isinstance(step, float):
+        return step or 1.0      # one step for every launch
+    return np.where(bound & (step != 0.0), step, 1.0)
+
+
+def estimated_trips(loop: For, env: Mapping[str, SymRange]) -> float:
+    """The trip count of ``loop`` where :func:`trip_column` is not exact:
+    the value-range estimate under ``env`` (the ranges inside the loop),
+    or ``DEFAULT_SEQ_TRIPS`` when that is unbounded too."""
+    est = estimate_trips(loop.lower, loop.upper, loop.step, env)
+    return DEFAULT_SEQ_TRIPS if est is None else float(est)
+
+
 def trip_column(loop: For, columns: Columns) -> tuple:
     """``(counts, exact)`` of ``loop`` for many launches at once.
 
@@ -436,12 +421,7 @@ def trip_column(loop: For, columns: Columns) -> tuple:
     """
     lo, lo_bound = _column_value(loop.lower, columns)
     hi, hi_bound = _column_value(loop.upper, columns)
-    step, step_bound = _column_value(loop.step, columns)
-    if step_bound is True and isinstance(step, float):
-        step = step or 1.0      # one step for every launch
-    else:
-        step = np.where(step_bound & (step != 0.0), step, 1.0)
-    quotient = (hi - lo) / step
+    quotient = (hi - lo) / step_column(loop, columns)
     # ``+ 0.0`` turns a ceiling of -0.0 into the 0.0 ``max(0, ...)`` gives
     return (np.maximum(0.0, np.ceil(quotient)) + 0.0,
             lo_bound & hi_bound & np.isfinite(quotient))
@@ -501,10 +481,9 @@ class LoopNest:
         """Each sequential loop's trip counts in ``rows`` launches, and
         where they are exact.
 
-        Exact where :func:`trip_column` is; elsewhere the value-range
-        estimate under that launch's bindings and the enclosing loops'
-        ranges, or ``DEFAULT_SEQ_TRIPS`` when that is unbounded too.
-        Thread-grid loops get ``None``.
+        Exact where :func:`trip_column` is; elsewhere
+        :func:`estimated_trips` under that launch's bindings and the
+        enclosing loops' ranges.  Thread-grid loops get ``None``.
         """
         trips: list = [None] * len(self.loops)
         exact: list = [True] * len(self.loops)
@@ -534,9 +513,7 @@ class LoopNest:
                 counts = np.array(np.broadcast_to(counts, (rows,)))
                 known = np.broadcast_to(known, (rows,))
                 for row in np.flatnonzero(~known).tolist():
-                    est = estimate_trips(loop.lower, loop.upper, loop.step,
-                                         env(i, row))
-                    counts[row] = DEFAULT_SEQ_TRIPS if est is None else est
+                    counts[row] = estimated_trips(loop, env(i, row))
             trips[i], exact[i] = counts, known
         return trips, exact
 

@@ -37,16 +37,20 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import LaunchError
 from repro.gpusim.coalescing import transactions_per_warp
 from repro.gpusim.device import TESLA_M2090, DeviceSpec
 from repro.gpusim.kernel import kernel_ir_hash
-from repro.ir.analysis.access import (AccessPattern, RefClass,
-                                      DEFAULT_SEQ_TRIPS, _const_value,
-                                      _strip_monotone, classify_ref)
+from repro.ir.analysis.access import (AccessPattern, Columns, RefClass,
+                                      DEFAULT_SEQ_TRIPS, _column_value,
+                                      _strip_monotone, binding_columns,
+                                      classify_ref, column_item,
+                                      estimated_trips, step_column,
+                                      trip_column)
 from repro.ir.analysis.affine import AffineForm, affine_form
-from repro.ir.analysis.ranges import (SymRange, bindings_env, estimate_trips,
-                                      loop_range)
+from repro.ir.analysis.ranges import SymRange, bindings_env, loop_range
 from repro.ir.expr import ArrayRef, BinOp, Cast, Const, Expr, UnOp, Var
 from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
                            Stmt, While)
@@ -261,15 +265,21 @@ def _flat_form(ref: ArrayRef, extents: Sequence[int], var_set: set[str],
 
 
 def _collect_sites(kernel, bindings: Mapping[str, float],
+                   columns: Columns,
                    array_extents: Mapping[str, Sequence[int]],
                    body: Optional[Stmt] = None
                    ) -> tuple[list["_Site"], bool,
                               list[tuple[str, float, float]],
-                              dict[str, tuple[float, float]]]:
+                              dict[str, tuple[float, float]],
+                              dict[str, float]]:
     """Walk the body mirroring ``summarize_accesses``.
 
-    Returns ``(sites, data_dependent?, seq loops, var extents)``.
-    ``body`` overrides ``kernel.body`` (the call-inlined view).
+    Returns ``(sites, data_dependent?, seq loops, var extents, var
+    lower bounds)``.  ``columns`` are the one launch's
+    (:func:`binding_columns` of ``bindings``): every loop's lower
+    bound, step and trip count is read from them as pricing reads its
+    launches'.  ``body`` overrides ``kernel.body`` (the call-inlined
+    view).  Callers silence numpy's floating-point warnings.
     """
     thread_vars = list(kernel.thread_vars)
     tset = set(thread_vars)
@@ -285,14 +295,6 @@ def _collect_sites(kernel, bindings: Mapping[str, float],
     data_dependent = False
     var_extents: dict[str, tuple[float, float]] = {}  # var -> (trips, step)
     var_lower: dict[str, float] = {}  # var -> resolved loop lower bound
-
-    for loop, ext in zip(kernel.grid_loops(),
-                         kernel.grid_extents(bindings)):
-        step = _const_value(loop.step, bindings) or 1.0
-        var_extents[loop.var] = (float(ext), float(step))
-        lo = _const_value(loop.lower, bindings)
-        if lo is not None:
-            var_lower[loop.var] = float(lo)
 
     def classify(node: ArrayRef, is_store: bool,
                  index_vars: set[str]) -> Optional[RefClass]:
@@ -391,18 +393,17 @@ def _collect_sites(kernel, bindings: Mapping[str, float],
         saved = range_env.get(stmt.var)
         range_env[stmt.var] = loop_range(stmt, range_env)
         try:
+            counts, exact = trip_column(stmt, columns)
+            trips = (column_item(counts) if column_item(exact)
+                     else estimated_trips(stmt, range_env))
+            step = column_item(step_column(stmt, columns))
+            var_extents[stmt.var] = (trips, step)
+            lo, lo_bound = _column_value(stmt.lower, columns)
+            if column_item(lo_bound):
+                var_lower[stmt.var] = column_item(lo)
             if stmt.var in tset:
                 scan(stmt.body, weight)
                 return
-            lo = _const_value(stmt.lower, bindings)
-            hi = _const_value(stmt.upper, bindings)
-            step = _const_value(stmt.step, bindings) or 1.0
-            if lo is not None and hi is not None and step:
-                trips = max(0.0, math.ceil((hi - lo) / step))
-            else:
-                est = estimate_trips(stmt.lower, stmt.upper, stmt.step,
-                                     range_env)
-                trips = est if est is not None else DEFAULT_SEQ_TRIPS
             bound_vars = stmt.lower.free_vars() | stmt.upper.free_vars()
             was_irregular = stmt.var in irregular_vars
             if bound_vars & (tset | irregular_vars) or any(
@@ -412,10 +413,7 @@ def _collect_sites(kernel, bindings: Mapping[str, float],
                 data_dependent = True
             record(stmt.lower, weight, None)
             record(stmt.upper, weight, None)
-            entry = (stmt.var, float(trips), float(step))
-            var_extents[stmt.var] = (float(trips), float(step))
-            if lo is not None:
-                var_lower[stmt.var] = float(lo)
+            entry = (stmt.var, trips, step)
             seq_loops.append(entry)
             loop_stack.append(entry)
             try:
@@ -596,9 +594,13 @@ def analyze_kernel_reuse(kernel, bindings: Mapping[str, float],
         except Exception:
             body = kernel.body  # unknown callee: analyze what's visible
 
-    sites, data_dependent, seq_loops, var_extents, var_lower = \
-        _collect_sites(kernel, bindings, array_extents, body=body)
-    total_threads = kernel.total_threads(bindings)
+    columns = binding_columns(bindings)
+    with np.errstate(all="ignore"):
+        total_threads = math.prod(column_item(extent) for extent
+                                  in kernel.grid_extents(columns))
+        sites, data_dependent, seq_loops, var_extents, var_lower = \
+            _collect_sites(kernel, bindings, columns, array_extents,
+                           body=body)
     warps = max(1, -(-total_threads // spec.warp_size))
     # lane-proportional warp count: a trailing partial warp issues
     # proportionally fewer line touches, so access counts scale with
@@ -625,7 +627,7 @@ def analyze_kernel_reuse(kernel, bindings: Mapping[str, float],
         total = sum(per_array.values()) * line_bytes
         ws_bytes[var] = total
         report.working_sets.append(LoopWorkingSet(
-            loop=var, trips=dict((v, t) for v, t, _ in seq_loops)[var],
+            loop=var, trips=trips,
             bytes_per_iteration=total,
             fits_l1=total <= spec.l1_bytes,
             fits_l2=total <= spec.l2_bytes))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.errors import LaunchError
 from repro.gpusim.kernel import Kernel
 from repro.ir.analysis.access import AccessPattern
 from repro.ir.analysis.reuse import (KernelReuse, analyze_kernel_reuse,
@@ -87,9 +88,9 @@ def _analyze(kernel: Kernel, ctx: LintContext,
     try:
         return memoized_reuse(analyze_kernel_reuse, kernel, bindings,
                               extents, ctx.device, ctx.program.functions)
-    except Exception:
-        # a kernel the lint-scale bindings cannot resolve (unbound
-        # launch symbol, irregular shape) is skipped, not a crash
+    except LaunchError:
+        # a kernel whose launch the lint-scale bindings cannot resolve
+        # (an unbound launch symbol) is skipped, not a crash
         return None
 
 

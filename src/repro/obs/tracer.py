@@ -32,7 +32,8 @@ import json
 import time
 from dataclasses import (MISSING, asdict, dataclass, field,
                          fields as dataclass_fields, is_dataclass)
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import (Any, ContextManager, Iterator, Mapping, Optional,
+                    Sequence)
 
 #: the ambient tracer; ``None`` disables all instrumentation
 _TRACER: contextvars.ContextVar[Optional["Tracer"]] = contextvars.ContextVar(
@@ -340,15 +341,18 @@ def current_tracer() -> Optional[Tracer]:
     return _TRACER.get()
 
 
-@contextlib.contextmanager
-def span(name: str, category: str = "", **attrs: Any) -> Iterator[Optional[Span]]:
+#: what :func:`span` returns when nothing traces: one shared context
+#: manager that binds ``None``
+_UNTRACED = contextlib.nullcontext()
+
+
+def span(name: str, category: str = "",
+         **attrs: Any) -> ContextManager[Optional[Span]]:
     """Open a nested span on the ambient tracer (no-op when untraced)."""
     tracer = _TRACER.get()
     if tracer is None:
-        yield None
-        return
-    with tracer.span(name, category, **attrs) as sp:
-        yield sp
+        return _UNTRACED
+    return tracer.span(name, category, **attrs)
 
 
 def set_attr(key: str, value: Any) -> None:

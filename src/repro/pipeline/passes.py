@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.directives import lower_options, normalize_options
 from repro.errors import TransformError
 from repro.gpusim.kernel import DEFAULT_BLOCK, Kernel
 from repro.ir.analysis.features import RegionFeatures, scan_region
@@ -104,8 +105,6 @@ class Intake(RegionPass):
     snapshot_always = True  # the pipeline's input IR
 
     def run(self, ctx: PassContext) -> None:
-        from repro.directives import lower_options, normalize_options
-
         directive = normalize_options(ctx.region.name,
                                       ctx.port.options_for(ctx.region.name))
         ctx.opts = lower_options(directive)

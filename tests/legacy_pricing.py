@@ -15,6 +15,10 @@ pin it to the same floats, bit for bit:
   once per launch, multiplying trip counts into float weights as they
   went.
 
+Both read loop bounds through :func:`_const_value`, the scalar
+evaluator the columns' ``_column_value`` reproduces, and take a
+launch's thread count from :func:`scalar_total_threads`.
+
 :func:`fresh_describe` is the scalar descriptor built from a stage of
 its own, the oracle for the content-keyed stage table.
 """
@@ -22,20 +26,77 @@ its own, the oracle for the content-keyed stage table.
 import math
 
 from repro.cpu.host import _bytes_for
+from repro.errors import LaunchError
 from repro.gpusim.coalescing import transactions_per_warp
 from repro.gpusim.kernel import Kernel, KernelDescriptor, _symbolic_stage
 from repro.gpusim.timing import (KernelTiming, TimingConfig,
                                  _occupancy_terms, _warp_bytes)
 from repro.ir.analysis.access import (DEFAULT_SEQ_TRIPS,
                                       SYMBOLIC_LARGE_STRIDE, AccessPattern,
-                                      AccessSummary, RefClass, _const_value,
+                                      AccessSummary, RefClass,
                                       _weight_values, classify_ref)
 from repro.ir.analysis.metrics import (BINOP_FLOP_COST, WorkEstimate,
                                        _expr_flops_clean)
 from repro.ir.analysis.ranges import bindings_env, estimate_trips, loop_range
-from repro.ir.expr import ArrayRef
+from repro.ir.expr import ArrayRef, BinOp, Cast, Const, UnOp, Var
 from repro.ir.program import numpy_dtype
 from repro.ir.stmt import Assign, Block, Critical, For, If, LocalDecl, While
+
+
+def _const_value(expr, bindings):
+    """Best-effort numeric evaluation of a bound expression; None where
+    it reads an unbound scalar or does not evaluate."""
+    if isinstance(expr, Const):
+        return float(expr.value)
+    if isinstance(expr, Var):
+        val = bindings.get(expr.name)
+        return float(val) if val is not None else None
+    if isinstance(expr, Cast):
+        return _const_value(expr.operand, bindings)
+    if isinstance(expr, UnOp) and expr.op == "-":
+        inner = _const_value(expr.operand, bindings)
+        return -inner if inner is not None else None
+    if isinstance(expr, BinOp):
+        left = _const_value(expr.left, bindings)
+        right = _const_value(expr.right, bindings)
+        if left is None or right is None:
+            return None
+        try:
+            if expr.op == "+":
+                return left + right
+            if expr.op == "-":
+                return left - right
+            if expr.op == "*":
+                return left * right
+            if expr.op == "/":
+                return left / right if right else None
+            if expr.op == "//":
+                return float(int(left // right)) if right else None
+            if expr.op == "%":
+                return float(left % right) if right else None
+            if expr.op == "min":
+                return min(left, right)
+            if expr.op == "max":
+                return max(left, right)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return None
+    return None
+
+
+def scalar_total_threads(kernel: Kernel, bindings) -> int:
+    """The thread count of the one launch ``bindings``: the product of
+    the grid loops' extents."""
+    total = 1
+    for loop in kernel.grid_loops():
+        lo = _const_value(loop.lower, bindings)
+        hi = _const_value(loop.upper, bindings)
+        step = _const_value(loop.step, bindings) or 1.0
+        if lo is None or hi is None:
+            raise LaunchError(
+                f"kernel {kernel.name!r}: cannot resolve extent of loop "
+                f"{loop.var!r} from bindings {sorted(bindings)}")
+        total *= max(0, math.ceil((hi - lo) / step))
+    return total
 
 
 def trip_factors(nest, bindings):
@@ -104,7 +165,7 @@ def scalar_descriptor(kernel: Kernel, stage, bindings) -> KernelDescriptor:
     work, access = scalar_evaluate(stage, bindings)
     return KernelDescriptor(
         name=kernel.name,
-        total_threads=max(1, kernel.total_threads(bindings)),
+        total_threads=max(1, scalar_total_threads(kernel, bindings)),
         block_threads=kernel.block_threads,
         flops_per_thread=work.flops,
         divergence=work.divergence,
@@ -420,7 +481,7 @@ def legacy_describe(kernel: Kernel, bindings, array_extents
         pattern_overrides=kernel.pattern_overrides)
     return KernelDescriptor(
         name=kernel.name,
-        total_threads=max(1, kernel.total_threads(bindings)),
+        total_threads=max(1, scalar_total_threads(kernel, bindings)),
         block_threads=kernel.block_threads,
         flops_per_thread=work.flops, divergence=work.divergence,
         access=access,

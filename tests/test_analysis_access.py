@@ -173,10 +173,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ir.analysis.access import (LoopNest, _column_value, _const_value,
-                                      trip_column)
+from repro.ir.analysis.access import LoopNest, _column_value, trip_column
 from repro.ir.expr import BinOp, Cast, Const, UnOp, Var
 from repro.ir.stmt import For
+from tests.legacy_pricing import _const_value
 
 _EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, 3.0, -5.0, 0.5, 2.5, 1e300,
                 -1e300, 5e-324, math.inf, -math.inf, math.nan]

@@ -10,8 +10,9 @@ and locality records do not move.  Checked here:
 * random divergent loops through all three engines;
 * every SPMUL, CG and BFS port at test scale, per-lane walk against the
   union walk, byte for byte;
-* the locality records of the irregular benchmarks against the
-  expected digests the benchmark harness checks.
+* the locality records of the irregular benchmarks, and the lint
+  records of SPMUL and CG (whose CSR row loops take the estimated-trip
+  path), against the expected digests the benchmark harness checks.
 """
 
 import hashlib
@@ -27,9 +28,12 @@ from tests.difftest import (UnionWalkExecutor, assert_same_result,
 from repro.benchmarks.base import ALL_MODELS
 from repro.benchmarks.registry import get_benchmark
 from repro.gpusim import executor, locality
+from repro.lint import suite as lint
 from repro.ir.builder import accum, aref, pfor, sfor, v
 
 IRREGULAR_BENCHMARKS = ("SPMUL", "CG", "BFS")
+#: the benchmarks the benchmark harness's analysis slice leaves out
+CSR_BENCHMARKS = ("SPMUL", "CG")
 GATES_JSON = (Path(__file__).resolve().parents[1]
               / "perfbench" / "expected" / "gates.json")
 
@@ -102,13 +106,32 @@ def test_per_lane_walk_matches_union_walk(name, monkeypatch):
                 f"{name}/{model}[{variant}]: {array} differs"
 
 
+def _expected(analysis, name):
+    return {key: digest for key, digest
+            in json.loads(GATES_JSON.read_text(encoding="utf-8")).items()
+            if key.startswith(f"{analysis}/{name}/")}
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, indent=2).encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize("name", IRREGULAR_BENCHMARKS)
 def test_locality_records_are_unchanged(name):
-    want = {key: digest for key, digest
-            in json.loads(GATES_JSON.read_text(encoding="utf-8")).items()
-            if key.startswith(f"locality/{name}/")}
-    got = {f"locality/{rec.benchmark}/{rec.model}": hashlib.sha256(
-               json.dumps(rec.to_dict(), indent=2).encode("utf-8")
-           ).hexdigest()
+    want = _expected("locality", name)
+    got = {f"locality/{rec.benchmark}/{rec.model}": _digest(rec.to_dict())
            for rec in locality.locality_suite(benchmarks=[name])}
     assert want and got == want
+
+
+@pytest.mark.parametrize("name", CSR_BENCHMARKS)
+def test_lint_records_are_unchanged(name):
+    want = _expected("lint", name)
+    got = {f"lint/{rec.benchmark}/{rec.model}": _digest(
+               {"benchmark": rec.benchmark, "model": rec.model,
+                "variant": rec.variant, "regions": rec.regions,
+                "findings": [f.to_dict() for f in rec.report.sorted()]})
+           for rec in lint.lint_suite(benchmarks=[name])}
+    assert want and got == want
+

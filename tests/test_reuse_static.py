@@ -12,6 +12,8 @@ Three layers:
   (:mod:`repro.gpusim.cache`) on every *exact* suite kernel with a
   non-trivial access stream, within
   :data:`~repro.ir.analysis.reuse.STATIC_AGREEMENT_TOLERANCE`;
+* the analyzer's sequential-loop trip counts must equal the ones
+  pricing evaluates for the same launch;
 * the sharded locality sweep must be byte-identical to the serial one,
   and the ``model_cache_hierarchy`` timing knob must stay outside
   ``config_hash`` at its default so the committed Figure-1 baseline
@@ -23,8 +25,14 @@ import pathlib
 
 import pytest
 
+from repro.benchmarks.base import ALL_MODELS
+from repro.benchmarks.registry import BENCHMARK_ORDER, get_benchmark
 from repro.gpusim.locality import locality_port, locality_suite
-from repro.ir.analysis.reuse import STATIC_AGREEMENT_TOLERANCE
+from repro.ir.analysis.access import column_item
+from repro.ir.analysis.reuse import (STATIC_AGREEMENT_TOLERANCE,
+                                     analyze_kernel_reuse)
+from repro.ir.stmt import CallStmt
+from repro.models.cache import compile_port
 
 #: agreement-gate floor: below this many simulated L1 accesses one or
 #: two cold lines swing the miss ratio by tens of points
@@ -141,6 +149,52 @@ class TestAgreementGate:
         assert "Hand-Written CUDA" in models
         assert len(models) == 6
         assert len(suite_records) == 13 * 6
+
+
+def _suite_launches():
+    """Every distinct test-scale suite launch of a kernel without
+    device-function calls, as ``(label, kernel, bindings, extents)``."""
+    for name in BENCHMARK_ORDER:
+        bench = get_benchmark(name)
+        wl = bench.workload(scale="test")
+        for model in ALL_MODELS:
+            _, compiled, chosen = compile_port(name, model, None)
+            extents = bench.extents_for(model, chosen, wl)
+            seen = set()
+            for step in bench.schedule_for(model, chosen, wl):
+                result = compiled.results.get(step.region)
+                if result is None or not result.translated:
+                    continue
+                scalars = {**wl.scalars, **step.scalars}
+                bindings = {k: float(v) for k, v in scalars.items()
+                            if isinstance(v, (int, float))}
+                launch = (step.region, tuple(sorted(bindings.items())))
+                if launch in seen:
+                    continue
+                seen.add(launch)
+                for kern in result.kernels:
+                    if not any(isinstance(s, CallStmt)
+                               for s in kern.body.walk()):
+                        yield (f"{name}/{model}/{kern.name}", kern,
+                               bindings, extents)
+
+
+class TestTripCountsAgreeWithPricing:
+    """Locality and pricing read one launch's loop bounds by one rule."""
+
+    def test_working_set_trips_equal_priced_trips(self):
+        checked = estimated = 0
+        for label, kern, bindings, extents in _suite_launches():
+            report = analyze_kernel_reuse(kern, bindings, extents)
+            nest = kern.stage(extents).access.nest
+            trips, exact = nest.row_trips(bindings)
+            priced = [column_item(t) for t, seq
+                      in zip(trips, nest.sequential) if seq]
+            assert [w.trips for w in report.working_sets] == priced, label
+            checked += 1
+            estimated += not all(column_item(e) for e in exact)
+        # the CSR row loops take the estimated-trip path
+        assert checked >= 1000 and estimated > 0, (checked, estimated)
 
 
 class TestDeterminism:
