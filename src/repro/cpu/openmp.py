@@ -22,6 +22,7 @@ from repro.errors import IRError
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.executor import execute_kernel
 from repro.gpusim.memo import LaunchMemo
+from repro.ir.analysis.regionmemo import block_digest, memoized
 from repro.ir.program import Function, ParallelRegion, Program
 from repro.ir.stmt import Block, For, LocalDecl, Stmt
 
@@ -48,24 +49,22 @@ def _grid_vars(region: ParallelRegion) -> list[str]:
     return nest
 
 
-#: the kernels :func:`run_region_host` runs, per (region, array names,
-#: scalar names): built once, so their content hashes (the launch-memo
-#: key) are computed once too; None marks a work-sharing loop whose
-#: grid nest cannot be identified
-_HOST_KERNELS: dict[tuple, list[Optional[Kernel]]] = {}
-
-
 def _host_kernels(region: ParallelRegion, arrays: tuple[str, ...],
                   scalars: tuple[str, ...]) -> list[Optional[Kernel]]:
-    key = (region, arrays, scalars)
-    kernels = _HOST_KERNELS.get(key)
-    if kernels is not None:
-        return kernels
-    body = region.body
+    """The kernels :func:`run_region_host` runs, built once per region
+    content and array and scalar names, so their content hashes (the
+    launch-memo key) are computed once too; None marks a work-sharing
+    loop whose grid nest cannot be identified."""
+    key = (block_digest(region.body), region.name, region.private,
+           arrays, scalars)
+    return memoized("host-kernels", key,
+                    lambda: _split_region(region, arrays, scalars))
+
+
+def _split_region(region: ParallelRegion, arrays: tuple[str, ...],
+                  scalars: tuple[str, ...]) -> list[Optional[Kernel]]:
     # Split sibling work-sharing loops into successive "kernels".
-    if not isinstance(body, Block):
-        body = Block([body])
-    kernels = []
+    kernels: list[Optional[Kernel]] = []
     pending: list[Stmt] = []
 
     def flush_serial() -> None:
@@ -79,7 +78,7 @@ def _host_kernels(region: ParallelRegion, arrays: tuple[str, ...],
                                   scalars=scalars))
             pending.clear()
 
-    for stmt in body.stmts:
+    for stmt in region.body.stmts:
         if isinstance(stmt, For) and stmt.parallel:
             flush_serial()
             sub_region = ParallelRegion(f"{region.name}__ws", stmt,
@@ -91,7 +90,6 @@ def _host_kernels(region: ParallelRegion, arrays: tuple[str, ...],
         else:
             pending.append(stmt)
     flush_serial()
-    _HOST_KERNELS[key] = kernels
     return kernels
 
 

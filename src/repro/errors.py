@@ -21,10 +21,6 @@ class IRTypeError(IRError):
     """An IR node was constructed with an operand of the wrong kind."""
 
 
-class AnalysisError(ReproError):
-    """A static analysis was asked something it cannot answer."""
-
-
 class TransformError(ReproError):
     """A requested loop transformation is illegal or inapplicable."""
 

@@ -23,7 +23,7 @@ from repro.ir.analysis.access import (AccessPattern, AccessSummary, Columns,
                                       column_item, summarize_accesses,
                                       trip_column)
 from repro.ir.analysis.metrics import BodyTerms, body_work
-from repro.ir.analysis.regionmemo import block_digest
+from repro.ir.analysis.regionmemo import block_digest, memoized
 from repro.ir.program import Function, numpy_dtype
 from repro.ir.stmt import (Block, CallStmt, For, PointerArith, Stmt,
                            as_block)
@@ -52,11 +52,6 @@ class KernelDescriptor:
     @property
     def grid_blocks(self) -> int:
         return max(1, math.ceil(self.total_threads / self.block_threads))
-
-
-#: the symbolic stage of every (content key, sorted array extents) seen,
-#: shared by kernels of equal content whatever their names
-_STAGES: dict[tuple, BodyTerms] = {}
 
 
 def _symbolic_stage(kernel: "Kernel",
@@ -254,11 +249,8 @@ class Kernel:
         kernel of that content."""
         extents = tuple(sorted((name, tuple(ext))
                                for name, ext in array_extents.items()))
-        shared = (self.content_key, extents)
-        stage = _STAGES.get(shared)
-        if stage is None:
-            stage = _STAGES[shared] = _symbolic_stage(self, array_extents)
-        return stage
+        return memoized("stage", (self.content_key, extents),
+                        lambda: _symbolic_stage(self, array_extents))
 
     def describe(self, bindings: Mapping[str, float],
                  array_extents: Mapping[str, Sequence[Optional[int]]],

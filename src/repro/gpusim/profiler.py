@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.gpusim.timing import KernelTiming
 
@@ -131,9 +131,6 @@ class Profiler:
     @property
     def bytes_dtoh(self) -> int:
         return sum(r.nbytes for r in self.transfers if r.direction == "dtoh")
-
-    def launches_of(self, kernel: str) -> Iterator[LaunchRecord]:
-        return (r for r in self.launches if r.kernel == kernel)
 
     def per_kernel_time(self) -> dict[str, float]:
         times: dict[str, float] = {}

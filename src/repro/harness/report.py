@@ -8,7 +8,6 @@ from typing import Mapping, Optional, Sequence
 from repro.benchmarks.registry import BENCHMARK_ORDER
 from repro.harness.runner import FIGURE1_MODELS, EvaluationResults
 from repro.metrics.speedup import BenchmarkSpeedups
-from repro.models.features import render_table1
 
 #: the paper's Table II values, for side-by-side comparison
 PAPER_TABLE2: Mapping[str, tuple[str, float]] = {
@@ -119,11 +118,3 @@ def render_bottleneck_section(profiles: Sequence) -> str:
     from repro.metrics.profstats import profile_stats, render_profile_stats
 
     return render_profile_stats(profile_stats(profiles))
-
-
-def render_all(results: EvaluationResults) -> str:
-    parts = ["Table I: feature matrix (transcribed and model-verified)",
-             render_table1(), "", render_table2(results)]
-    if results.speedups:
-        parts += ["", render_figure1(results.speedups)]
-    return "\n".join(parts)

@@ -5,10 +5,9 @@ at paper scale with functional execution off (the analytical model only
 needs shapes); coverage/code-size come straight from compilation.
 
 Compilation goes through the shared artifact store
-(:mod:`repro.models.cache`), so a full evaluation lowers each registry
-port once even though the coverage, code-size, and speedup sweeps all
-visit it; benchmark instances that are not the registry's (test
-subclasses) are content-addressed by the store itself.
+(:mod:`repro.models.cache`), which keys every port on its content, so a
+full evaluation lowers each port once even though the coverage,
+code-size, and speedup sweeps all visit it.
 """
 
 from __future__ import annotations

@@ -316,9 +316,6 @@ class AccessSummary:
     #: (RefClass, executions-per-thread) pairs.
     refs: list[tuple[RefClass, float]] = field(default_factory=list)
 
-    def total_per_thread(self) -> float:
-        return sum(count for _, count in self.refs)
-
     def loads(self) -> list[tuple[RefClass, float]]:
         return [(r, n) for r, n in self.refs if not r.is_store]
 

@@ -39,13 +39,6 @@ class AffineForm:
     def coefficient(self, name: str) -> float:
         return self.coeffs.get(name, 0.0)
 
-    def is_integral(self) -> bool:
-        return (float(self.const).is_integer()
-                and all(float(c).is_integer() for c in self.coeffs.values()))
-
-    def depends_on(self, names: Iterable[str]) -> bool:
-        return any(self.coefficient(n) != 0 for n in names)
-
 
 def _combine(a: AffineForm, b: AffineForm, sign: float) -> AffineForm:
     coeffs = dict(a.coeffs)

@@ -1,15 +1,26 @@
-"""The region-analysis memo: each distinct per-region analysis runs once.
+"""The analysis memo: each distinct region or kernel analysis runs once.
 
 Directive models lower one source region to the same kernels, and lint,
-tv, xfer and translate ask the same per-region questions of every port.
-:func:`memoized` answers a repeat from one process-wide table, keyed by
-content digests of everything the analysis reads (:func:`block_digest`,
-:func:`program_digests`, ``Kernel.body_digest``), never by a name or an
-object identity alone.  Each digest is computed once per IR object; IR
-is not mutated after construction, and a deep copy or an unpickled
-object is a new object, so a copy modified later hashes afresh.  Results
-are shared, so no caller may mutate one.
-:func:`~repro.models.cache.clear_compile_cache` empties the table.
+tv, xfer, translate, pricing and execution ask the same questions of
+every port.  :func:`memoized` answers a repeat from one process-wide
+table, keyed by content digests of everything the analysis reads
+(:func:`block_digest`, :func:`program_digests`, ``Kernel.content_key``),
+never by a name or an object identity alone.  The kinds it serves:
+
+- ``stores`` and ``certificate``: tv's canonical store facts and
+  certificates;
+- ``arrays`` and ``features``: the pipeline's array summaries and
+  feature scan;
+- ``exposed``: the xfer CFG's exposed reads;
+- ``stage``: a kernel's symbolic pricing stage (``Kernel.stage``);
+- ``reuse``: the static reuse analysis (``memoized_reuse``);
+- ``host-kernels``: the kernels a host region runs (``_host_kernels``).
+
+Each digest is computed once per IR object; IR is not mutated after
+construction, and a deep copy or an unpickled object is a new object,
+so a copy modified later hashes afresh.  Results are shared, so no
+caller may mutate one.  :func:`~repro.models.cache.clear_compile_cache`
+empties the table.
 """
 
 from __future__ import annotations

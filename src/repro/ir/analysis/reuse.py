@@ -51,6 +51,7 @@ from repro.ir.analysis.access import (AccessPattern, Columns, RefClass,
                                       trip_column)
 from repro.ir.analysis.affine import AffineForm, affine_form
 from repro.ir.analysis.ranges import SymRange, bindings_env, loop_range
+from repro.ir.analysis.regionmemo import memoized
 from repro.ir.expr import ArrayRef, BinOp, Cast, Const, Expr, UnOp, Var
 from repro.ir.stmt import (Assign, Block, Critical, For, If, LocalDecl,
                            Stmt, While)
@@ -781,12 +782,6 @@ def analyze_kernel_reuse(kernel, bindings: Mapping[str, float],
     return report
 
 
-#: every analysis :func:`memoized_reuse` ran, by what it read, with its
-#: report or the error it raised; reports are shared between callers,
-#: so no caller may mutate one
-_ANALYSES: dict[tuple, KernelReuse | LaunchError] = {}
-
-
 def memoized_reuse(analyze, kernel, bindings: Mapping[str, float],
                    array_extents: Mapping[str, Sequence[int]],
                    spec: DeviceSpec = TESLA_M2090,
@@ -801,20 +796,21 @@ def memoized_reuse(analyze, kernel, bindings: Mapping[str, float],
     (:func:`~repro.gpusim.kernel.kernel_ir_hash`), its element size,
     the bindings, the extents and the device.  An analysis whose launch
     the bindings leave unresolved raises its :class:`LaunchError` again
-    (worded for the kernel that raised it first).
+    (worded for the kernel that raised it first).  Reports are shared
+    between callers, so no caller may mutate one.
     """
+    def run() -> KernelReuse | LaunchError:
+        try:
+            return analyze(kernel, bindings, array_extents, spec,
+                           functions=functions)
+        except LaunchError as exc:
+            return exc.with_traceback(None)
+
     key = (kernel.content_key, kernel_ir_hash(kernel, functions),
            kernel.elem_bytes(), tuple(sorted(bindings.items())),
            tuple(sorted((name, tuple(ext))
                         for name, ext in array_extents.items())), spec)
-    report = _ANALYSES.get(key)
-    if report is None:
-        try:
-            report = analyze(kernel, bindings, array_extents, spec,
-                             functions=functions)
-        except LaunchError as exc:
-            report = exc.with_traceback(None)
-        _ANALYSES[key] = report
+    report = memoized("reuse", key, run)
     if isinstance(report, LaunchError):
         raise report
     if report.kernel == kernel.name:

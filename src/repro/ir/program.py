@@ -16,7 +16,7 @@ runtime bindings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -259,9 +259,6 @@ class Program:
             return self.arrays[name]
         except KeyError:
             raise IRError(f"program {self.name!r} has no array {name!r}") from None
-
-    def iter_regions(self) -> Iterator[ParallelRegion]:
-        return iter(self.regions)
 
     @property
     def num_regions(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 
 
@@ -97,11 +97,6 @@ class LintReport:
         for f in self.findings:
             counts[f.rule] = counts.get(f.rule, 0) + 1
         return dict(sorted(counts.items()))
-
-    def max_severity(self) -> Optional[Severity]:
-        if not self.findings:
-            return None
-        return max(f.severity for f in self.findings)
 
     def at_or_above(self, severity: Severity) -> list[Finding]:
         return [f for f in self.findings if f.severity >= severity]

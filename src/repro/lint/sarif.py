@@ -19,7 +19,6 @@ SARIF models as ``logicalLocations``.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from repro.lint.findings import Finding, LintReport, Severity
@@ -131,7 +130,3 @@ def reports_to_sarif(reports: Iterable[LintReport], *,
         "version": SARIF_VERSION,
         "runs": [_run(report, tool_version) for report in reports],
     }
-
-
-def sarif_json(report: LintReport, *, indent: int = 2) -> str:
-    return json.dumps(report_to_sarif(report), indent=indent)

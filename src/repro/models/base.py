@@ -160,9 +160,6 @@ class PortSpec:
     def options_for(self, region: str) -> RegionOptions:
         return self.region_options.get(region, RegionOptions())
 
-    def added_lines(self) -> int:
-        return self.directive_lines + self.restructured_lines
-
 
 # ---------------------------------------------------------------------------
 # Compile results

@@ -14,13 +14,13 @@ records, whose state snapshots render on first read — keyed by
 where ``config_hash`` digests the input program (composed from the
 cached per-object digests of :mod:`repro.ir.analysis.regionmemo`, so a
 program several ports share is serialized once), the port's
-annotations, and the compiler's pass list.  Registry benchmarks take a
-fast-key path (name triple → key, no re-hashing per call); non-registry
-instances (test subclasses, ablation clones) are content-addressed, so
-two instances carrying identical programs and ports share one artifact
-while a subclass that overrides the port hashes differently and gets
-its own.  :func:`clear_compile_cache` resets the table (tests that
-monkeypatch compilers need it).
+annotations, and the compiler's pass list.  Every request builds the
+port and hashes it, so the key is content, never the name triple: two
+instances carrying identical programs and ports share one artifact,
+while an instance whose port differs (an overridden ``port``, a swapped
+pipeline) hashes differently and gets its own.
+:func:`clear_compile_cache` empties the store and every memoized
+analysis.
 """
 
 from __future__ import annotations
@@ -104,8 +104,6 @@ class StoreView:
     """
 
     keys: tuple[ArtifactKey, ...] = ()
-    #: registry fast-path mappings covered by ``keys``
-    fast: tuple[tuple[tuple[str, str, str], ArtifactKey], ...] = ()
     hits: int = 0
     misses: int = 0
     #: the artifacts of ``keys`` in a delta view; none in a full view
@@ -147,64 +145,33 @@ class ArtifactStore:
 
     def __init__(self) -> None:
         self._artifacts: dict[ArtifactKey, Artifact] = {}
-        #: registry fast path: (bench, model, variant) → ArtifactKey,
-        #: valid because a registry benchmark's port is deterministic
-        #: per (model, variant) within a process
-        self._fast: dict[tuple[str, str, str], ArtifactKey] = {}
         self.hits = 0
         self.misses = 0
         self._lock = threading.RLock()
 
-    # -- core ------------------------------------------------------------
-    def _compile(self, key: ArtifactKey, port: "PortSpec",
-                 compiler) -> Artifact:
-        artifact = self._artifacts.get(key)
-        if artifact is not None:
-            self.hits += 1
-            return artifact
-        self.misses += 1
-        artifact = Artifact(key=key, port=port,
-                            compiled=compiler.compile_program(port))
-        self._artifacts[key] = artifact
-        return artifact
+    def artifact(self, bench: "Benchmark", model: str, variant: str,
+                 elide: bool = False) -> Artifact:
+        """The artifact of ``bench``'s port: built, hashed, then hit or
+        compiled.
 
-    def registry_artifact(self, bench: "Benchmark", model: str,
-                          variant: str, elide: bool = False) -> Artifact:
-        """The fast-key path: hash once, then hit by name triple.
-
-        ``elide`` compiles the elide-transfers flavour of the port; it
-        extends the fast key (and the config hash, via the port flag)
-        so the two flavours never alias one artifact."""
+        ``elide`` compiles the elide-transfers flavour of the port; the
+        port flag enters the config hash, so the two flavours never
+        alias one artifact."""
         with self._lock:
-            fast = (bench.name, model,
-                    variant + "+elide" if elide else variant)
-            key = self._fast.get(fast)
-            if key is not None:
+            port = bench.port(model, variant)
+            if elide:
+                port = replace(port, elide_transfers=True)
+            compiler = get_compiler(model)
+            key = ArtifactKey(bench.name, model, variant,
+                              _config_hash(model, variant, port, compiler))
+            artifact = self._artifacts.get(key)
+            if artifact is not None:
                 self.hits += 1
-                return self._artifacts[key]
-            port = bench.port(model, variant)
-            if elide:
-                port = replace(port, elide_transfers=True)
-            compiler = get_compiler(model)
-            key = ArtifactKey(bench.name, model, variant,
-                              _config_hash(model, variant, port, compiler))
-            artifact = self._compile(key, port, compiler)
-            self._fast[fast] = key
+                return artifact
+            self.misses += 1
+            artifact = self._artifacts[key] = Artifact(
+                key=key, port=port, compiled=compiler.compile_program(port))
             return artifact
-
-    def instance_artifact(self, bench: "Benchmark", model: str,
-                          variant: str, elide: bool = False) -> Artifact:
-        """The content-hash path for non-registry benchmark instances:
-        identical content shares the registry's artifact; divergent
-        content (an overridden port) gets its own entry."""
-        with self._lock:
-            port = bench.port(model, variant)
-            if elide:
-                port = replace(port, elide_transfers=True)
-            compiler = get_compiler(model)
-            key = ArtifactKey(bench.name, model, variant,
-                              _config_hash(model, variant, port, compiler))
-            return self._compile(key, port, compiler)
 
     # -- cross-process views ---------------------------------------------
     def view(self) -> StoreView:
@@ -212,7 +179,6 @@ class ArtifactStore:
         picklable :class:`StoreView`."""
         with self._lock:
             return StoreView(keys=tuple(self._artifacts),
-                             fast=tuple(self._fast.items()),
                              hits=self.hits, misses=self.misses)
 
     def delta_view(self, since: StoreView) -> StoreView:
@@ -220,12 +186,9 @@ class ArtifactStore:
         plus the hit/miss increments."""
         with self._lock:
             before = set(since.keys)
-            before_fast = set(since.fast)
             keys = tuple(k for k in self._artifacts if k not in before)
             return StoreView(
                 keys=keys,
-                fast=tuple(item for item in self._fast.items()
-                           if item not in before_fast),
                 hits=self.hits - since.hits,
                 misses=self.misses - since.misses,
                 artifacts=tuple(self._artifacts[k] for k in keys))
@@ -242,9 +205,6 @@ class ArtifactStore:
                 if artifact.key not in self._artifacts:
                     self._artifacts[artifact.key] = artifact
                     added += 1
-            for fast, key in view.fast:
-                if key in self._artifacts:
-                    self._fast.setdefault(fast, key)
         return added
 
     # -- bookkeeping -----------------------------------------------------
@@ -256,7 +216,6 @@ class ArtifactStore:
     def clear(self) -> None:
         with self._lock:
             self._artifacts.clear()
-            self._fast.clear()
             self.hits = 0
             self.misses = 0
 
@@ -278,41 +237,25 @@ def compile_port(benchmark: str, model: str, variant: Optional[str] = None,
     from repro.benchmarks import get_benchmark
 
     bench = get_benchmark(benchmark)
-    model = resolve_model(model)
-    chosen = variant or bench.variants(model)[0]
-    if chosen not in bench.variants(model):
-        raise KeyError(
-            f"unknown variant {chosen!r} for {bench.name}/{model}; "
-            f"known: {bench.variants(model)}")
-    artifact = STORE.registry_artifact(bench, model, chosen, elide=elide)
-    return artifact.port, artifact.compiled, chosen
+    chosen = variant or bench.variants(resolve_model(model))[0]
+    port, compiled = compile_bench(bench, model, chosen, elide=elide)
+    return port, compiled, chosen
 
 
 def compile_bench(bench: "Benchmark", model: str, variant: str,
                   elide: bool = False):
-    """``(port, compiled)`` for an in-hand benchmark *instance*.
+    """``(port, compiled)`` for a benchmark instance, registry or not.
 
-    Registry instances route through the fast-key path; anything else
-    (test subclasses, ablation clones) is content-addressed, so repeat
-    compilations of an identical instance still hit the store.
+    The store keys the port's content, so repeat compilations of equal
+    content hit, whichever instance asks, and an instance whose port
+    differs gets its own artifact.
     """
-    from repro.benchmarks import get_benchmark
-
     model = resolve_model(model)
-    try:
-        registered = get_benchmark(bench.name)
-    except KeyError:
-        registered = None
-    if registered is not None and type(registered) is type(bench):
-        if variant not in bench.variants(model):
-            raise KeyError(
-                f"unknown variant {variant!r} for {bench.name}/{model}; "
-                f"known: {bench.variants(model)}")
-        artifact = STORE.registry_artifact(bench, model, variant,
-                                           elide=elide)
-    else:
-        artifact = STORE.instance_artifact(bench, model, variant,
-                                           elide=elide)
+    if variant not in bench.variants(model):
+        raise KeyError(
+            f"unknown variant {variant!r} for {bench.name}/{model}; "
+            f"known: {bench.variants(model)}")
+    artifact = STORE.artifact(bench, model, variant, elide=elide)
     return artifact.port, artifact.compiled
 
 

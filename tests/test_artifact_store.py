@@ -1,20 +1,29 @@
 """The content-addressed artifact store (:mod:`repro.models.cache`).
 
 Pins the sharing semantics every consumer (harness sweeps, lint, tv,
-profile, baseline gate, the ``passes`` report) relies on: registry ports
-compile once per process via the fast-key path; non-registry benchmark
-instances are content-addressed, so identical content *shares* the
-artifact while divergent content (an overridden port) gets its own; and
-``clear_compile_cache`` gives tests full isolation.
+profile, baseline gate, the ``passes`` report) relies on: every request
+is keyed on the port's content, so a port compiles once per process,
+identical content *shares* the artifact whichever instance asks, and
+divergent content (an overridden port, a swapped pipeline) gets its
+own; and ``clear_compile_cache`` gives tests full isolation, the
+memoized analyses included.
 """
 
 import copy
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.benchmarks.registry import get_benchmark
-from repro.models.cache import (STORE, cache_stats, clear_compile_cache,
+from repro.cpu.openmp import run_region_host
+from repro.gpusim.kernel import Kernel
+from repro.ir.analysis import regionmemo
+from repro.ir.analysis.reuse import analyze_kernel_reuse, memoized_reuse
+from repro.ir.builder import aref, assign, pfor, v
+from repro.ir.program import ParallelRegion
+from repro.models import get_compiler
+from repro.models.cache import (cache_stats, clear_compile_cache,
                                 compile_bench, compile_port)
 
 
@@ -89,10 +98,39 @@ class TestContentAddressing:
         _, pgi = compile_bench(bench, "PGI Accelerator", "best")
         assert acc is not pgi
 
+    def test_registry_class_instance_with_its_own_port(self):
+        """An instance of a registry class is keyed on its port, not on
+        the (benchmark, model, variant) names it shares with the
+        registry's instance."""
+        _, registry = compile_bench(get_benchmark("jacobi"),
+                                    "OpenACC", "best")
+        bench = type(get_benchmark("jacobi"))()
+        pristine = bench.port("OpenACC", "best")
+        bench.port = lambda model, variant="best": dataclasses.replace(
+            pristine, directive_lines=pristine.directive_lines + 5)
+        port, instance = compile_bench(bench, "OpenACC", "best")
+        assert instance is not registry
+        assert port.directive_lines == pristine.directive_lines + 5
+        assert cache_stats() == {"hits": 0, "misses": 2, "entries": 2}
+
+    def test_swapped_pipeline_compiles_afresh(self, monkeypatch):
+        """A compile after the model's pipeline changed gets a fresh
+        artifact without clearing the store."""
+        bench = get_benchmark("jacobi")
+        _, first = compile_bench(bench, "OpenACC", "best")
+        pgi = get_compiler("pgi").pipeline
+        monkeypatch.setattr(type(get_compiler("OpenACC")), "pipeline",
+                            property(lambda self: pgi))
+        _, swapped = compile_bench(bench, "OpenACC", "best")
+        assert swapped is not first
+        assert cache_stats() == {"hits": 0, "misses": 2, "entries": 2}
+        region = next(iter(swapped.results))
+        assert ([p.name for p in swapped.results[region].passes]
+                != [p.name for p in first.results[region].passes])
+
     def test_key_covers_pass_list(self):
         """The config hash digests the compiler's pass names, so a
         different pipeline cannot alias an existing artifact."""
-        from repro.models import get_compiler
         from repro.models.cache import _config_hash
 
         bench = get_benchmark("jacobi")
@@ -170,9 +208,24 @@ class TestIsolation:
         assert cache_stats()["entries"] == 1
         clear_compile_cache()
         assert cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
-        assert not STORE._fast
 
-    def test_clear_invalidates_fast_path(self):
+    def test_clear_empties_every_memo(self):
+        """The symbolic pricing stages, the reuse analyses and the host
+        kernels live in the one memo table the clear empties."""
+        body = pfor("i", 0, v("n"), assign(aref("y", v("i")),
+                                           aref("x", v("i"))))
+        kernel = Kernel("k", body, ["i"], arrays=("x", "y"))
+        kernel.stage({"x": [4], "y": [4]})
+        memoized_reuse(analyze_kernel_reuse, kernel, {"n": 4.0},
+                       {"x": [4], "y": [4]})
+        run_region_host(ParallelRegion("r", body),
+                        {"x": np.ones(4), "y": np.zeros(4)}, {"n": 4})
+        kinds = {"stage", "reuse", "host-kernels"}
+        assert kinds <= {kind for kind, _ in regionmemo._RESULTS}
+        clear_compile_cache()
+        assert not regionmemo._RESULTS
+
+    def test_clear_forces_a_recompile(self):
         _, c1, _ = compile_port("jacobi", "openacc")
         clear_compile_cache()
         _, c2, _ = compile_port("jacobi", "openacc")

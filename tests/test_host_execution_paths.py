@@ -4,7 +4,7 @@ host-fallback synchronization inside an ExecutableProgram."""
 import numpy as np
 import pytest
 
-from repro.cpu.openmp import run_program_host, run_region_host
+from repro.cpu.openmp import _host_kernels, run_program_host, run_region_host
 from repro.ir.builder import (accum, aref, assign, block, critical, pfor,
                               sfor, v)
 from repro.ir.program import ArrayDecl, ParallelRegion, Program, ScalarDecl
@@ -31,6 +31,20 @@ class TestHostOpenMP:
                   "h": np.zeros(2)}
         run_region_host(region, arrays, {"n": 3})
         np.testing.assert_allclose(arrays["h"], [2, 1])
+
+    def test_host_kernels_are_keyed_on_content(self):
+        """Equal regions share one kernel list; a region differing in
+        name gets kernels named after it."""
+        def region(name):
+            return ParallelRegion(name, pfor("i", 0, v("n"),
+                                             assign(aref("b", v("i")), 2.0)))
+
+        names = (("b",), ("n",))
+        first = _host_kernels(region("r"), *names)
+        assert _host_kernels(region("r"), *names) is first
+        renamed = _host_kernels(region("q"), *names)
+        assert [k.name for k in renamed] == ["q__i"]
+        assert [k.name for k in first] == ["r__i"]
 
     def test_run_program_host_in_order(self):
         p = Program(

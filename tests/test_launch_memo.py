@@ -37,7 +37,7 @@ from repro.gpusim.executor import KernelExecutor, execute_kernel
 from repro.gpusim.kernel import Kernel
 from repro.gpusim.memo import MAX_LAUNCH_BYTES, LaunchMemo, launch_key
 from repro.gpusim.trace import TracingExecutor
-from repro.ir.analysis import reuse
+from repro.ir.analysis import regionmemo, reuse
 from repro.ir.builder import aref, assign, block, call, pfor, v
 from repro.ir.program import Function, Param
 from repro.ir.stmt import PointerArith
@@ -337,7 +337,7 @@ def _analysis_records(monkeypatch, memoized: bool):
         return analyze(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(reuse, "_ANALYSES", {})
+        patch.setattr(regionmemo, "_RESULTS", {})
         patch.setattr(locality, "_REPLAY_SLOT", (None, None))
         for module in (locality, lint_cache):
             patch.setattr(module, "analyze_kernel_reuse", counting)
@@ -366,11 +366,16 @@ class TestReuseMemo:
                                     args["bindings"], args["extents"],
                                     args["spec"], args["functions"])
 
+    @staticmethod
+    def _entries() -> int:
+        """The reuse analyses in the shared memo table."""
+        return sum(kind == "reuse" for kind, _ in regionmemo._RESULTS)
+
     def test_every_field_splits_the_key(self, monkeypatch):
-        monkeypatch.setattr(reuse, "_ANALYSES", {})
+        monkeypatch.setattr(regionmemo, "_RESULTS", {})
         kernel = _kernel()
         first = self._analyze(kernel)
-        assert self._analyze(kernel) is first and len(reuse._ANALYSES) == 1
+        assert self._analyze(kernel) is first and self._entries() == 1
         self._analyze(kernel, bindings={"n": 8.0})
         self._analyze(kernel, extents={"x": [8], "y": [4]})
         self._analyze(kernel, spec=dataclasses.replace(
@@ -386,10 +391,10 @@ class TestReuseMemo:
             self._analyze(calling, functions={"f": Function(
                 "f", [Param("dst", is_array=True), Param("i")],
                 assign(aref("dst", v(index)), 1.0))})
-        assert len(reuse._ANALYSES) == 8
+        assert self._entries() == 8
 
     def test_hits_carry_the_callers_name(self, monkeypatch):
-        monkeypatch.setattr(reuse, "_ANALYSES", {})
+        monkeypatch.setattr(regionmemo, "_RESULTS", {})
         first = self._analyze(_kernel())
         renamed = _kernel()
         renamed.name = "other"
@@ -399,7 +404,7 @@ class TestReuseMemo:
         assert self._analyze(_kernel()) is first
 
     def test_errors_are_raised_again(self, monkeypatch):
-        monkeypatch.setattr(reuse, "_ANALYSES", {})
+        monkeypatch.setattr(regionmemo, "_RESULTS", {})
         calls = []
         analyze = reuse.analyze_kernel_reuse
         kernel = Kernel("k", pfor("i", 0, v("m"), assign(aref("y", v("i")),

@@ -22,7 +22,6 @@ import threading
 import numpy as np
 import pytest
 
-import repro.gpusim.kernel as kernel_mod
 import repro.gpusim.runtime as runtime_mod
 from repro.benchmarks import base
 from repro.benchmarks.bfs import _bfs_levels
@@ -34,6 +33,7 @@ from repro.gpusim.device import TESLA_M2090
 from repro.gpusim.kernel import Kernel, KernelDescriptor
 from repro.gpusim.timing import TimingConfig, price_kernel
 from repro.harness.runner import FIGURE1_MODELS, run_speedups
+from repro.ir.analysis import regionmemo
 from repro.ir.analysis.access import AccessPattern, summarize_accesses
 from repro.ir.analysis.metrics import body_work
 from repro.ir.expr import ArrayRef, BinOp, Var
@@ -220,8 +220,9 @@ class TestContentKey:
         # one shared symbolic stage, two descriptors with their own names
         stage = first.stage(self.EXTENTS)
         assert second.stage(self.EXTENTS) is stage
-        assert kernel_mod._STAGES[(first.content_key, tuple(sorted(
-            (n, tuple(e)) for n, e in self.EXTENTS.items())))] is stage
+        assert regionmemo._RESULTS[("stage", (first.content_key, tuple(
+            sorted((n, tuple(e)) for n, e in self.EXTENTS.items()))))
+        ] is stage
         assert (a.name, b.name) == ("first", "second")
         assert b.block_threads == 128
         assert a == fresh_describe(first, self.BINDINGS, self.EXTENTS)
