@@ -28,9 +28,11 @@ Everything is vectorized: the only Python loops are over recorded
 ``log2(N)`` levels of a merge-sort tree — never over individual
 accesses.  The LRU hit test is exact, not sampled: an access hits iff
 the number of distinct same-set lines touched since the previous access
-to its line is below the associativity.  That count is a 2D dominance
-query answered offline for all accesses at once (see
-:func:`_prefix_less_count`).
+to its line is below the associativity.  That count is one 2D
+dominance query per reuse, answered offline for all reuses at once (see
+:func:`_range_distinct`); a window holding fewer accesses than the
+associativity (or, for the temporal locality degree, at most
+:data:`TLD_WINDOW_LINES`) is decided by its length and never queried.
 
 Traces from data-dependent kernels (CSR-style masked iteration) carry
 ``exact=False`` (see :mod:`repro.gpusim.trace`); the report propagates
@@ -143,13 +145,12 @@ def _range_distinct(pr: np.ndarray, a: np.ndarray,
     counts each distinct line once:
 
         d = #{ r : a < r < b, pr[r] < a }
-          = #{ r < b : pr[r] < a } - #{ r <= a : pr[r] < a }
+          = #{ r < b : pr[r] < a } - (a + 1)
+
+    since every ``r <= a`` has ``pr[r] < r <= a`` (a previous access
+    comes earlier), so one dominance query per window suffices.
     """
-    q = a.size
-    X = np.concatenate([b, a + 1])
-    V = np.concatenate([a, a])
-    res = _prefix_less_count(pr, X, V)
-    return res[:q] - res[q:]
+    return _prefix_less_count(pr, b, a) - (a + 1)
 
 
 @dataclass
@@ -184,7 +185,8 @@ def replay_lru(lines: np.ndarray,
     accesses at once: accesses are re-ranked into per-set contiguous
     blocks (stable sort by set keeps time order inside each set), so
     every same-set window is one contiguous rank interval and all
-    windows are answered with a single offline dominance count.
+    windows longer than ``assoc - 1`` accesses are answered with a
+    single offline dominance count; shorter ones are hits.
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     n = lines.size
@@ -219,8 +221,12 @@ def replay_lru(lines: np.ndarray,
     if reused.any():
         a = rank[prev[reused]]
         b = rank[reused]
-        d = _range_distinct(pr, a, b)
-        hits[reused] = d < geometry.assoc
+        # d <= b - a - 1, the same-set accesses in between, so a window
+        # shorter than ``assoc`` hits without a query
+        hit = b - a - 1 < geometry.assoc
+        far = ~hit
+        hit[far] = _range_distinct(pr, a[far], b[far]) < geometry.assoc
+        hits[reused] = hit
     return ReplayResult(geometry=geometry, hits=hits,
                         compulsory=compulsory, prev=prev)
 
@@ -249,6 +255,13 @@ class LineStream:
         return int(self.lines.size)
 
 
+def _drop_repeats(key: np.ndarray) -> np.ndarray:
+    """``key`` without the entries equal to their predecessor."""
+    keep = np.ones(key.size, dtype=bool)
+    keep[1:] = key[1:] != key[:-1]
+    return key[keep]
+
+
 def line_stream(trace: MemoryTrace, elem_bytes: int,
                 spec: DeviceSpec = TESLA_M2090) -> LineStream:
     """Lay the traced arrays out in a synthetic line-address space.
@@ -256,9 +269,10 @@ def line_stream(trace: MemoryTrace, elem_bytes: int,
     Arrays get disjoint line-aligned base offsets in sorted-name order
     (sizes from the largest flat index each trace touched), then every
     event's lane addresses collapse to distinct ``(warp, line)`` pairs.
-    All events are deduplicated at once: one ``lexsort`` by (event,
-    ``warp * span + line``) and a drop of adjacent repeats within an
-    event, instead of one ``np.unique`` per event.
+    All events are deduplicated at once: each lane gets one combined
+    (event, ``warp * span + line``) key, and a drop of adjacent repeats,
+    one sort and a second drop leave each key once, in order — instead
+    of one ``np.unique`` per event.
     """
     line_bytes = spec.transaction_bytes
     names = sorted(trace.arrays())
@@ -282,15 +296,24 @@ def line_stream(trace: MemoryTrace, elem_bytes: int,
     base = np.concatenate([[0], np.cumsum(size_lines[:-1])])
     span = int(size_lines.sum())
 
-    ev_idx = np.repeat(np.arange(len(events), dtype=np.int64), sizes)
-    gl = (lanes * elem_bytes) // line_bytes + np.repeat(base[ev_aid], sizes)
-    key = (lane_ids // spec.warp_size) * span + gl
-    order = np.lexsort((key, ev_idx))
-    key, ev_idx = key[order], ev_idx[order]
-    keep = np.ones(key.size, dtype=bool)
-    keep[1:] = (key[1:] != key[:-1]) | (ev_idx[1:] != ev_idx[:-1])
-    return LineStream(lines=key[keep] % span,
-                      array_ids=ev_aid[ev_idx[keep]], names=names,
+    # one combined (event, warp * span + line) key per lane: repeats
+    # inside an event become equal keys, and sorted keys are in event
+    # order, then (warp, line) order inside each event
+    width = (int(lane_ids.max()) // spec.warp_size + 1) * span
+    if len(events) * width >= 2 ** 63:
+        raise OverflowError(f"line stream key space of {len(events)} "
+                            f"events x {width} exceeds int64")
+    key = (lane_ids // spec.warp_size) * span
+    key += (lanes * elem_bytes) // line_bytes
+    key += np.repeat(base[ev_aid] + np.arange(len(events), dtype=np.int64)
+                     * width, sizes)
+    # neighbouring lanes mostly share a line: dropping adjacent repeats
+    # first leaves the sort a fraction of the lanes, and dropping them
+    # again after it leaves each key once
+    key = np.sort(_drop_repeats(key))
+    key = _drop_repeats(key)
+    return LineStream(lines=key % width % span,
+                      array_ids=ev_aid[key // width], names=names,
                       line_bytes=line_bytes, exact=trace.exact)
 
 
@@ -354,12 +377,12 @@ class LevelStats:
                 "aliasing_density": round(self.aliasing_density, 6)}
 
 
-def _occupancy_metrics(lines: np.ndarray,
+def _occupancy_metrics(distinct: np.ndarray,
                        geometry: CacheGeometry) -> tuple[float, float]:
-    """(cache-utilization ratio, aliasing density) of a line stream."""
-    if lines.size == 0:
+    """(cache-utilization ratio, aliasing density) of a stream's
+    ``distinct`` lines (in any order)."""
+    if distinct.size == 0:
         return 0.0, 0.0
-    distinct = np.unique(lines)
     per_set = np.bincount((distinct % geometry.num_sets).astype(np.int64),
                           minlength=geometry.num_sets)
     used = np.minimum(per_set, geometry.assoc).sum()
@@ -429,7 +452,7 @@ def simulate_cache(trace: MemoryTrace, elem_bytes: int,
     stream = line_stream(trace, elem_bytes, spec)
     g1, g2 = l1_geometry(spec), l2_geometry(spec)
     r1 = replay_lru(stream.lines, g1)
-    cur1, ad1 = _occupancy_metrics(stream.lines, g1)
+    cur1, ad1 = _occupancy_metrics(stream.lines[r1.compulsory], g1)
     l1 = LevelStats(level="L1", geometry=g1, accesses=r1.accesses,
                     misses=r1.misses,
                     compulsory=int(np.count_nonzero(r1.compulsory)),
@@ -439,7 +462,7 @@ def simulate_cache(trace: MemoryTrace, elem_bytes: int,
     l2_lines = stream.lines[miss_mask]
     l2_ids = stream.array_ids[miss_mask]
     r2 = replay_lru(l2_lines, g2)
-    cur2, ad2 = _occupancy_metrics(l2_lines, g2)
+    cur2, ad2 = _occupancy_metrics(l2_lines[r2.compulsory], g2)
     l2 = LevelStats(level="L2", geometry=g2, accesses=r2.accesses,
                     misses=r2.misses,
                     compulsory=int(np.count_nonzero(r2.compulsory)),
@@ -461,8 +484,12 @@ def simulate_cache(trace: MemoryTrace, elem_bytes: int,
         pr = r1.prev  # rank space == stream order for a single set
         a = pr[reused]
         b = np.flatnonzero(reused).astype(np.int64)
-        d_global = _range_distinct(pr, a, b)
-        tld = float(np.count_nonzero(d_global <= TLD_WINDOW_LINES)) / n
+        # a window of at most TLD_WINDOW_LINES accesses counts unqueried
+        near = b - a - 1 <= TLD_WINDOW_LINES
+        far = ~near
+        d_far = _range_distinct(pr, a[far], b[far])
+        tld = float(np.count_nonzero(near)
+                    + np.count_nonzero(d_far <= TLD_WINDOW_LINES)) / n
 
     refetch = miss_mask & ~r1.compulsory
     if refetch.any():

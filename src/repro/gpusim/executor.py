@@ -67,6 +67,15 @@ def _is_vector(v: Value) -> bool:
     return isinstance(v, np.ndarray) and v.ndim > 0
 
 
+def _all_distinct(flat: np.ndarray) -> bool:
+    """Whether no two lanes share a subscript: one compare decides the
+    common strictly increasing case (``A[i] += v``), ``np.unique`` the
+    rest."""
+    if (flat[1:] > flat[:-1]).all():
+        return True
+    return np.unique(flat).size == flat.size
+
+
 class KernelExecutor:
     """Interprets one kernel launch over its flattened thread space."""
 
@@ -281,7 +290,7 @@ class KernelExecutor:
             if _is_vector(val):
                 ival = val.astype(np.int64) if val.dtype.kind == "f" else val
                 if masked:
-                    ival = np.clip(ival, 0, dim - 1)
+                    ival = np.minimum(np.maximum(ival, 0), dim - 1)
                 else:
                     lo, hi = int(ival.min(initial=0)), int(ival.max(initial=0))
                     if lo < 0 or hi >= dim:
@@ -391,7 +400,7 @@ class KernelExecutor:
         flat = np.ravel_multi_index(
             tuple(np.broadcast_arrays(*idx)), arr.shape) if len(idx) > 1 \
             else np.asarray(idx[0])
-        if flat.size and np.unique(flat).size == flat.size:
+        if flat.size and _all_distinct(flat):
             arr[idx] = ufunc(arr[idx], value)
         else:
             ufunc.at(arr, idx, value)

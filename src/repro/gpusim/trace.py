@@ -26,6 +26,11 @@ bool`` — ``False`` as soon as any thread-dependent loop executed — so
 downstream consumers (the cache replay in :mod:`repro.gpusim.cache`,
 the CACHE lint rules) report such kernels as approximate/lower-bound
 instead of silently exact.
+
+Recording is cheap per access: :class:`TracingExecutor` turns the
+subscripts the executor already bounded into flat indices by stride
+arithmetic, and every unmasked event of a launch shares one read-only
+``arange(T)`` of lane ids.
 """
 
 from __future__ import annotations
@@ -127,6 +132,7 @@ class TracingExecutor(KernelExecutor):
         self.trace = trace if trace is not None else MemoryTrace()
         #: per access being evaluated, where its subscripts' events start
         self._starts: list[int] = []
+        self._lane_ids: Optional[np.ndarray] = None
 
     def _divergent_steps(self, lo_v: np.ndarray, hi_v: np.ndarray,
                          step: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -146,17 +152,40 @@ class TracingExecutor(KernelExecutor):
                 yield k, active
 
     # -- recording helpers -------------------------------------------------
-    def _flatten(self, arr: np.ndarray, idx: tuple) -> np.ndarray:
-        """Flat element indices per lane, broadcast to (T,)."""
-        parts = [np.broadcast_to(np.asarray(i), (self.T,)) for i in idx]
-        return np.ravel_multi_index(tuple(parts), arr.shape).astype(
-            np.int64)
+    def _lanes(self) -> np.ndarray:
+        """``arange(T)``, built once per launch and shared read-only by
+        every unmasked event."""
+        lanes = self._lane_ids
+        if lanes is None or lanes.size != self.T:
+            lanes = self._lane_ids = np.arange(self.T, dtype=np.int64)
+            lanes.flags.writeable = False
+        return lanes
 
-    def _active_lane_ids(self) -> np.ndarray:
-        lane_ids = np.arange(self.T, dtype=np.int64)
-        if self.mask is not None:
-            return lane_ids[self.mask]
-        return lane_ids
+    def _flat_indices(self, shape: tuple[int, ...], idx: tuple,
+                      lanes: Optional[np.ndarray]) -> np.ndarray:
+        """Flat element index of each of ``lanes`` (every lane when
+        ``None``): row-major stride arithmetic on the subscripts
+        :meth:`_indices` already bounded, gathered to the lanes first."""
+        offset, flat, stride = 0, None, 1
+        for i, dim in zip(reversed(idx), reversed(shape)):
+            if isinstance(i, np.ndarray):
+                term = (i if lanes is None else i[lanes]).astype(
+                    np.int64, copy=False)
+                if stride != 1:
+                    term = term * stride
+                flat = term if flat is None else flat + term
+            else:
+                offset += i * stride
+            stride *= dim
+        if flat is None:
+            flat = np.empty(self.T if lanes is None else lanes.size,
+                            dtype=np.int64)
+            flat.fill(offset)
+        elif offset:
+            flat = flat + offset
+        elif any(flat is i for i in idx):
+            flat = flat.copy()   # never alias the executor's own values
+        return flat
 
     def _load(self, ref: ArrayRef):
         self._starts.append(len(self.trace.events))
@@ -184,13 +213,13 @@ class TracingExecutor(KernelExecutor):
         """
         events = self.trace.events
         nested = events[self._starts[-1]:]
-        flat = self._flatten(arr, idx)
-        if self.mask is not None:
-            flat = flat[self.mask]
+        lanes = self._lanes()
+        active = None if self.mask is None else lanes[self.mask]
+        flat = self._flat_indices(arr.shape, idx, active)
         if not is_store:
             events.extend(nested)
         self.trace.record(ref.name, is_store, flat,
-                          self._active_lane_ids())
+                          lanes if active is None else active)
         if is_store:
             events.extend(nested)
         if self.data_dependent:

@@ -32,11 +32,12 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.ir.analysis.regionmemo import (block_digest, clear_region_memo,
                                           program_digests)
-from repro.models import get_compiler, resolve_model
+from repro.models import COMPILERS, resolve_model
 
 if TYPE_CHECKING:
     from repro.benchmarks.base import Benchmark
-    from repro.models.base import CompiledProgram, PortSpec
+    from repro.models.base import (CompiledProgram, DirectiveCompiler,
+                                   PortSpec)
 
 # NOTE: repro.benchmarks is imported inside the functions below —
 # benchmarks itself imports repro.models, so a module-level import
@@ -145,6 +146,7 @@ class ArtifactStore:
 
     def __init__(self) -> None:
         self._artifacts: dict[ArtifactKey, Artifact] = {}
+        self._compilers: dict[tuple, "DirectiveCompiler"] = {}
         self.hits = 0
         self.misses = 0
         self._lock = threading.RLock()
@@ -161,7 +163,7 @@ class ArtifactStore:
             port = bench.port(model, variant)
             if elide:
                 port = replace(port, elide_transfers=True)
-            compiler = get_compiler(model)
+            compiler = self._compiler(model)
             key = ArtifactKey(bench.name, model, variant,
                               _config_hash(model, variant, port, compiler))
             artifact = self._artifacts.get(key)
@@ -172,6 +174,18 @@ class ArtifactStore:
             artifact = self._artifacts[key] = Artifact(
                 key=key, port=port, compiled=compiler.compile_program(port))
             return artifact
+
+    def _compiler(self, model: str) -> "DirectiveCompiler":
+        """One compiler per model class and ``build_pipeline``, so a hit
+        hashes the pass names of an already built pipeline; a patched
+        class or builder gets a new compiler, a patched ``pipeline``
+        property is read through the instance."""
+        cls = COMPILERS[resolve_model(model)]
+        key = (cls, cls.build_pipeline)
+        compiler = self._compilers.get(key)
+        if compiler is None:
+            compiler = self._compilers[key] = cls()
+        return compiler
 
     # -- cross-process views ---------------------------------------------
     def view(self) -> StoreView:
@@ -216,6 +230,7 @@ class ArtifactStore:
     def clear(self) -> None:
         with self._lock:
             self._artifacts.clear()
+            self._compilers.clear()
             self.hits = 0
             self.misses = 0
 

@@ -9,15 +9,15 @@ document is reproducible for any worker count.
 
 Span wall-clock fields (``t0_us``/``dur_us``) are worker-local and thus
 timing metadata; everything the determinism suite compares —
-span names, attributes, and :func:`counter_totals` — is identical for
-any ``jobs`` value.
+span names, attributes and counter sums — is identical for any
+``jobs`` value.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Tracer
 
 
 def absorb_payloads(tracer: Tracer,
@@ -58,19 +58,3 @@ def absorb_payloads(tracer: Tracer,
         cursor[tid] = end
     return total, max(cursor.values(), default=0.0)
 
-
-def counter_totals(spans: Iterable[Span]) -> dict[str, float]:
-    """Sum every numeric counter across ``spans`` by key.
-
-    Non-numeric counters (e.g. an occupancy-limiter label) are skipped.
-    Because the simulator is deterministic and the work-unit graph
-    partitions the sweep, these totals are identical whether the spans
-    came from one serial process or were merged from N workers.
-    """
-    totals: dict[str, float] = {}
-    for sp in spans:
-        for key, value in sp.counters.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            totals[key] = totals.get(key, 0.0) + value
-    return totals

@@ -28,7 +28,9 @@ per lane.
 :func:`serial_evaluation` is the sweep-level oracle: the full
 evaluation aggregated by plain serial loops (model-major Table II
 fold, benchmark-major Figure 1, one ``profile_run`` per pair), against
-which the work-unit sweep is checked at any ``jobs``.
+which the work-unit sweep is checked at any ``jobs``;
+:func:`counter_totals` sums span counters, the figure a merged trace
+must reproduce for any ``jobs``.
 """
 
 import numpy as np
@@ -378,3 +380,20 @@ def serial_evaluation(scale, benchmarks=None, models=FIGURE1_MODELS):
     profiles = [profile_run(bench.name, model, scale=scale)
                 for bench in benches for model in models]
     return results, profiles
+
+
+def counter_totals(spans):
+    """Sum every numeric counter across ``spans`` by key.
+
+    Non-numeric counters (e.g. an occupancy-limiter label) are skipped.
+    Because the simulator is deterministic and the work-unit graph
+    partitions the sweep, these totals are identical whether the spans
+    came from one serial process or were merged from N workers.
+    """
+    totals: dict[str, float] = {}
+    for sp in spans:
+        for key, value in sp.counters.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            totals[key] = totals.get(key, 0.0) + value
+    return totals

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError, IRError, LaunchError
-from repro.gpusim.executor import execute_kernel
+from repro.gpusim.executor import (KernelExecutor, _all_distinct,
+                                   execute_kernel)
 from repro.gpusim.kernel import Kernel
 from repro.ir.builder import (accum, aref, assign, block, call, cast,
                               critical, iff, intrinsic, local, maximum,
@@ -99,6 +100,54 @@ class TestReductions:
         out = run(pfor("i", 0, 4, accum(aref("b", v("i")), 2.0)), ["i"],
                   {"b": np.ones(4)})
         np.testing.assert_allclose(out["b"], 3.0)
+
+
+class TestStoreChecks:
+    """An augmented vector store updates in one fancy-index pass when no
+    two lanes share a subscript, and through ``ufunc.at`` otherwise."""
+
+    def test_distinct_decision(self):
+        assert _all_distinct(np.arange(5))
+        # non-monotone but unique: decided by np.unique, still distinct
+        assert _all_distinct(np.array([3, 0, 4, 1, 2]))
+        # non-decreasing with a repeat is not strictly increasing
+        assert not _all_distinct(np.array([0, 1, 1, 2]))
+        assert not _all_distinct(np.array([2, 0, 2, 1]))
+
+    def test_non_monotone_unique_subscript(self):
+        perm = np.array([3, 0, 4, 1, 2], dtype=np.int64)
+        vals = np.array([1.5, 2.5, 3.5, 4.5, 5.5])
+        out = run(pfor("i", 0, 5, accum(aref("h", aref("p", v("i"))),
+                                        aref("x", v("i")))),
+                  ["i"], {"p": perm, "x": vals, "h": np.ones(5)})
+        want = np.ones(5)
+        want[perm] += vals
+        np.testing.assert_array_equal(out["h"], want)
+
+    def test_colliding_subscript(self):
+        idx = np.array([2, 0, 2, 1, 0, 2], dtype=np.int64)
+        vals = np.arange(6, dtype=np.float64)
+        out = run(pfor("i", 0, 6, accum(aref("h", aref("idx", v("i"))),
+                                        aref("x", v("i")))),
+                  ["i"], {"idx": idx, "x": vals, "h": np.zeros(3)})
+        want = np.zeros(3)
+        np.add.at(want, idx, vals)
+        np.testing.assert_array_equal(out["h"], want)
+
+    def test_masked_clip(self):
+        """Under a mask, out-of-range subscripts clip into the extent and
+        keep their integer dtype."""
+        kern = Kernel("k", pfor("i", 0, 5, assign(aref("b", v("i")), 1.0)),
+                      ["i"], arrays=["b"], scalars=[])
+        ex = KernelExecutor(kern, {"b": np.zeros(4)}, {})
+        ex.T = 5
+        ex.env["x"] = np.array([-3, 0, 2, 4, 9], dtype=np.int32)
+        ex._push_mask(np.array([False, True, True, False, False]))
+        (idx,) = ex._indices(aref("b", v("x")), (4,))
+        assert idx.dtype == np.int32
+        np.testing.assert_array_equal(idx, [0, 0, 2, 3, 3])
+        (idx,) = ex._indices(aref("b", 7), (4,))
+        assert idx == 3
 
 
 class TestControlFlow:

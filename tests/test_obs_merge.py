@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.merge import absorb_payloads, counter_totals
+from repro.obs.merge import absorb_payloads
 from repro.obs.tracer import Span, Tracer
+from tests.difftest import counter_totals
 
 
 def _payload(dur_s: float, name: str = "unit", counters=None) -> list[dict]:

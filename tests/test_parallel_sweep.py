@@ -29,10 +29,9 @@ from repro.benchmarks.base import Benchmark
 from repro.benchmarks.registry import get_benchmark, iter_suite
 from repro.obs.baseline import (DEFAULT_BASELINE_PATH, check_baseline,
                                 collect_entries)
-from repro.obs.merge import counter_totals
 from repro.obs.profile import profile_suite
 from repro.obs.tracer import Tracer, tracing
-from tests.difftest import serial_evaluation
+from tests.difftest import counter_totals, serial_evaluation
 
 #: cheap benchmarks for the engine-mechanics tests
 SUBSET = ["JACOBI", "HOTSPOT", "EP"]

@@ -102,3 +102,59 @@ class TestEquivalence:
                 want = reference_transactions(trace, array, elem,
                                               stores=stores)
                 assert got == want, (array, stores)
+
+
+class TestRecording:
+    """A traced access records its flat indices by stride arithmetic on
+    the bounded subscripts: the same values ``np.ravel_multi_index``
+    gives over the broadcast subscripts, for the active lanes only."""
+
+    @staticmethod
+    def _executor(threads, mask):
+        from repro.gpusim.kernel import Kernel
+        from repro.ir.builder import aref, assign, pfor, v
+
+        kern = Kernel("k", pfor("i", 0, threads,
+                                assign(aref("b", v("i")), 1.0)),
+                      ["i"], arrays=["b"], scalars=[])
+        ex = TracingExecutor(kern, {"b": np.zeros(1)}, {})
+        ex.T = threads
+        if mask is not None:
+            ex._push_mask(mask)
+        return ex
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_flat_indices_match_ravel(self, seed):
+        rng = np.random.default_rng(seed)
+        threads = int(rng.integers(1, 70))
+        shape = tuple(int(d) for d in rng.integers(1, 9, size=seed % 3 + 1))
+        mask = None if seed % 2 else rng.random(threads) < 0.6
+        ex = self._executor(threads, mask)
+        idx = tuple(
+            int(rng.integers(0, dim)) if rng.random() < 0.4 else
+            rng.integers(0, dim, size=threads).astype(
+                np.int32 if rng.random() < 0.5 else np.int64)
+            for dim in shape)
+        active = None if mask is None else np.flatnonzero(mask)
+        got = ex._flat_indices(shape, idx, active)
+        want = np.ravel_multi_index(
+            tuple(np.broadcast_to(i, (threads,)) for i in idx), shape)
+        if mask is not None:
+            want = want[mask]
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        # a fresh array, never one of the executor's subscript vectors
+        assert not any(got is i for i in idx)
+
+    def test_unmasked_events_share_one_lane_vector(self):
+        from repro.ir.builder import aref, v
+
+        ex = self._executor(40, None)
+        ex.arrays["b"] = np.zeros(40)
+        ex.env["i"] = np.arange(40)
+        for _ in range(2):
+            ex._load(aref("b", v("i")))
+        first, second = ex.trace.events
+        assert first.lane_ids is second.lane_ids
+        assert not first.lane_ids.flags.writeable
+        np.testing.assert_array_equal(first.lanes, np.arange(40))
